@@ -18,8 +18,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import linalg
-
 ONE_QUBIT_KINDS = ("rx", "ry", "rz")
 TWO_QUBIT_KINDS = ("rxx", "ryy", "rzz")
 FIXED_KINDS = ("cnot",)
@@ -27,26 +25,6 @@ FIXED_KINDS = ("cnot",)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-
-
-def _rot1(kind: str, theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    if kind == "rx":
-        return np.array([[c, -1j * s], [-1j * s, c]])
-    if kind == "ry":
-        return np.array([[c, -s], [s, c]])
-    if kind == "rz":
-        return np.array([[c - 1j * s, 0], [0, c + 1j * s]])
-    raise ValueError(f"unknown one-qubit kind {kind}")
-
-
-def _rot2(kind: str, theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    if kind == "rxx":
-        return c * np.eye(4) - 1j * s * np.kron(_X, _X)
-    if kind == "ryy":
-        return c * np.eye(4) - 1j * s * np.kron(_Y, _Y)
-    raise ValueError(f"unknown two-qubit kind {kind}")
 
 
 @lru_cache(maxsize=None)
@@ -201,10 +179,6 @@ def qcbm_circuit(n: int, layers: int) -> ParamCircuit:
     return _layered(n, layers, ("rx", "rz"))
 
 
-def build_layered_unitary(n: int, layers: int, theta: np.ndarray) -> np.ndarray:
-    return circuit_unitary(layered_unitary_circuit(n, layers), theta)
-
-
 def qcbm_distribution(born_circuit: ParamCircuit, phi: np.ndarray) -> np.ndarray:
     """Output distribution |<x|U(phi)|0...0>|^2 of a Born machine."""
     amps = apply_circuit(born_circuit, phi)
@@ -273,12 +247,6 @@ class ConvexCombinationState:
         p = self.distribution(params)
         u = self.basis_unitary(params)
         return (u * p) @ u.conj().T
-
-
-def realize_density(state: PurificationState | ConvexCombinationState, params: np.ndarray) -> np.ndarray:
-    """Dense density matrix of either ansatz; always satisfies the state invariants."""
-    rho = state.realize(params)
-    return linalg.hermitianize(rho)
 
 
 @dataclass(frozen=True)

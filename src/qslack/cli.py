@@ -95,7 +95,7 @@ def _cmd_selftest(_args) -> int:
     q = np.abs(rng.standard_normal(4)); q /= q.sum()
     r = np.abs(rng.standard_normal(4)); r /= r.sum()
     s = np.abs(rng.standard_normal(4)); s /= s.sum()
-    tb = obj.tvd_dual_objective(p, q, r, s, 0.5, 0.5, 10.0, est)
+    tb = obj.td_dual_objective(p, q, r, s, 0.5, 0.5, 10.0, est)
     dense, _ = obj.tvd_dual_dense(p, q, r, s, 0.5, 0.5, 10.0)
     ok &= _check("collision expansion matches dense evaluation", abs(tb.value - dense) < 1e-9)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .estimate import ShotModel
 from .optimizer import LrSchedule, SpsaConfig
@@ -46,7 +46,7 @@ class ExperimentConfig:
     schedule: LrSchedule = field(default_factory=LrSchedule)
     n_runs: int = 5
     seed: int = 7
-    instance_seed: int = 11
+    instance_seed: int = 921
     output_dir: str = "qslack_out"
     workers: int = 1
     instance: dict | None = None
@@ -116,7 +116,13 @@ def problem_defaults(problem: str, ansatz_type: str) -> dict:
         raise ConfigError(f"no defaults for problem {problem!r} with ansatz {ansatz_type!r}") from None
 
 
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
+    """Build a config from a JSON document; a missing key takes the problem
+    default from ``DEFAULTS`` or else the default of its dataclass field."""
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
     raw = dict(raw)
@@ -133,7 +139,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     ansatz = AnsatzConfig(
         type=ansatz_type,
         layers=int(ansatz_raw.get("layers", defaults["layers"])),
-        born_layers=int(ansatz_raw.get("born_layers", defaults.get("born_layers", 2))),
+        born_layers=int(ansatz_raw.get("born_layers", defaults.get("born_layers", AnsatzConfig.born_layers))),
         n_reference=ansatz_raw.get("n_reference"),
     )
 
@@ -142,31 +148,24 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     spsa_raw = dict(raw.pop("optimizer", {}))
     spsa = SpsaConfig(
         learning_rate=float(spsa_raw.get("learning_rate", defaults["lr"])),
-        perturbation=float(spsa_raw.get("perturbation", 0.1)),
+        perturbation=float(spsa_raw.get("perturbation", SpsaConfig.perturbation)),
         normalize=bool(spsa_raw.get("normalize", defaults["normalize"])),
         max_iters=int(spsa_raw.get("max_iters", defaults["max_iters"])),
     )
 
     sched_raw = {**defaults["schedule"], **raw.pop("schedule", {})}
-    schedule = LrSchedule(
-        kind=sched_raw.get("kind", "fixed"),
-        period=int(sched_raw.get("period", 1000)),
-        window=int(sched_raw.get("window", 500)),
-        factor=float(sched_raw.get("factor", 1.1)),
-        min_lr=float(sched_raw.get("min_lr", 1e-3)),
-        check_every=int(sched_raw.get("check_every", 100)),
-    )
+    schedule = LrSchedule(**{
+        name: type(default)(sched_raw.get(name, default))
+        for name, default in _field_defaults(LrSchedule).items()
+    })
 
     penalty = float(raw.pop("penalty", defaults["c"]))
     known = {
-        "n_system": int(raw.pop("n_system", 2)),
-        "n_runs": int(raw.pop("n_runs", 5)),
-        "seed": int(raw.pop("seed", 7)),
-        "instance_seed": int(raw.pop("instance_seed", 921)),
-        "output_dir": str(raw.pop("output_dir", "qslack_out")),
-        "workers": int(raw.pop("workers", 1)),
-        "instance": raw.pop("instance", None),
+        name: type(default)(raw.pop(name, default))
+        for name, default in _field_defaults(ExperimentConfig).items()
+        if name not in ("penalty", "instance")
     }
+    known["instance"] = raw.pop("instance", None)
     if raw:
         raise ConfigError(f"unknown config keys: {sorted(raw)}")
     try:

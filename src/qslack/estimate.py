@@ -11,11 +11,10 @@ and above 10^6 shots the binomial is replaced by its Gaussian limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .ansatz import ConvexCombinationState, PurificationState
 from .pauli import PauliString, WalshVector
 
@@ -136,11 +135,6 @@ class Estimator:
             val = self.rng.binomial(n, p) / n
         return Estimate(val, math.sqrt(max(0.0, val * (1.0 - val)) / n), n)
 
-    @staticmethod
-    def exact_scalar(value: float) -> Estimate:
-        """A term computed from stored coefficients; no sampling involved."""
-        return Estimate(float(value))
-
     # -- primitives --------------------------------------------------------
     def pauli_expect(self, state, p: PauliString) -> Estimate:
         rho = as_prepared(state).rho
@@ -192,24 +186,6 @@ class Estimator:
     def walsh_expect(self, state, w: WalshVector) -> Estimate:
         p = as_prepared(state).dist
         return self._pm_one(float(w.dense() @ p))
-
-
-# -- functional op surface -------------------------------------------------
-
-def estimate_pauli_expect(rho, p: PauliString, shots: ShotModel, rng: np.random.Generator | None = None) -> Estimate:
-    return Estimator(shots, rng).pauli_expect(rho, p)
-
-
-def estimate_overlap_swap(rho, sigma, shots: ShotModel, rng: np.random.Generator | None = None) -> Estimate:
-    return Estimator(shots, rng).overlap(rho, sigma)
-
-
-def estimate_overlap_loschmidt(first, other, shots: ShotModel, rng: np.random.Generator | None = None) -> Estimate:
-    return Estimator(shots, rng).loschmidt(first, other)
-
-
-def estimate_collision(p, q, shots: ShotModel, rng: np.random.Generator | None = None) -> Estimate:
-    return Estimator(shots, rng).collision(p, q)
 
 
 def hoeffding_shots(epsilon: float, delta: float) -> int:

@@ -1,14 +1,62 @@
 """Penalty objectives for the variational SDP/LP bound estimators.
 
-Each problem objective exists in two forms that agree to numerical precision
-in exact mode:
+Every objective exists in two forms that agree to numerical precision in
+exact mode:
 
-* a dense form that builds the constraint matrix (or vector) literally and
-  takes its squared Hilbert-Schmidt (or Euclidean) norm, used as the
-  independent check and by analytic gradients;
-* a term-decomposed form in which every primitive is an ``Estimate`` drawn
-  from an :class:`~qslack.estimate.Estimator`, mirroring how the quantities
-  would be measured; this is the form the optimizer trains on.
+* a dense form (``*_dense``) that builds the constraint matrix (or vector)
+  literally and takes its squared Hilbert-Schmidt (or Euclidean) norm.  The
+  dense forms are written out by hand and share no code with the term forms:
+  they are the independent reference the term forms are checked against, and
+  the input of the analytic gradients;
+* a term form (``*_objective``) in which every sampled quantity is an
+  ``Estimate`` drawn from an :class:`~qslack.estimate.Estimator`, mirroring
+  how it would be measured; this is the form the optimizer trains on in shot
+  mode.
+
+The penalties of the term forms are squared norms ||sum_i c_i X_i||^2, and
+:func:`sq_norm` evaluates every one of them as sum_ij c_i c_j <X_i, X_j>.
+(The constrained-Hamiltonian primal is the exception: its penalty squares
+the estimate of each scalar constraint.)  An operand X_i is one of
+
+* a :class:`~qslack.estimate.Prepared` state, or a distribution (no ``rho``);
+* ``IDENTITY``: the identity matrix, or the all-ones vector;
+* an :class:`Expansion` sum_k a_k B_k with real coefficients over Pauli
+  strings or Walsh vectors;
+* a :class:`Block` P_k (x) rho: a state on diagonal block k of a leading
+  qubit, or the :class:`OffDiagonal` block |0><1| (x) X^dag + |1><0| (x) X.
+
+Each inner product, with d the dimension of the space, is
+
+=============  ==============  ============================================
+X_i            X_j             <X_i, X_j>
+=============  ==============  ============================================
+state          itself          ``purity`` (a collision for distributions and
+                               convex-combination states)
+state          other state     ``overlap``; ``collision`` for distributions
+IDENTITY       IDENTITY        d
+IDENTITY       state, block    1
+IDENTITY       expansion A     d a_0, a_0 the coefficient of the identity
+expansion A    expansion B     d sum_k a_k b_k
+expansion A    state           sum_k a_k ``pauli_expect`` (or
+                               ``walsh_expect``); zero coefficients skipped
+block P_k rho  itself          ``purity`` of rho
+block P_k rho  block P_l tau   ``overlap`` of rho and tau if k == l, else 0
+block P_k rho  expansion A     0 for strings that start with X or Y; for I or
+                               Z the ``pauli_expect`` of the rest on rho,
+                               negated for Z on block 1
+block P_k rho  state           ``overlap`` of P_k (x) rho with the state
+off-diagonal   itself          d sum_x |alpha_x|^2
+off-diagonal   state           sum_x Re(alpha_x) ``pauli_expect`` of X (x)
+                               sigma_x + Im(alpha_x) of Y (x) sigma_x, both
+                               estimated for every non-zero alpha_x
+off-diagonal   IDENTITY, block 0
+off-diagonal   expansion       as its expansion over X and Y strings
+=============  ==============  ============================================
+
+Only the entries that name an Estimator primitive sample anything.
+:func:`sq_norm` adds the diagonal terms first and then the pairs i < j in
+row-major order, so the order of the operands fixes the order of the
+Estimator calls, and with it the noise stream a shot-mode run consumes.
 
 ``PenaltyObjective`` packages a problem instance with its parameter layout
 (circuit angles for each variational state followed by the scalar blocks)
@@ -18,15 +66,14 @@ and evaluates either form from a flat parameter vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from functools import lru_cache
-
 from . import linalg
-from .estimate import Estimate, Estimator, Prepared, as_prepared, prepare
+from .estimate import Estimator, Prepared, as_prepared, prepare
 from .pauli import (
     PauliObservable,
     PauliString,
@@ -47,12 +94,10 @@ class BarrierViolationError(ValueError):
 
 @dataclass
 class TermBreakdown:
-    """Objective value, the bare penalty (the quantity multiplied by c), and
-    the named primitive estimates it was recombined from."""
+    """Objective value and the bare penalty (the quantity multiplied by c)."""
 
     value: float
     penalty: float
-    terms: dict[str, Estimate] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -84,9 +129,16 @@ class ParamBlock:
 
 
 class PenaltyObjective:
-    """A problem instance bound to ansatz templates and a penalty constant."""
+    """A problem instance bound to ansatz templates and a penalty constant.
 
-    def __init__(self, tag, direction, c, state_templates, blocks, dense_fn, term_fn):
+    ``dense`` and ``terms`` are the two forms of the objective with the fixed
+    problem inputs already bound.  Both take the realized states (dense
+    arrays for ``dense``, ``Prepared`` states for ``terms``) followed by the
+    keyword arguments that ``bind`` makes from the scalar blocks; ``terms``
+    also takes the Estimator as ``est``.
+    """
+
+    def __init__(self, tag, direction, c, state_templates, blocks, dense, terms, bind):
         if c <= 0:
             raise ValueError("penalty constant must be positive")
         if direction not in ("max", "min"):
@@ -96,8 +148,9 @@ class PenaltyObjective:
         self.c = float(c)
         self.state_templates = list(state_templates)
         self.blocks = list(blocks)
-        self._dense_fn = dense_fn
-        self._term_fn = term_fn
+        self._dense = dense
+        self._terms = terms
+        self._bind = bind
         self._slices: dict[str, slice] = {}
         off = 0
         for b in self.blocks:
@@ -147,28 +200,149 @@ class PenaltyObjective:
     # -- evaluation -----------------------------------------------------
     def evaluate(self, params: np.ndarray, estimator: Estimator | None = None) -> TermBreakdown:
         states = self.realize_states(params)
-        scalars = self.scalars(params)
+        args = self._bind(self.scalars(params))
         if estimator is None:
-            value, penalty = self._dense_fn([s.dense for s in states], scalars)
-            return TermBreakdown(value, penalty)
-        return self._term_fn(states, scalars, estimator)
+            return TermBreakdown(*self._dense(*[s.dense for s in states], **args))
+        return self._terms(*states, **args, est=estimator)
 
     def dense_value(self, dense_states: list[np.ndarray], scalars: dict[str, np.ndarray]) -> float:
-        return self._dense_fn(dense_states, scalars)[0]
-
-
-# -- shared term helpers -----------------------------------------------
-
-def _combine(parts: list[tuple[float, Estimate]]) -> float:
-    return float(sum(c * e.value for c, e in parts))
-
-
-def _embed(block: np.ndarray, state: np.ndarray) -> np.ndarray:
-    return np.kron(block, state)
+        return self._dense(*dense_states, **self._bind(scalars))[0]
 
 
 # ======================================================================
-# Normalized trace distance
+# The squared-norm expansion
+# ======================================================================
+
+class Identity:
+    """The identity matrix, or the all-ones vector of a distribution."""
+
+
+IDENTITY = Identity()
+
+
+class Expansion(NamedTuple):
+    """sum_k coeffs[k] B_k, with B_k the Pauli string (or, if ``walsh``, the
+    Walsh vector) labelled labels[k]."""
+
+    labels: tuple[tuple[int, ...], ...]
+    coeffs: np.ndarray
+    walsh: bool = False
+
+    @classmethod
+    def of(cls, obs: PauliObservable | WalshObservable) -> "Expansion":
+        return cls(tuple(obs.terms), np.array([c.real for c in obs.terms.values()]),
+                   isinstance(obs, WalshObservable))
+
+
+class Block(NamedTuple):
+    """P_k (x) state: ``state`` placed on diagonal block ``k`` (0 or 1) of a
+    leading qubit."""
+
+    k: int
+    state: Prepared
+
+
+class OffDiagonal(NamedTuple):
+    """|0><1| (x) X^dag + |1><0| (x) X for X = sum_x alpha_x sigma_x, with the
+    complex coefficients ``alpha`` in the canonical string order.  As a Pauli
+    expansion it is sum_x Re(alpha_x) X (x) sigma_x + Im(alpha_x) Y (x) sigma_x."""
+
+    alpha: np.ndarray
+
+    def expansion(self) -> Expansion:
+        n = (len(self.alpha).bit_length() - 1) // 2
+        return Expansion(tuple((q,) + x for x in string_order(n) for q in (1, 2)),
+                         np.column_stack((self.alpha.real, self.alpha.imag)).ravel())
+
+    def expect(self, state: Prepared, est: Estimator) -> float:
+        """Both strings of every non-zero alpha_x are estimated."""
+        n = (len(self.alpha).bit_length() - 1) // 2
+        cross = 0.0
+        for a, labels in zip(self.alpha, string_order(n)):
+            if a != 0:
+                ex = est.pauli_expect(state, PauliString((1,) + labels))
+                ey = est.pauli_expect(state, PauliString((2,) + labels))
+                cross += a.real * ex.value + a.imag * ey.value
+        return cross
+
+
+_RANK = {Identity: 0, Expansion: 1, Block: 2, OffDiagonal: 3, Prepared: 4}
+_PROJ = (PROJ0, PROJ1)
+
+
+def _dim(x: Prepared) -> int:
+    return x.dense.shape[0]
+
+
+def _expect(a: Expansion, state: Prepared, est: Estimator) -> float:
+    """sum_k a_k <B_k>, one Estimator call per non-zero coefficient."""
+    pairs = zip(a.labels, a.coeffs)
+    if a.walsh:
+        return sum(c * est.walsh_expect(state, WalshVector(l)).value for l, c in pairs if c != 0)
+    return sum(c * est.pauli_expect(state, PauliString(l)).value for l, c in pairs if c != 0)
+
+
+def _self_inner(x, d: float, est: Estimator) -> float:
+    t = type(x)
+    if t is Prepared:
+        return est.purity(x).value
+    if t is Block:
+        return est.purity(x.state).value
+    if t is Expansion:
+        return d * float(np.dot(x.coeffs, x.coeffs))
+    if t is OffDiagonal:
+        return d * float(np.sum(np.abs(x.alpha) ** 2))
+    return d
+
+
+def _inner(a, b, d: float, est: Estimator) -> float:
+    """Re Tr[a^dag b] (a . b for distributions) of two distinct operands."""
+    ta, tb = type(a), type(b)
+    if ta is Prepared and tb is Prepared:
+        if a.rho is None:
+            return est.collision(a.dist, b.dist).value
+        return est.overlap(a, b).value
+    if _RANK[ta] > _RANK[tb]:
+        a, b, ta, tb = b, a, tb, ta
+    if tb is OffDiagonal:  # traceless, and zero on the diagonal blocks
+        return _inner(a, b.expansion(), d, est) if ta is Expansion or ta is OffDiagonal else 0.0
+    if ta is OffDiagonal:
+        return a.expect(b, est)
+    if ta is Identity:
+        if tb is Identity:
+            return d
+        if tb is Expansion:
+            return d * sum(c for l, c in zip(b.labels, b.coeffs) if not any(l))
+        return 1.0
+    if ta is Expansion:
+        if tb is Expansion:
+            other = dict(zip(b.labels, b.coeffs))
+            return d * sum(c * other.get(l, 0.0) for l, c in zip(a.labels, a.coeffs))
+        if tb is Prepared:
+            return _expect(a, b, est)
+        sign = (1.0, 0.0, 0.0, 1.0 - 2.0 * b.k)  # Tr[P_k s] for s = I, X, Y, Z
+        return sum(sign[l[0]] * c * est.pauli_expect(b.state, PauliString(l[1:])).value
+                   for l, c in zip(a.labels, a.coeffs) if sign[l[0]] * c != 0)
+    if tb is Block:
+        return est.overlap(a.state, b.state).value if a.k == b.k else 0.0
+    return est.overlap(np.kron(_PROJ[a.k], a.state.rho), b).value
+
+
+def sq_norm(terms: list[tuple[float, object]], d: float, est: Estimator) -> float:
+    """||sum_i c_i X_i||^2 = sum_ij c_i c_j <X_i, X_j> for (c_i, X_i) pairs on
+    a space of dimension d: the diagonal terms first, then the pairs i < j in
+    row-major order."""
+    total = 0.0
+    for c, x in terms:
+        total += c * c * _self_inner(x, d, est)
+    for i, (ci, xi) in enumerate(terms):
+        for cj, xj in terms[i + 1:]:
+            total += 2.0 * ci * cj * _inner(xi, xj, d, est)
+    return float(total)
+
+
+# ======================================================================
+# Normalized trace distance, and total variation distance
 # ======================================================================
 
 def td_dual_dense(rho, sigma, omega, tau, lam, mu, c):
@@ -178,29 +352,12 @@ def td_dual_dense(rho, sigma, omega, tau, lam, mu, c):
 
 
 def td_dual_objective(rho, sigma, omega, tau, lam, mu, c, est: Estimator | None = None) -> TermBreakdown:
-    """lambda + c * ||lambda omega - rho + sigma - mu tau||_2^2, expanded into
-    ten trace overlaps."""
+    """lambda + c * ||lambda omega - rho + sigma - mu tau||_2^2.  On
+    distributions this is the total variation distance dual."""
     est = est if est is not None else Estimator()
     rho, sigma, omega, tau = map(as_prepared, (rho, sigma, omega, tau))
-    t = {
-        "purity_omega": est.purity(omega),
-        "purity_rho": est.purity(rho),
-        "purity_sigma": est.purity(sigma),
-        "purity_tau": est.purity(tau),
-        "ov_omega_rho": est.overlap(omega, rho),
-        "ov_omega_sigma": est.overlap(omega, sigma),
-        "ov_omega_tau": est.overlap(omega, tau),
-        "ov_rho_sigma": est.overlap(rho, sigma),
-        "ov_rho_tau": est.overlap(rho, tau),
-        "ov_sigma_tau": est.overlap(sigma, tau),
-    }
-    pen = _combine([
-        (lam**2, t["purity_omega"]), (1.0, t["purity_rho"]), (1.0, t["purity_sigma"]),
-        (mu**2, t["purity_tau"]), (-2 * lam, t["ov_omega_rho"]), (2 * lam, t["ov_omega_sigma"]),
-        (-2 * lam * mu, t["ov_omega_tau"]), (-2.0, t["ov_rho_sigma"]),
-        (2 * mu, t["ov_rho_tau"]), (-2 * mu, t["ov_sigma_tau"]),
-    ])
-    return TermBreakdown(lam + c * pen, pen, t)
+    pen = sq_norm([(lam, omega), (-1.0, rho), (1.0, sigma), (-mu, tau)], _dim(rho), est)
+    return TermBreakdown(lam + c * pen, pen)
 
 
 def td_primal_dense(rho, sigma, tau, omega, lam, mu, c):
@@ -212,32 +369,31 @@ def td_primal_dense(rho, sigma, tau, omega, lam, mu, c):
 
 
 def td_primal_objective(rho, sigma, tau, omega, lam, mu, c, est: Estimator | None = None) -> TermBreakdown:
-    """lambda Tr[tau(rho - sigma)] - c * ||I - lambda tau - mu omega||_2^2."""
+    """lambda Tr[tau(rho - sigma)] - c * ||I - lambda tau - mu omega||_2^2.
+    On distributions this is the total variation distance primal."""
     est = est if est is not None else Estimator()
     rho, sigma, tau, omega = map(as_prepared, (rho, sigma, tau, omega))
-    n = int(round(math.log2(rho.rho.shape[0])))
-    t = {
-        "ov_tau_rho": est.overlap(tau, rho),
-        "ov_tau_sigma": est.overlap(tau, sigma),
-        "purity_tau": est.purity(tau),
-        "purity_omega": est.purity(omega),
-        "ov_tau_omega": est.overlap(tau, omega),
-    }
-    pen = (
-        2.0**n + lam**2 * t["purity_tau"].value + mu**2 * t["purity_omega"].value
-        - 2 * lam - 2 * mu + 2 * lam * mu * t["ov_tau_omega"].value
-    )
-    val = lam * (t["ov_tau_rho"].value - t["ov_tau_sigma"].value) - c * pen
-    return TermBreakdown(val, pen, t)
+    d = _dim(rho)
+    gain = lam * (_inner(tau, rho, d, est) - _inner(tau, sigma, d, est))
+    pen = sq_norm([(1.0, IDENTITY), (-lam, tau), (-mu, omega)], d, est)
+    return TermBreakdown(gain - c * pen, pen)
+
+
+def tvd_dual_dense(p, q, r, s, lam, mu, c):
+    arg = lam * r - p + q - mu * s
+    pen = float(np.sum(arg**2))
+    return lam + c * pen, pen
+
+
+def tvd_primal_dense(p, q, r, s, lam, mu, c):
+    ones = np.ones_like(p)
+    pen = float(np.sum((ones - lam * r - mu * s) ** 2))
+    return lam * float(r @ p - r @ q) - c * pen, pen
 
 
 # ======================================================================
 # Root fidelity
 # ======================================================================
-
-def _alpha_strings(n: int) -> tuple[tuple[int, ...], ...]:
-    return string_order(n)
-
 
 def coeffs_to_matrix(coeffs: np.ndarray, n: int) -> np.ndarray:
     """sum_x c_x sigma_x over the canonical string order."""
@@ -246,7 +402,7 @@ def coeffs_to_matrix(coeffs: np.ndarray, n: int) -> np.ndarray:
 
 def fidelity_block_matrix(rho: np.ndarray, sigma: np.ndarray, x_mat: np.ndarray) -> np.ndarray:
     return (
-        _embed(PROJ0, rho) + _embed(PROJ1, sigma)
+        np.kron(PROJ0, rho) + np.kron(PROJ1, sigma)
         + np.kron(np.array([[0, 1], [0, 0]]), x_mat.conj().T)
         + np.kron(np.array([[0, 0], [1, 0]]), x_mat)
     )
@@ -261,72 +417,39 @@ def fidelity_primal_dense(rho, sigma, omega, alpha: np.ndarray, lam, c):
 
 
 def fidelity_primal_objective(rho, sigma, omega, alpha: np.ndarray, lam, c, est: Estimator | None = None) -> TermBreakdown:
-    """2^n Re[alpha_0] - c * f, with f the expanded block-constraint norm.
+    """2^n Re[alpha_0] - c * ||P0 (x) rho + P1 (x) sigma - lambda omega + offdiag||_2^2.
 
-    ``alpha`` is the complex coefficient vector of the off-diagonal block in
-    the Pauli basis, ordered lexicographically; ``omega`` lives on n+1
+    ``alpha`` is the complex coefficient vector of the off-diagonal block X
+    in the Pauli basis, ordered lexicographically; ``omega`` lives on n+1
     qubits with qubit 0 indexing the 2x2 block structure.
     """
     est = est if est is not None else Estimator()
     rho, sigma, omega = map(as_prepared, (rho, sigma, omega))
-    n = int(round(math.log2(rho.rho.shape[0])))
-    t = {
-        "purity_rho": est.purity(rho),
-        "purity_sigma": est.purity(sigma),
-        "purity_omega": est.purity(omega),
-        "ov_p0rho_omega": est.overlap(_embed(PROJ0, rho.rho), omega),
-        "ov_p1sigma_omega": est.overlap(_embed(PROJ1, sigma.rho), omega),
-    }
-    cross = 0.0
-    for a, labels in zip(alpha, _alpha_strings(n)):
-        if a == 0:
-            continue
-        ex = est.pauli_expect(omega, PauliString((1,) + labels))
-        ey = est.pauli_expect(omega, PauliString((2,) + labels))
-        t[f"x_{PauliString(labels).text()}"] = ex
-        t[f"y_{PauliString(labels).text()}"] = ey
-        cross += a.real * ex.value + a.imag * ey.value
-    pen = (
-        t["purity_rho"].value + t["purity_sigma"].value + lam**2 * t["purity_omega"].value
-        + 2.0 ** (n + 1) * float(np.sum(np.abs(alpha) ** 2))
-        - 2 * lam * t["ov_p0rho_omega"].value - 2 * lam * t["ov_p1sigma_omega"].value
-        - 2 * lam * cross
-    )
-    return TermBreakdown(2.0**n * alpha[0].real - c * pen, pen, t)
+    alpha = np.asarray(alpha)
+    d = _dim(rho)
+    pen = sq_norm([(1.0, Block(0, rho)), (1.0, Block(1, sigma)), (-lam, omega), (1.0, OffDiagonal(alpha))],
+                  2 * d, est)
+    return TermBreakdown(d * alpha[0].real - c * pen, pen)
 
 
 def fidelity_dual_dense(rho, sigma, omega, tau, xi, lam, mu, nu, c):
     n = int(round(math.log2(rho.shape[0])))
-    arg = _embed(PROJ0, lam * omega) + _embed(PROJ1, mu * tau) + np.kron(SIGMA_X, np.eye(2**n)) - nu * xi
+    arg = np.kron(PROJ0, lam * omega) + np.kron(PROJ1, mu * tau) + np.kron(SIGMA_X, np.eye(2**n)) - nu * xi
     pen = linalg.hs_norm_sq(arg)
     val = 0.5 * lam * np.einsum("ij,ji->", omega, rho).real + 0.5 * mu * np.einsum("ij,ji->", tau, sigma).real
     return float(val) + c * pen, pen
 
 
 def fidelity_dual_objective(rho, sigma, omega, tau, xi, lam, mu, nu, c, est: Estimator | None = None) -> TermBreakdown:
-    """(lambda Tr[omega rho] + mu Tr[tau sigma])/2 + c * g for the block dual."""
+    """(lambda Tr[omega rho] + mu Tr[tau sigma])/2
+    + c * ||P0 (x) lambda omega + P1 (x) mu tau + X (x) I - nu xi||_2^2."""
     est = est if est is not None else Estimator()
     rho, sigma, omega, tau, xi = map(as_prepared, (rho, sigma, omega, tau, xi))
-    n = int(round(math.log2(rho.rho.shape[0])))
-    x_string = PauliString((1,) + (0,) * n)
-    t = {
-        "ov_omega_rho": est.overlap(omega, rho),
-        "ov_tau_sigma": est.overlap(tau, sigma),
-        "purity_omega": est.purity(omega),
-        "purity_tau": est.purity(tau),
-        "purity_xi": est.purity(xi),
-        "ov_p0omega_xi": est.overlap(_embed(PROJ0, omega.rho), xi),
-        "ov_p1tau_xi": est.overlap(_embed(PROJ1, tau.rho), xi),
-        "x_expect_xi": est.pauli_expect(xi, x_string),
-    }
-    pen = (
-        lam**2 * t["purity_omega"].value + mu**2 * t["purity_tau"].value
-        + 2.0 ** (n + 1) + nu**2 * t["purity_xi"].value
-        - 2 * lam * nu * t["ov_p0omega_xi"].value - 2 * mu * nu * t["ov_p1tau_xi"].value
-        - 2 * nu * t["x_expect_xi"].value
-    )
-    val = 0.5 * lam * t["ov_omega_rho"].value + 0.5 * mu * t["ov_tau_sigma"].value + c * pen
-    return TermBreakdown(val, pen, t)
+    d = _dim(rho)
+    gain = 0.5 * lam * _inner(omega, rho, d, est) + 0.5 * mu * _inner(tau, sigma, d, est)
+    x_eye = Expansion(((1,) + (0,) * int(round(math.log2(d))),), np.ones(1))
+    pen = sq_norm([(lam, Block(0, omega)), (mu, Block(1, tau)), (1.0, x_eye), (-nu, xi)], 2 * d, est)
+    return TermBreakdown(gain + c * pen, pen)
 
 
 # ======================================================================
@@ -338,7 +461,7 @@ def _pt_signs(n_a: int, n_b: int) -> np.ndarray:
     """(-1)^(number of Y labels on the B factor), lexicographic string order."""
     return np.array([
         (-1) ** sum(1 for l in labels[n_a:] if l == 2)
-        for labels in _alpha_strings(n_a + n_b)
+        for labels in string_order(n_a + n_b)
     ], dtype=float)
 
 
@@ -354,36 +477,18 @@ def negativity_primal_dense(rho_ab, sigma_ab, tau_ab, alpha: np.ndarray, lam, mu
 
 def negativity_primal_objective(rho_ab, sigma_ab, tau_ab, alpha: np.ndarray, lam, mu, c,
                                 n_a: int, n_b: int, est: Estimator | None = None) -> TermBreakdown:
-    """Pauli-coefficient primal for the trace norm of the partial transpose;
-    the transpose acts on coefficients as a sign flip per Y label on B."""
+    """Tr[H^T_B rho] - c * (||I - H - lambda sigma||^2 + ||I + H - mu tau||^2)
+    for H = sum_x alpha_x sigma_x; the partial transpose acts on the
+    coefficients as a sign flip per Y label on B."""
     est = est if est is not None else Estimator()
     rho_ab, sigma_ab, tau_ab = map(as_prepared, (rho_ab, sigma_ab, tau_ab))
-    n = n_a + n_b
-    signs = _pt_signs(n_a, n_b)
-    g1 = 0.0
-    cross_sigma = 0.0
-    cross_tau = 0.0
-    t: dict[str, Estimate] = {
-        "purity_sigma": est.purity(sigma_ab),
-        "purity_tau": est.purity(tau_ab),
-    }
-    for a, s, labels in zip(alpha, signs, _alpha_strings(n)):
-        if a == 0:
-            continue
-        ps = PauliString(labels)
-        e_rho = est.pauli_expect(rho_ab, ps)
-        e_sig = est.pauli_expect(sigma_ab, ps)
-        e_tau = est.pauli_expect(tau_ab, ps)
-        t[f"rho_{ps.text()}"] = e_rho
-        g1 += s * a * e_rho.value
-        cross_sigma += a * e_sig.value
-        cross_tau += a * e_tau.value
-    pen = (
-        2.0 ** (n + 1) + 2.0 ** (n + 1) * float(np.sum(alpha**2))
-        + lam**2 * t["purity_sigma"].value + mu**2 * t["purity_tau"].value
-        - 2 * lam - 2 * mu + 2 * lam * cross_sigma - 2 * mu * cross_tau
-    )
-    return TermBreakdown(float(g1) - c * pen, pen, t)
+    strings = string_order(n_a + n_b)
+    d = 2.0 ** (n_a + n_b)
+    h = Expansion(strings, alpha)
+    gain = _expect(Expansion(strings, _pt_signs(n_a, n_b) * alpha), rho_ab, est)
+    pen = (sq_norm([(1.0, IDENTITY), (-1.0, h), (-lam, sigma_ab)], d, est)
+           + sq_norm([(1.0, IDENTITY), (1.0, h), (-mu, tau_ab)], d, est))
+    return TermBreakdown(float(gain) - c * pen, pen)
 
 
 def negativity_dual_dense(rho_ab, sigma_ab, tau_ab, alpha: np.ndarray, beta: np.ndarray,
@@ -403,42 +508,23 @@ def negativity_dual_dense(rho_ab, sigma_ab, tau_ab, alpha: np.ndarray, beta: np.
 
 def negativity_dual_objective(rho_ab, sigma_ab, tau_ab, alpha: np.ndarray, beta: np.ndarray,
                               lam, mu, c, n_a: int, n_b: int, est: Estimator | None = None) -> TermBreakdown:
+    """2^n (alpha_0 + beta_0) + c * (||(K - L)^T_B - rho||^2 + ||K - lambda sigma||^2
+    + ||L - mu tau||^2) for K, L with Pauli coefficients alpha, beta."""
     est = est if est is not None else Estimator()
     rho_ab, sigma_ab, tau_ab = map(as_prepared, (rho_ab, sigma_ab, tau_ab))
-    n = n_a + n_b
-    signs = _pt_signs(n_a, n_b)
-    t: dict[str, Estimate] = {
-        "purity_rho": est.purity(rho_ab),
-        "purity_sigma": est.purity(sigma_ab),
-        "purity_tau": est.purity(tau_ab),
-    }
-    cross_rho = 0.0
-    cross_sigma = 0.0
-    cross_tau = 0.0
-    for a, b, s, labels in zip(alpha, beta, signs, _alpha_strings(n)):
-        if a == 0 and b == 0:
-            continue
-        ps = PauliString(labels)
-        if a != b:
-            e_rho = est.pauli_expect(rho_ab, ps)
-            t[f"rho_{ps.text()}"] = e_rho
-            cross_rho += s * (a - b) * e_rho.value
-        if a != 0:
-            cross_sigma += a * est.pauli_expect(sigma_ab, ps).value
-        if b != 0:
-            cross_tau += b * est.pauli_expect(tau_ab, ps).value
-    pen = (
-        2.0 ** (n + 1) * float(np.sum(alpha**2) + np.sum(beta**2))
-        + t["purity_rho"].value + mu**2 * t["purity_tau"].value
-        - 2 * cross_rho - 2.0 ** (n + 1) * float(np.sum(alpha * beta))
-        + lam**2 * t["purity_sigma"].value - 2 * lam * cross_sigma - 2 * mu * cross_tau
-    )
-    val = 2.0**n * (alpha[0] + beta[0]) + c * pen
-    return TermBreakdown(float(val), pen, t)
+    strings = string_order(n_a + n_b)
+    d = 2.0 ** (n_a + n_b)
+    pt = Expansion(strings, _pt_signs(n_a, n_b) * (alpha - beta))
+    pen = (sq_norm([(1.0, pt), (-1.0, rho_ab)], d, est)
+           + sq_norm([(1.0, Expansion(strings, alpha)), (-lam, sigma_ab)], d, est)
+           + sq_norm([(1.0, Expansion(strings, beta)), (-mu, tau_ab)], d, est))
+    val = d * (alpha[0] + beta[0]) + c * pen
+    return TermBreakdown(float(val), pen)
 
 
 # ======================================================================
-# Constrained Hamiltonian optimization (Pauli input model)
+# Constrained Hamiltonian optimization: Pauli observables on states, or
+# Walsh observables on distributions (the classical problem)
 # ======================================================================
 
 def cham_primal_dense(rho, h_dense, a_dense: list[np.ndarray], b: np.ndarray, z: np.ndarray, c):
@@ -447,42 +533,22 @@ def cham_primal_dense(rho, h_dense, a_dense: list[np.ndarray], b: np.ndarray, z:
     return float(np.einsum("ij,ji->", h_dense, rho).real) + c * pen, pen
 
 
-def cham_primal_objective(rho, h: PauliObservable, a_list: list[PauliObservable], b: np.ndarray,
+def classical_cham_primal_dense(p, h_dense, a_dense: list[np.ndarray], b: np.ndarray, z: np.ndarray, c):
+    viol = np.array([float(a @ p) - bi - zi for a, bi, zi in zip(a_dense, b, z)])
+    pen = float(np.sum(viol**2))
+    return float(h_dense @ p) + c * pen, pen
+
+
+def cham_primal_objective(rho, h: PauliObservable | WalshObservable, a_list: list, b: np.ndarray,
                           z: np.ndarray, c, est: Estimator | None = None) -> TermBreakdown:
-    """Tr[H rho] + c sum_i (Tr[A_i rho] - b_i - z_i)^2 from per-string estimates."""
+    """<H> + c sum_i (<A_i> - b_i - z_i)^2 from per-string estimates."""
     est = est if est is not None else Estimator()
     rho = as_prepared(rho)
-    t: dict[str, Estimate] = {}
-
-    def expect_of(obs: PauliObservable, prefix: str) -> float:
-        total = 0.0
-        for ps, coeff in obs.items():
-            key = f"{prefix}_{ps.text()}"
-            if key not in t:
-                t[key] = est.pauli_expect(rho, ps)
-            total += coeff.real * t[key].value
-        return total
-
-    energy = expect_of(h, "h")
+    energy = _expect(Expansion.of(h), rho, est)
     pen = 0.0
-    for i, (a_obs, bi, zi) in enumerate(zip(a_list, b, z)):
-        pen += (expect_of(a_obs, f"a{i}") - bi - zi) ** 2
-    return TermBreakdown(energy + c * pen, pen, t)
-
-
-def cham_dual_penalty_coeffs(h: PauliObservable, a_list: list[PauliObservable], n: int):
-    """Precomputable inner products of the coefficient vectors."""
-    zeros = (0,) * n
-    h_norm_sq = h.coeff_norm_sq()
-    h0 = h.coeff(zeros).real
-    a0 = np.array([a.coeff(zeros).real for a in a_list])
-    gram = np.zeros((len(a_list), len(a_list)))
-    h_dot_a = np.zeros(len(a_list))
-    for i, ai in enumerate(a_list):
-        h_dot_a[i] = sum((h.coeff(l) * c).real for l, c in ai.terms.items())
-        for j, aj in enumerate(a_list):
-            gram[i, j] = sum((ai.coeff(l) * c).real for l, c in aj.terms.items())
-    return h_norm_sq, h0, a0, gram, h_dot_a
+    for a_obs, bi, zi in zip(a_list, b, z):
+        pen += (_expect(Expansion.of(a_obs), rho, est) - bi - zi) ** 2
+    return TermBreakdown(energy + c * pen, pen)
 
 
 def cham_dual_dense(omega, h_dense, a_dense: list[np.ndarray], b: np.ndarray,
@@ -493,35 +559,34 @@ def cham_dual_dense(omega, h_dense, a_dense: list[np.ndarray], b: np.ndarray,
     return float(np.dot(b, y) + mu) - c * pen, pen
 
 
-def cham_dual_objective(omega, h: PauliObservable, a_list: list[PauliObservable], b: np.ndarray,
+def classical_cham_dual_dense(w, h_dense, a_dense: list[np.ndarray], b: np.ndarray,
+                              y: np.ndarray, mu, nu, c):
+    ones = np.ones_like(w)
+    arg = h_dense - sum(yi * a for yi, a in zip(y, a_dense)) - mu * ones - nu * w
+    pen = float(np.sum(arg**2))
+    return float(np.dot(b, y) + mu) - c * pen, pen
+
+
+def cham_dual_objective(omega, h: PauliObservable | WalshObservable, a_list: list, b: np.ndarray,
                         y: np.ndarray, mu, nu, c, est: Estimator | None = None) -> TermBreakdown:
     """sum_i b_i y_i + mu - c * ||H - sum_i y_i A_i - mu I - nu omega||_2^2."""
     est = est if est is not None else Estimator()
     omega = as_prepared(omega)
-    n = h.n_qubits
-    d = 2.0**n
-    h_norm_sq, h0, a0, gram, h_dot_a = cham_dual_penalty_coeffs(h, a_list, n)
-    t: dict[str, Estimate] = {"purity_omega": est.purity(omega)}
+    terms = ([(1.0, Expansion.of(h))] + [(-yi, Expansion.of(a)) for yi, a in zip(y, a_list)]
+             + [(-mu, IDENTITY), (-nu, omega)])
+    pen = sq_norm(terms, _dim(omega), est)
+    return TermBreakdown(float(np.dot(b, y) + mu) - c * pen, pen)
 
-    def expect_of(obs: PauliObservable, prefix: str) -> float:
-        total = 0.0
-        for ps, coeff in obs.items():
-            key = f"{prefix}_{ps.text()}"
-            if key not in t:
-                t[key] = est.pauli_expect(omega, ps)
-            total += coeff.real * t[key].value
-        return total
 
-    h_omega = expect_of(h, "h")
-    a_omega = np.array([expect_of(a, f"a{i}") for i, a in enumerate(a_list)])
-    pen = (
-        d * h_norm_sq + d * float(y @ gram @ y) + mu**2 * d
-        + nu**2 * t["purity_omega"].value
-        - 2 * d * float(y @ h_dot_a) - 2 * d * mu * h0
-        - 2 * nu * h_omega + 2 * d * mu * float(y @ a0)
-        + 2 * nu * float(y @ a_omega) + 2 * mu * nu
-    )
-    return TermBreakdown(float(np.dot(b, y) + mu) - c * pen, pen, t)
+def interior_point_cham_dense(rho, h_dense, a_dense: list[np.ndarray], b: np.ndarray, eta: float):
+    energy = float(np.einsum("ij,ji->", h_dense, rho).real)
+    barrier = 0.0
+    for a, bi in zip(a_dense, b):
+        slack = float(np.einsum("ij,ji->", a, rho).real) - bi
+        if slack <= 0:
+            raise BarrierViolationError(f"constraint slack {slack:.3e} is not positive")
+        barrier -= math.log(slack)
+    return energy + eta * barrier, barrier
 
 
 def interior_point_cham(rho, h: PauliObservable, a_list: list[PauliObservable], b: np.ndarray,
@@ -531,167 +596,31 @@ def interior_point_cham(rho, h: PauliObservable, a_list: list[PauliObservable], 
         raise ValueError("barrier parameter must be positive")
     est = est if est is not None else Estimator()
     rho = as_prepared(rho)
-    t: dict[str, Estimate] = {}
-
-    def expect_of(obs: PauliObservable, prefix: str) -> float:
-        total = 0.0
-        for ps, coeff in obs.items():
-            key = f"{prefix}_{ps.text()}"
-            if key not in t:
-                t[key] = est.pauli_expect(rho, ps)
-            total += coeff.real * t[key].value
-        return total
-
-    energy = expect_of(h, "h")
+    energy = _expect(Expansion.of(h), rho, est)
     barrier = 0.0
     for i, (a_obs, bi) in enumerate(zip(a_list, b)):
-        slack = expect_of(a_obs, f"a{i}") - bi
+        slack = _expect(Expansion.of(a_obs), rho, est) - bi
         if slack <= 0:
             raise BarrierViolationError(f"constraint {i} slack {slack:.3e} is not positive")
         barrier -= math.log(slack)
-    return TermBreakdown(energy + eta * barrier, barrier, t)
-
-
-# ======================================================================
-# CSlack: total variation distance
-# ======================================================================
-
-def tvd_dual_dense(p, q, r, s, lam, mu, c):
-    arg = lam * r - p + q - mu * s
-    pen = float(np.sum(arg**2))
-    return lam + c * pen, pen
-
-
-def tvd_dual_objective(p, q, r, s, lam, mu, c, est: Estimator | None = None) -> TermBreakdown:
-    """lambda + c * ||lambda r - p + q - mu s||_2^2 via ten collision terms."""
-    est = est if est is not None else Estimator()
-    p, q, r, s = (as_prepared(x).dist for x in (p, q, r, s))
-    t = {
-        "col_rr": est.collision(r, r), "col_pp": est.collision(p, p),
-        "col_qq": est.collision(q, q), "col_ss": est.collision(s, s),
-        "col_rp": est.collision(r, p), "col_rq": est.collision(r, q),
-        "col_rs": est.collision(r, s), "col_pq": est.collision(p, q),
-        "col_ps": est.collision(p, s), "col_qs": est.collision(q, s),
-    }
-    pen = _combine([
-        (lam**2, t["col_rr"]), (1.0, t["col_pp"]), (1.0, t["col_qq"]), (mu**2, t["col_ss"]),
-        (-2 * lam, t["col_rp"]), (2 * lam, t["col_rq"]), (-2 * lam * mu, t["col_rs"]),
-        (-2.0, t["col_pq"]), (2 * mu, t["col_ps"]), (-2 * mu, t["col_qs"]),
-    ])
-    return TermBreakdown(lam + c * pen, pen, t)
-
-
-def tvd_primal_dense(p, q, r, s, lam, mu, c):
-    ones = np.ones_like(p)
-    pen = float(np.sum((ones - lam * r - mu * s) ** 2))
-    return lam * float(r @ p - r @ q) - c * pen, pen
-
-
-def tvd_primal_objective(p, q, r, s, lam, mu, c, est: Estimator | None = None) -> TermBreakdown:
-    """lambda r^T (p - q) - c * ||1 - lambda r - mu s||_2^2."""
-    est = est if est is not None else Estimator()
-    p, q, r, s = (as_prepared(x).dist for x in (p, q, r, s))
-    n = int(round(math.log2(len(p))))
-    t = {
-        "col_rp": est.collision(r, p), "col_rq": est.collision(r, q),
-        "col_rr": est.collision(r, r), "col_ss": est.collision(s, s),
-        "col_rs": est.collision(r, s),
-    }
-    pen = (
-        2.0**n + lam**2 * t["col_rr"].value + mu**2 * t["col_ss"].value
-        - 2 * lam - 2 * mu + 2 * lam * mu * t["col_rs"].value
-    )
-    val = lam * (t["col_rp"].value - t["col_rq"].value) - c * pen
-    return TermBreakdown(val, pen, t)
-
-
-# ======================================================================
-# CSlack: constrained classical Hamiltonian (Walsh-Hadamard input model)
-# ======================================================================
-
-def classical_cham_primal_dense(p, h_dense, a_dense: list[np.ndarray], b: np.ndarray, z: np.ndarray, c):
-    viol = np.array([float(a @ p) - bi - zi for a, bi, zi in zip(a_dense, b, z)])
-    pen = float(np.sum(viol**2))
-    return float(h_dense @ p) + c * pen, pen
-
-
-def classical_cham_primal_objective(p, h: WalshObservable, a_list: list[WalshObservable], b: np.ndarray,
-                                    z: np.ndarray, c, est: Estimator | None = None) -> TermBreakdown:
-    est = est if est is not None else Estimator()
-    p = as_prepared(p)
-    t: dict[str, Estimate] = {}
-
-    def expect_of(obs: WalshObservable, prefix: str) -> float:
-        total = 0.0
-        for wv, coeff in obs.items():
-            key = f"{prefix}_{wv.text()}"
-            if key not in t:
-                t[key] = est.walsh_expect(p, wv)
-            total += coeff * t[key].value
-        return total
-
-    energy = expect_of(h, "h")
-    pen = 0.0
-    for i, (a_obs, bi, zi) in enumerate(zip(a_list, b, z)):
-        pen += (expect_of(a_obs, f"a{i}") - bi - zi) ** 2
-    return TermBreakdown(energy + c * pen, pen, t)
-
-
-def classical_cham_dual_coeffs(h: WalshObservable, a_list: list[WalshObservable], n: int):
-    zeros = (0,) * n
-    h_norm_sq = h.coeff_norm_sq()
-    h0 = h.coeff(zeros)
-    a0 = np.array([a.coeff(zeros) for a in a_list])
-    gram = np.zeros((len(a_list), len(a_list)))
-    h_dot_a = np.zeros(len(a_list))
-    for i, ai in enumerate(a_list):
-        h_dot_a[i] = sum(h.coeff(l) * c for l, c in ai.terms.items())
-        for j, aj in enumerate(a_list):
-            gram[i, j] = sum(ai.coeff(l) * c for l, c in aj.terms.items())
-    return h_norm_sq, h0, a0, gram, h_dot_a
-
-
-def classical_cham_dual_dense(w, h_dense, a_dense: list[np.ndarray], b: np.ndarray,
-                              y: np.ndarray, mu, nu, c):
-    ones = np.ones_like(w)
-    arg = h_dense - sum(yi * a for yi, a in zip(y, a_dense)) - mu * ones - nu * w
-    pen = float(np.sum(arg**2))
-    return float(np.dot(b, y) + mu) - c * pen, pen
-
-
-def classical_cham_dual_objective(w, h: WalshObservable, a_list: list[WalshObservable], b: np.ndarray,
-                                  y: np.ndarray, mu, nu, c, est: Estimator | None = None) -> TermBreakdown:
-    est = est if est is not None else Estimator()
-    w = as_prepared(w)
-    n = h.n_bits
-    d = 2.0**n
-    h_norm_sq, h0, a0, gram, h_dot_a = classical_cham_dual_coeffs(h, a_list, n)
-    t: dict[str, Estimate] = {"purity_w": est.collision(w.dist, w.dist)}
-
-    def expect_of(obs: WalshObservable, prefix: str) -> float:
-        total = 0.0
-        for wv, coeff in obs.items():
-            key = f"{prefix}_{wv.text()}"
-            if key not in t:
-                t[key] = est.walsh_expect(w, wv)
-            total += coeff * t[key].value
-        return total
-
-    h_w = expect_of(h, "h")
-    a_w = np.array([expect_of(a, f"a{i}") for i, a in enumerate(a_list)])
-    pen = (
-        d * h_norm_sq + d * float(y @ gram @ y) + mu**2 * d
-        + nu**2 * t["purity_w"].value
-        - 2 * d * float(y @ h_dot_a) - 2 * d * mu * h0
-        - 2 * nu * h_w + 2 * d * mu * float(y @ a0)
-        + 2 * nu * float(y @ a_w) + 2 * mu * nu
-    )
-    return TermBreakdown(float(np.dot(b, y) + mu) - c * pen, pen, t)
+    return TermBreakdown(energy + eta * barrier, barrier)
 
 
 # ======================================================================
 # Generic builders over an explicit SDP instance
 # ======================================================================
+
+def _mapped(entries, x: Prepared, est: Estimator) -> Expansion:
+    """sum of f Tr[sigma_in x] sigma_out over (in, out, f) entries, with one
+    estimate per distinct input string."""
+    seen: dict[tuple[int, ...], float] = {}
+    out: dict[tuple[int, ...], float] = {}
+    for l_in, l_out, f in entries:
+        if l_in not in seen:
+            seen[l_in] = est.pauli_expect(x, PauliString(l_in)).value
+        out[l_out] = out.get(l_out, 0.0) + f * seen[l_in]
+    return Expansion(tuple(out), np.array(list(out.values())))
+
 
 @dataclass
 class LcsInstance:
@@ -702,8 +631,6 @@ class LcsInstance:
     a_terms: list[tuple[float, np.ndarray]]
     b_terms: list[tuple[float, np.ndarray]]
     phi_terms: list[tuple[float, np.ndarray, np.ndarray]]
-
-    kind = "lcs"
 
     def a_dense(self) -> np.ndarray:
         return sum((c * s for c, s in self.a_terms), np.zeros((2**self.n_in,) * 2, dtype=complex))
@@ -723,6 +650,19 @@ class LcsInstance:
             out = out + coeff * np.einsum("ij,ji->", om, y) * sig
         return out
 
+    # -- operands of the term form: lists of (coefficient, operand) ------
+    def a_operands(self) -> list:
+        return [(c, as_prepared(s)) for c, s in self.a_terms]
+
+    def b_operands(self) -> list:
+        return [(c, as_prepared(s)) for c, s in self.b_terms]
+
+    def phi_operands(self, x: Prepared, est: Estimator) -> list:
+        return [(c * est.overlap(sig, x).value, as_prepared(om)) for c, sig, om in self.phi_terms]
+
+    def phi_dag_operands(self, y: Prepared, est: Estimator) -> list:
+        return [(c * est.overlap(om, y).value, as_prepared(sig)) for c, sig, om in self.phi_terms]
+
 
 @dataclass
 class PauliMapInstance:
@@ -731,8 +671,6 @@ class PauliMapInstance:
     a_obs: PauliObservable
     b_obs: PauliObservable
     phi_map: dict[tuple[tuple[int, ...], tuple[int, ...]], float]
-
-    kind = "pauli"
 
     @property
     def n_in(self) -> int:
@@ -760,6 +698,19 @@ class PauliMapInstance:
             out = out + coeff * np.einsum("ij,ji->", PauliString(ly).dense(), y) * PauliString(lx).dense()
         return out
 
+    # -- operands of the term form: lists of (coefficient, operand) ------
+    def a_operands(self) -> list:
+        return [(1.0, Expansion.of(self.a_obs))]
+
+    def b_operands(self) -> list:
+        return [(1.0, Expansion.of(self.b_obs))]
+
+    def phi_operands(self, x: Prepared, est: Estimator) -> list:
+        return [(1.0, _mapped(((lx, ly, f) for (lx, ly), f in self.phi_map.items()), x, est))]
+
+    def phi_dag_operands(self, y: Prepared, est: Estimator) -> list:
+        return [(1.0, _mapped(((ly, lx, f) for (lx, ly), f in self.phi_map.items()), y, est))]
+
 
 SdpInstance = LcsInstance | PauliMapInstance
 
@@ -780,80 +731,13 @@ def generic_dual_dense(inst: SdpInstance, tau, omega, kappa, nu, c):
 
 def generic_primal_objective(inst: SdpInstance, rho, sigma, lam, mu, c,
                              est: Estimator | None = None) -> TermBreakdown:
-    """lambda Tr[A rho] - c ||B - lambda Phi(rho) - mu sigma||_2^2, with the
-    six-term expansion specialized to the input model."""
+    """lambda Tr[A rho] - c ||B - lambda Phi(rho) - mu sigma||_2^2."""
     est = est if est is not None else Estimator()
     rho, sigma = as_prepared(rho), as_prepared(sigma)
-    t: dict[str, Estimate] = {}
-    if inst.kind == "lcs":
-        a_exp = 0.0
-        for i, (ci, si) in enumerate(inst.a_terms):
-            t[f"a{i}_rho"] = est.overlap(si, rho)
-            a_exp += ci * t[f"a{i}_rho"].value
-        phi_rho = [est.overlap(sig, rho).value for (_, sig, _) in inst.phi_terms]
-        phi_sq = 0.0
-        for k1, (c1, _, om1) in enumerate(inst.phi_terms):
-            for k2, (c2, _, om2) in enumerate(inst.phi_terms):
-                phi_sq += c1 * c2 * phi_rho[k1] * phi_rho[k2] * est.overlap(om1, om2).value
-        b_sq = 0.0
-        for j1, (c1, t1) in enumerate(inst.b_terms):
-            for j2, (c2, t2) in enumerate(inst.b_terms):
-                b_sq += c1 * c2 * est.overlap(t1, t2).value
-        b_phi = 0.0
-        for (cb, tj) in inst.b_terms:
-            for k, (cp, _, om) in enumerate(inst.phi_terms):
-                b_phi += cb * cp * phi_rho[k] * est.overlap(tj, om).value
-        b_sigma = sum(cb * est.overlap(tj, sigma).value for cb, tj in inst.b_terms)
-        phi_sigma = sum(
-            cp * phi_rho[k] * est.overlap(om, sigma).value
-            for k, (cp, _, om) in enumerate(inst.phi_terms)
-        )
-        t["purity_sigma"] = est.purity(sigma)
-        pen = (
-            lam**2 * phi_sq + b_sq + mu**2 * t["purity_sigma"].value
-            - 2 * lam * b_phi - 2 * mu * b_sigma + 2 * lam * mu * phi_sigma
-        )
-        return TermBreakdown(lam * a_exp - c * pen, pen, t)
-
-    # Pauli input model
-    d_out = 2.0**inst.n_out
-    a_exp = 0.0
-    for ps, coeff in inst.a_obs.items():
-        t[f"a_{ps.text()}"] = est.pauli_expect(rho, ps)
-        a_exp += coeff.real * t[f"a_{ps.text()}"].value
-    xs = sorted({lx for (lx, _) in inst.phi_map})
-    rho_x = {}
-    for lx in xs:
-        key = f"phi_{PauliString(lx).text()}"
-        t[key] = est.pauli_expect(rho, PauliString(lx))
-        rho_x[lx] = t[key].value
-    phi_sq = 0.0
-    for lx1 in xs:
-        for lx2 in xs:
-            inner = sum(
-                inst.phi_map.get((lx1, ly), 0.0) * inst.phi_map.get((lx2, ly), 0.0)
-                for (lxa, ly) in inst.phi_map if lxa == lx1
-            )
-            phi_sq += inner * rho_x[lx1] * rho_x[lx2]
-    b_phi = 0.0
-    for lx in xs:
-        inner = sum(inst.b_obs.coeff(ly).real * cf for (lxa, ly), cf in inst.phi_map.items() if lxa == lx)
-        b_phi += inner * rho_x[lx]
-    b_sigma = 0.0
-    for ps, coeff in inst.b_obs.items():
-        t[f"b_{ps.text()}"] = est.pauli_expect(sigma, ps)
-        b_sigma += coeff.real * t[f"b_{ps.text()}"].value
-    phi_sigma = sum(
-        cf * rho_x[lx] * est.pauli_expect(sigma, PauliString(ly)).value
-        for (lx, ly), cf in inst.phi_map.items()
-    )
-    t["purity_sigma"] = est.purity(sigma)
-    pen = (
-        lam**2 * d_out * phi_sq + d_out * inst.b_obs.coeff_norm_sq()
-        + mu**2 * t["purity_sigma"].value - 2.0 * lam * d_out * b_phi
-        - 2 * mu * b_sigma + 2 * lam * mu * phi_sigma
-    )
-    return TermBreakdown(lam * a_exp - c * pen, pen, t)
+    gain = sum(ca * _inner(a, rho, 2.0**inst.n_in, est) for ca, a in inst.a_operands())
+    terms = inst.b_operands() + [(-lam * cp, p) for cp, p in inst.phi_operands(rho, est)] + [(-mu, sigma)]
+    pen = sq_norm(terms, 2.0**inst.n_out, est)
+    return TermBreakdown(lam * gain - c * pen, pen)
 
 
 def generic_dual_objective(inst: SdpInstance, tau, omega, kappa, nu, c,
@@ -861,72 +745,8 @@ def generic_dual_objective(inst: SdpInstance, tau, omega, kappa, nu, c,
     """kappa Tr[B tau] + c ||kappa Phi^dag(tau) - A - nu omega||_2^2."""
     est = est if est is not None else Estimator()
     tau, omega = as_prepared(tau), as_prepared(omega)
-    t: dict[str, Estimate] = {}
-    if inst.kind == "lcs":
-        b_exp = 0.0
-        for j, (cj, tj) in enumerate(inst.b_terms):
-            t[f"b{j}_tau"] = est.overlap(tj, tau)
-            b_exp += cj * t[f"b{j}_tau"].value
-        phi_tau = [est.overlap(om, tau).value for (_, _, om) in inst.phi_terms]
-        phi_sq = 0.0
-        for k1, (c1, s1, _) in enumerate(inst.phi_terms):
-            for k2, (c2, s2, _) in enumerate(inst.phi_terms):
-                phi_sq += c1 * c2 * phi_tau[k1] * phi_tau[k2] * est.overlap(s1, s2).value
-        a_sq = 0.0
-        for i1, (c1, r1) in enumerate(inst.a_terms):
-            for i2, (c2, r2) in enumerate(inst.a_terms):
-                a_sq += c1 * c2 * est.overlap(r1, r2).value
-        phi_a = 0.0
-        for k, (cp, sig, _) in enumerate(inst.phi_terms):
-            for (ca, ri) in inst.a_terms:
-                phi_a += cp * ca * phi_tau[k] * est.overlap(sig, ri).value
-        a_omega = sum(ca * est.overlap(ri, omega).value for ca, ri in inst.a_terms)
-        phi_omega = sum(
-            cp * phi_tau[k] * est.overlap(sig, omega).value
-            for k, (cp, sig, _) in enumerate(inst.phi_terms)
-        )
-        t["purity_omega"] = est.purity(omega)
-        pen = (
-            kappa**2 * phi_sq + a_sq + nu**2 * t["purity_omega"].value
-            - 2 * kappa * phi_a + 2 * nu * a_omega - 2 * kappa * nu * phi_omega
-        )
-        return TermBreakdown(kappa * b_exp + c * pen, pen, t)
-
-    d_in = 2.0**inst.n_in
-    b_exp = 0.0
-    for ps, coeff in inst.b_obs.items():
-        t[f"b_{ps.text()}"] = est.pauli_expect(tau, ps)
-        b_exp += coeff.real * t[f"b_{ps.text()}"].value
-    ys = sorted({ly for (_, ly) in inst.phi_map})
-    tau_y = {}
-    for ly in ys:
-        key = f"phi_{PauliString(ly).text()}"
-        t[key] = est.pauli_expect(tau, PauliString(ly))
-        tau_y[ly] = t[key].value
-    phi_sq = 0.0
-    for ly1 in ys:
-        for ly2 in ys:
-            inner = sum(
-                inst.phi_map.get((lx, ly1), 0.0) * inst.phi_map.get((lx, ly2), 0.0)
-                for (lx, lya) in inst.phi_map if lya == ly1
-            )
-            phi_sq += inner * tau_y[ly1] * tau_y[ly2]
-    phi_a = 0.0
-    for ly in ys:
-        inner = sum(inst.a_obs.coeff(lx).real * cf for (lx, lya), cf in inst.phi_map.items() if lya == ly)
-        phi_a += inner * tau_y[ly]
-    a_omega = 0.0
-    for ps, coeff in inst.a_obs.items():
-        t[f"a_{ps.text()}"] = est.pauli_expect(omega, ps)
-        a_omega += coeff.real * t[f"a_{ps.text()}"].value
-    phi_omega = sum(
-        cf * tau_y[ly] * est.pauli_expect(omega, PauliString(lx)).value
-        for (lx, ly), cf in inst.phi_map.items()
-    )
-    t["purity_omega"] = est.purity(omega)
-    pen = (
-        kappa**2 * d_in * phi_sq + d_in * inst.a_obs.coeff_norm_sq()
-        + nu**2 * t["purity_omega"].value - 2.0 * kappa * d_in * phi_a
-        + 2 * nu * a_omega - 2 * kappa * nu * phi_omega
-    )
-    return TermBreakdown(kappa * b_exp + c * pen, pen, t)
+    gain = sum(cb * _inner(b, tau, 2.0**inst.n_out, est) for cb, b in inst.b_operands())
+    terms = ([(kappa * cp, p) for cp, p in inst.phi_dag_operands(tau, est)]
+             + [(-ca, a) for ca, a in inst.a_operands()] + [(-nu, omega)])
+    pen = sq_norm(terms, 2.0**inst.n_in, est)
+    return TermBreakdown(kappa * gain + c * pen, pen)

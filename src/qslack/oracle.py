@@ -121,8 +121,11 @@ def sdp_cham_value(h: PauliObservable, a_list: list[PauliObservable], b,
 
 def lp_classical_cham_value(h: WalshObservable, a_list: list[WalshObservable], b,
                             y_max: float = 10.0) -> OracleResult:
-    """Classical analogue: max over y >= 0 of sum_i b_i y_i + min_j (h - sum_i y_i a_i)_j,
-    cross-checked by vertex enumeration of the primal polytope."""
+    """Classical analogue, by vertex enumeration of the primal polytope.
+
+    The residual is the distance to the multiplier form, max over y >= 0 of
+    sum_i b_i y_i + min_j (h - sum_i y_i a_i)_j, found by a ternary search;
+    it cross-checks the vertex value."""
     ell = len(a_list)
     if ell > 3:
         raise ValueError("only up to three scalar constraints are supported")
@@ -139,7 +142,7 @@ def lp_classical_cham_value(h: WalshObservable, a_list: list[WalshObservable], b
     tol = 1e-7 if ell <= 2 else 1e-4
     y_star, val = _grid_then_refine(g, ell, y_max, coarse=41 if ell <= 2 else 11, tol=tol)
     vertex = lp_vertex_value(h_vec, np.array(a_vecs), b)
-    return OracleResult(val, "lp-dual-search", abs(val - vertex))
+    return OracleResult(vertex, "lp-vertex", abs(val - vertex))
 
 
 def lp_vertex_value(h: np.ndarray, a_mat: np.ndarray, b: np.ndarray) -> float:

@@ -163,10 +163,6 @@ class PauliObservable:
         return expect(self, rho)
 
 
-def observable_dense(o: PauliObservable) -> np.ndarray:
-    return o.dense()
-
-
 def expect(o: PauliObservable, rho: np.ndarray) -> complex:
     """sum_x c_x Tr[sigma_x rho], evaluated exactly.
 

@@ -8,8 +8,8 @@ the documented initial values), and attaches the matching oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -23,7 +23,7 @@ from .ansatz import (
     layered_unitary_circuit,
     qcbm_circuit,
 )
-from .estimate import Prepared, prepare
+from .estimate import Prepared, as_prepared, prepare
 from .objective import ParamBlock, PenaltyObjective
 from .pauli import PauliObservable, WalshObservable
 
@@ -177,36 +177,33 @@ def build_problem(tag: str, n_system: int = 2, ansatz_type: str | None = None,
     return builder(n_system, ansatz_type, layers, born_layers, n_reference, c, instance_seed, instance)
 
 
-def _build_trace_distance(side: str):
+def _build_distance(side: str, classical: bool):
+    """Trace distance of two states, or total variation distance of two
+    distributions (``classical``): the same term forms serve both."""
+    if classical:
+        dense = obj.tvd_primal_dense if side == "primal" else obj.tvd_dual_dense
+    else:
+        dense = obj.td_primal_dense if side == "primal" else obj.td_dual_dense
+    terms, direction = (obj.td_primal_objective, "max") if side == "primal" else (obj.td_dual_objective, "min")
+
     def build(n, ansatz_type, layers, born_layers, n_reference, c, instance_seed, instance) -> Problem:
-        rho = frozen_quantum_input(ansatz_type, n, [instance_seed, 1])
-        sigma = frozen_quantum_input(ansatz_type, n, [instance_seed, 2])
-        templates = {
-            "omega": make_opt_template(ansatz_type, n, layers, born_layers, n_reference),
-            "tau": make_opt_template(ansatz_type, n, layers, born_layers, n_reference),
-        }
-        blocks = _angle_blocks(templates) + [_scalar("lam", 1, 1.0), _scalar("mu", 1, 1.0)]
-        if side == "dual":
-            def dense_fn(states, sc):
-                return obj.td_dual_dense(rho.rho, sigma.rho, states[0], states[1], sc["lam"][0], sc["mu"][0], c)
-
-            def term_fn(states, sc, est):
-                return obj.td_dual_objective(rho, sigma, states[0], states[1], sc["lam"][0], sc["mu"][0], c, est)
-
-            direction = "min"
+        if classical:
+            rho, sigma = (as_prepared(frozen_born_input(n, [instance_seed, k])) for k in (1, 2))
+            oracle = orc.OracleResult(orc.exact_tvd(rho.dist, sigma.dist), "half-l1")
+            names, inputs = ("r", "s"), "two seeded Born-machine distributions"
         else:
-            def dense_fn(states, sc):
-                return obj.td_primal_dense(rho.rho, sigma.rho, states[0], states[1], sc["lam"][0], sc["mu"][0], c)
+            rho, sigma = (frozen_quantum_input(ansatz_type, n, [instance_seed, k]) for k in (1, 2))
+            oracle = orc.OracleResult(orc.exact_trace_distance(rho.rho, sigma.rho), "trace-norm")
+            names, inputs = ("omega", "tau"), "two seeded random mixed states"
+        templates = {name: make_opt_template(ansatz_type, n, layers, born_layers, n_reference) for name in names}
+        blocks = _angle_blocks(templates) + [_scalar("lam", 1, 1.0), _scalar("mu", 1, 1.0)]
 
-            def term_fn(states, sc, est):
-                return obj.td_primal_objective(rho, sigma, states[0], states[1], sc["lam"][0], sc["mu"][0], c, est)
-
-            direction = "max"
-        pen_obj = PenaltyObjective(f"trace_distance_{side}", direction, c,
-                                   list(templates.values()), blocks, dense_fn, term_fn)
-        value = orc.exact_trace_distance(rho.rho, sigma.rho)
-        return Problem(pen_obj.tag, pen_obj, orc.OracleResult(value, "trace-norm"), n,
-                       {"inputs": "two seeded random mixed states"})
+        def bind(sc):
+            return {"lam": sc["lam"][0], "mu": sc["mu"][0], "c": c}
+        pen_obj = PenaltyObjective(f"{'tvd' if classical else 'trace_distance'}_{side}", direction, c,
+                                   list(templates.values()), blocks, partial(dense, rho.dense, sigma.dense),
+                                   partial(terms, rho, sigma), bind)
+        return Problem(pen_obj.tag, pen_obj, oracle, n, {"inputs": inputs})
     return build
 
 
@@ -222,16 +219,10 @@ def _build_fidelity(side: str):
                 _scalar("alpha_im", n_alpha, 0.0, nonneg=False, scale=ALPHA_SCALE),
                 _scalar("lam", 1, 1.0),
             ]
+            dense, terms, direction = obj.fidelity_primal_dense, obj.fidelity_primal_objective, "max"
 
-            def dense_fn(states, sc):
-                alpha = sc["alpha_re"] + 1j * sc["alpha_im"]
-                return obj.fidelity_primal_dense(rho.rho, sigma.rho, states[0], alpha, sc["lam"][0], c)
-
-            def term_fn(states, sc, est):
-                alpha = sc["alpha_re"] + 1j * sc["alpha_im"]
-                return obj.fidelity_primal_objective(rho, sigma, states[0], alpha, sc["lam"][0], c, est)
-
-            direction = "max"
+            def bind(sc):
+                return {"alpha": sc["alpha_re"] + 1j * sc["alpha_im"], "lam": sc["lam"][0], "c": c}
         else:
             templates = {
                 "omega": make_opt_template(ansatz_type, n, layers, born_layers, n_reference),
@@ -243,18 +234,12 @@ def _build_fidelity(side: str):
                 _scalar("mu", 1, 1.0, scale=FD_LM_SCALE),
                 _scalar("nu", 1, 1.0, scale=FD_NU_SCALE),
             ]
+            dense, terms, direction = obj.fidelity_dual_dense, obj.fidelity_dual_objective, "min"
 
-            def dense_fn(states, sc):
-                return obj.fidelity_dual_dense(rho.rho, sigma.rho, states[0], states[1], states[2],
-                                               sc["lam"][0], sc["mu"][0], sc["nu"][0], c)
-
-            def term_fn(states, sc, est):
-                return obj.fidelity_dual_objective(rho, sigma, states[0], states[1], states[2],
-                                                   sc["lam"][0], sc["mu"][0], sc["nu"][0], c, est)
-
-            direction = "min"
-        pen_obj = PenaltyObjective(f"fidelity_{side}", direction, c,
-                                   list(templates.values()), blocks, dense_fn, term_fn)
+            def bind(sc):
+                return {"lam": sc["lam"][0], "mu": sc["mu"][0], "nu": sc["nu"][0], "c": c}
+        pen_obj = PenaltyObjective(f"fidelity_{side}", direction, c, list(templates.values()), blocks,
+                                   partial(dense, rho.rho, sigma.rho), partial(terms, rho, sigma), bind)
         value = orc.exact_root_fidelity(rho.rho, sigma.rho)
         return Problem(pen_obj.tag, pen_obj, orc.OracleResult(value, "root-fidelity"), n,
                        {"inputs": "two seeded random mixed states"})
@@ -277,79 +262,66 @@ def _build_negativity(side: str):
         if side == "dual":
             blocks.append(_scalar("beta", n_alpha, 0.0, nonneg=False, scale=alpha_scale))
             blocks += [_scalar("lam", 1, 1.0), _scalar("mu", 1, 1.0)]
+            dense, terms, direction = obj.negativity_dual_dense, obj.negativity_dual_objective, "min"
+
+            def bind(sc):
+                return {"alpha": sc["alpha"], "beta": sc["beta"], "lam": sc["lam"][0], "mu": sc["mu"][0], "c": c}
         else:
             blocks += [_scalar("lam", 1, 1.0, scale=NEG_P_LAM_SCALE),
                        _scalar("mu", 1, 1.0, scale=NEG_P_MU_SCALE)]
-        if side == "primal":
-            def dense_fn(states, sc):
-                return obj.negativity_primal_dense(rho.rho, states[0], states[1], sc["alpha"],
-                                                   sc["lam"][0], sc["mu"][0], c, n_a, n_b)
+            dense, terms, direction = obj.negativity_primal_dense, obj.negativity_primal_objective, "max"
 
-            def term_fn(states, sc, est):
-                return obj.negativity_primal_objective(rho, states[0], states[1], sc["alpha"],
-                                                       sc["lam"][0], sc["mu"][0], c, n_a, n_b, est)
-
-            direction = "max"
-        else:
-            def dense_fn(states, sc):
-                return obj.negativity_dual_dense(rho.rho, states[0], states[1], sc["alpha"], sc["beta"],
-                                                 sc["lam"][0], sc["mu"][0], c, n_a, n_b)
-
-            def term_fn(states, sc, est):
-                return obj.negativity_dual_objective(rho, states[0], states[1], sc["alpha"], sc["beta"],
-                                                     sc["lam"][0], sc["mu"][0], c, n_a, n_b, est)
-
-            direction = "min"
-        pen_obj = PenaltyObjective(f"negativity_{side}", direction, c,
-                                   list(templates.values()), blocks, dense_fn, term_fn)
+            def bind(sc):
+                return {"alpha": sc["alpha"], "lam": sc["lam"][0], "mu": sc["mu"][0], "c": c}
+        pen_obj = PenaltyObjective(f"negativity_{side}", direction, c, list(templates.values()), blocks,
+                                   partial(dense, rho.rho, n_a=n_a, n_b=n_b),
+                                   partial(terms, rho, n_a=n_a, n_b=n_b), bind)
         value = orc.exact_negativity(rho.rho, 2**n_a, 2**n_b)
         return Problem(pen_obj.tag, pen_obj, orc.OracleResult(value, "pt-trace-norm"), n,
                        {"inputs": "one seeded random bipartite state"})
     return build
 
 
-def _build_cham(side: str):
+def _build_cham(side: str, classical: bool):
+    """The constrained Hamiltonian problem over Pauli observables and states,
+    or over Walsh observables and distributions (``classical``)."""
+    if classical:
+        tag, default_instance, parse = "classical_cham", default_classical_cham_instance, walsh_instance_from_dict
+        dense = obj.classical_cham_primal_dense if side == "primal" else obj.classical_cham_dual_dense
+    else:
+        tag, default_instance, parse = "cham", default_cham_instance, pauli_instance_from_dict
+        dense = obj.cham_primal_dense if side == "primal" else obj.cham_dual_dense
+
     def build(n, ansatz_type, layers, born_layers, n_reference, c, instance_seed, instance) -> Problem:
-        inst = instance if instance is not None else default_cham_instance()
-        h, a_list, b = pauli_instance_from_dict(n, inst)
-        h_dense = h.dense()
-        a_dense = [a.dense() for a in a_list]
+        inst = instance if instance is not None else default_instance()
+        h, a_list, b = parse(n, inst)
         ell = len(a_list)
+        template = make_opt_template(ansatz_type, n, layers, born_layers, n_reference)
         if side == "primal":
-            templates = {"rho": make_opt_template(ansatz_type, n, layers, born_layers, n_reference)}
-            blocks = _angle_blocks(templates)
+            blocks = _angle_blocks({"p" if classical else "rho": template})
             if ell:
-                blocks.append(_scalar("z", ell, _slack_init(ell)))
+                blocks.append(_scalar("z", ell, 0.0 if classical else _slack_init(ell)))
+            terms, direction = obj.cham_primal_objective, "min"
 
-            def dense_fn(states, sc):
-                z = sc.get("z", np.zeros(0))
-                return obj.cham_primal_dense(states[0], h_dense, a_dense, b, z, c)
-
-            def term_fn(states, sc, est):
-                z = sc.get("z", np.zeros(0))
-                return obj.cham_primal_objective(states[0], h, a_list, b, z, c, est)
-
-            direction = "min"
+            def bind(sc):
+                return {"z": sc.get("z", np.zeros(0)), "c": c}
         else:
-            templates = {"omega": make_opt_template(ansatz_type, n, layers, born_layers, n_reference)}
-            blocks = _angle_blocks(templates)
+            blocks = _angle_blocks({"w" if classical else "omega": template})
             if ell:
-                blocks.append(_scalar("y", ell, 0.001))
-            blocks += [_scalar("mu", 1, -0.005, nonneg=False, scale=MU_SCALE),
-                       _scalar("nu", 1, 0.001, scale=NU_SCALE)]
+                blocks.append(_scalar("y", ell, 0.0 if classical else 0.001))
+            if classical:
+                blocks += [_scalar("mu", 1, 0.0, nonneg=False), _scalar("nu", 1, 0.0)]
+            else:
+                blocks += [_scalar("mu", 1, -0.005, nonneg=False, scale=MU_SCALE),
+                           _scalar("nu", 1, 0.001, scale=NU_SCALE)]
+            terms, direction = obj.cham_dual_objective, "max"
 
-            def dense_fn(states, sc):
-                y = sc.get("y", np.zeros(0))
-                return obj.cham_dual_dense(states[0], h_dense, a_dense, b, y, sc["mu"][0], sc["nu"][0], c)
-
-            def term_fn(states, sc, est):
-                y = sc.get("y", np.zeros(0))
-                return obj.cham_dual_objective(states[0], h, a_list, b, y, sc["mu"][0], sc["nu"][0], c, est)
-
-            direction = "max"
-        pen_obj = PenaltyObjective(f"cham_{side}", direction, c,
-                                   list(templates.values()), blocks, dense_fn, term_fn)
-        value = orc.sdp_cham_value(h, a_list, b)
+            def bind(sc):
+                return {"y": sc.get("y", np.zeros(0)), "mu": sc["mu"][0], "nu": sc["nu"][0], "c": c}
+        pen_obj = PenaltyObjective(f"{tag}_{side}", direction, c, [template], blocks,
+                                   partial(dense, h_dense=h.dense(), a_dense=[a.dense() for a in a_list], b=b),
+                                   partial(terms, h=h, a_list=a_list, b=b), bind)
+        value = (orc.lp_classical_cham_value if classical else orc.sdp_cham_value)(h, a_list, b)
         return Problem(pen_obj.tag, pen_obj, value, n, {"instance": inst})
     return build
 
@@ -358,120 +330,27 @@ def _build_cham_interior(n, ansatz_type, layers, born_layers, n_reference, c, in
     inst = instance if instance is not None else default_cham_instance()
     eta = float(inst.get("eta", 0.1))
     h, a_list, b = pauli_instance_from_dict(n, inst)
-    h_dense = h.dense()
-    a_dense = [a.dense() for a in a_list]
     templates = {"rho": make_opt_template(ansatz_type, n, layers, born_layers, n_reference)}
-    blocks = _angle_blocks(templates)
-
-    def dense_fn(states, sc):
-        energy = float(np.einsum("ij,ji->", h_dense, states[0]).real)
-        barrier = 0.0
-        for a, bi in zip(a_dense, b):
-            slack = float(np.einsum("ij,ji->", a, states[0]).real) - bi
-            if slack <= 0:
-                raise obj.BarrierViolationError(f"constraint slack {slack:.3e} is not positive")
-            barrier -= math.log(slack)
-        return energy + eta * barrier, barrier
-
-    def term_fn(states, sc, est):
-        return obj.interior_point_cham(states[0], h, a_list, b, eta, est)
-
-    pen_obj = PenaltyObjective("cham_interior_point", "min", c,
-                               list(templates.values()), blocks, dense_fn, term_fn)
+    pen_obj = PenaltyObjective(
+        "cham_interior_point", "min", c, list(templates.values()), _angle_blocks(templates),
+        partial(obj.interior_point_cham_dense, h_dense=h.dense(), a_dense=[a.dense() for a in a_list], b=b, eta=eta),
+        partial(obj.interior_point_cham, h=h, a_list=a_list, b=b, eta=eta), lambda sc: {})
     value = orc.sdp_cham_value(h, a_list, b)
     return Problem(pen_obj.tag, pen_obj, value, n, {"instance": inst, "eta": eta})
 
 
-def _build_tvd(side: str):
-    def build(n, ansatz_type, layers, born_layers, n_reference, c, instance_seed, instance) -> Problem:
-        p = frozen_born_input(n, [instance_seed, 1])
-        q = frozen_born_input(n, [instance_seed, 2])
-        templates = {
-            "r": make_opt_template("born", n, layers, born_layers, None),
-            "s": make_opt_template("born", n, layers, born_layers, None),
-        }
-        blocks = _angle_blocks(templates) + [_scalar("lam", 1, 1.0), _scalar("mu", 1, 1.0)]
-        if side == "dual":
-            def dense_fn(states, sc):
-                return obj.tvd_dual_dense(p, q, states[0], states[1], sc["lam"][0], sc["mu"][0], c)
-
-            def term_fn(states, sc, est):
-                return obj.tvd_dual_objective(p, q, states[0], states[1], sc["lam"][0], sc["mu"][0], c, est)
-
-            direction = "min"
-        else:
-            def dense_fn(states, sc):
-                return obj.tvd_primal_dense(p, q, states[0], states[1], sc["lam"][0], sc["mu"][0], c)
-
-            def term_fn(states, sc, est):
-                return obj.tvd_primal_objective(p, q, states[0], states[1], sc["lam"][0], sc["mu"][0], c, est)
-
-            direction = "max"
-        pen_obj = PenaltyObjective(f"tvd_{side}", direction, c,
-                                   list(templates.values()), blocks, dense_fn, term_fn)
-        value = orc.exact_tvd(p, q)
-        return Problem(pen_obj.tag, pen_obj, orc.OracleResult(value, "half-l1"), n,
-                       {"inputs": "two seeded Born-machine distributions"})
-    return build
-
-
-def _build_classical_cham(side: str):
-    def build(n, ansatz_type, layers, born_layers, n_reference, c, instance_seed, instance) -> Problem:
-        inst = instance if instance is not None else default_classical_cham_instance()
-        h, a_list, b = walsh_instance_from_dict(n, inst)
-        h_dense = h.dense()
-        a_dense = [a.dense() for a in a_list]
-        ell = len(a_list)
-        if side == "primal":
-            templates = {"p": make_opt_template("born", n, layers, born_layers, None)}
-            blocks = _angle_blocks(templates)
-            if ell:
-                blocks.append(_scalar("z", ell, 0.0))
-
-            def dense_fn(states, sc):
-                z = sc.get("z", np.zeros(0))
-                return obj.classical_cham_primal_dense(states[0], h_dense, a_dense, b, z, c)
-
-            def term_fn(states, sc, est):
-                z = sc.get("z", np.zeros(0))
-                return obj.classical_cham_primal_objective(states[0], h, a_list, b, z, c, est)
-
-            direction = "min"
-        else:
-            templates = {"w": make_opt_template("born", n, layers, born_layers, None)}
-            blocks = _angle_blocks(templates)
-            if ell:
-                blocks.append(_scalar("y", ell, 0.0))
-            blocks += [_scalar("mu", 1, 0.0, nonneg=False), _scalar("nu", 1, 0.0)]
-
-            def dense_fn(states, sc):
-                y = sc.get("y", np.zeros(0))
-                return obj.classical_cham_dual_dense(states[0], h_dense, a_dense, b, y, sc["mu"][0], sc["nu"][0], c)
-
-            def term_fn(states, sc, est):
-                y = sc.get("y", np.zeros(0))
-                return obj.classical_cham_dual_objective(states[0], h, a_list, b, y, sc["mu"][0], sc["nu"][0], c, est)
-
-            direction = "max"
-        pen_obj = PenaltyObjective(f"classical_cham_{side}", direction, c,
-                                   list(templates.values()), blocks, dense_fn, term_fn)
-        value = orc.lp_classical_cham_value(h, a_list, b)
-        return Problem(pen_obj.tag, pen_obj, value, n, {"instance": inst})
-    return build
-
-
 _BUILDERS: dict[str, Callable] = {
-    "trace_distance_primal": _build_trace_distance("primal"),
-    "trace_distance_dual": _build_trace_distance("dual"),
+    "trace_distance_primal": _build_distance("primal", classical=False),
+    "trace_distance_dual": _build_distance("dual", classical=False),
     "fidelity_primal": _build_fidelity("primal"),
     "fidelity_dual": _build_fidelity("dual"),
     "negativity_primal": _build_negativity("primal"),
     "negativity_dual": _build_negativity("dual"),
-    "cham_primal": _build_cham("primal"),
-    "cham_dual": _build_cham("dual"),
+    "cham_primal": _build_cham("primal", classical=False),
+    "cham_dual": _build_cham("dual", classical=False),
     "cham_interior_point": _build_cham_interior,
-    "tvd_primal": _build_tvd("primal"),
-    "tvd_dual": _build_tvd("dual"),
-    "classical_cham_primal": _build_classical_cham("primal"),
-    "classical_cham_dual": _build_classical_cham("dual"),
+    "tvd_primal": _build_distance("primal", classical=True),
+    "tvd_dual": _build_distance("dual", classical=True),
+    "classical_cham_primal": _build_cham("primal", classical=True),
+    "classical_cham_dual": _build_cham("dual", classical=True),
 }

@@ -162,16 +162,16 @@ def _builder_cases(rng, n):
          obj.generic_dual_objective(pmi, states[2], states[3], kap, nu, c, EST).value,
          obj.generic_dual_dense(pmi, states[2], states[3], kap, nu, c)[0]),
         ("tvd_primal",
-         obj.tvd_primal_objective(*dists, lam, mu, c, EST).value,
+         obj.td_primal_objective(*dists, lam, mu, c, EST).value,
          obj.tvd_primal_dense(*dists, lam, mu, c)[0]),
         ("tvd_dual",
-         obj.tvd_dual_objective(*dists, lam, mu, c, EST).value,
+         obj.td_dual_objective(*dists, lam, mu, c, EST).value,
          obj.tvd_dual_dense(*dists, lam, mu, c)[0]),
         ("classical_cham_primal",
-         obj.classical_cham_primal_objective(dists[0], hw, aw, b, z, c, EST).value,
+         obj.cham_primal_objective(dists[0], hw, aw, b, z, c, EST).value,
          obj.classical_cham_primal_dense(dists[0], hw.dense(), [a.dense() for a in aw], b, z, c)[0]),
         ("classical_cham_dual",
-         obj.classical_cham_dual_objective(dists[0], hw, aw, b, y, mu_f, nu, c, EST).value,
+         obj.cham_dual_objective(dists[0], hw, aw, b, y, mu_f, nu, c, EST).value,
          obj.classical_cham_dual_dense(dists[0], hw.dense(), [a.dense() for a in aw], b, y, mu_f, nu, c)[0]),
     ]
     if n >= 2:

@@ -12,12 +12,10 @@ from qslack.ansatz import (
     PurificationState,
     apply_circuit,
     born_cc_as_purification,
-    build_layered_unitary,
     circuit_unitary,
     layered_unitary_circuit,
     qcbm_circuit,
     qcbm_distribution,
-    realize_density,
     sample_cc,
 )
 
@@ -25,7 +23,7 @@ from qslack.ansatz import (
 def test_layered_unitary_theta_zero_is_identity():
     for n, layers in [(1, 2), (2, 2), (3, 1)]:
         c = layered_unitary_circuit(n, layers)
-        u = build_layered_unitary(n, layers, np.zeros(c.n_params))
+        u = circuit_unitary(c, np.zeros(c.n_params))
         assert np.allclose(u, np.eye(2**n))
 
 
@@ -104,20 +102,20 @@ class TestRealize:
     def test_pure_when_no_reference(self, rng):
         circ = layered_unitary_circuit(2, 2)
         state = PurificationState(circ, n_reference=0, n_system=2)
-        rho = realize_density(state, rng.uniform(0, 2 * np.pi, circ.n_params))
+        rho = state.realize(rng.uniform(0, 2 * np.pi, circ.n_params))
         assert np.isclose(np.trace(rho @ rho).real, 1.0)
 
     def test_cc_spectrum_is_born_distribution(self, rng):
         state = ConvexCombinationState(qcbm_circuit(2, 2), layered_unitary_circuit(2, 2))
         params = rng.uniform(0, 2 * np.pi, state.n_params)
-        rho = realize_density(state, params)
+        rho = state.realize(params)
         p = state.distribution(params)
         assert np.allclose(np.sort(np.linalg.eigvalsh(rho)), np.sort(p), atol=1e-9)
 
     def test_purification_rank_bound(self, rng):
         circ = layered_unitary_circuit(3, 2)
         state = PurificationState(circ, n_reference=1, n_system=2)
-        rho = realize_density(state, rng.uniform(0, 2 * np.pi, circ.n_params))
+        rho = state.realize(rng.uniform(0, 2 * np.pi, circ.n_params))
         w = np.linalg.eigvalsh(rho)
         assert np.sum(w > 1e-10) <= 2
 
@@ -125,14 +123,14 @@ class TestRealize:
         pur = PurificationState(layered_unitary_circuit(4, 2), 2, 2)
         cc = ConvexCombinationState(qcbm_circuit(2, 2), layered_unitary_circuit(2, 2))
         for _ in range(500):
-            linalg.check_density(realize_density(pur, rng.uniform(0, 2 * np.pi, pur.n_params)))
-            linalg.check_density(realize_density(cc, rng.uniform(0, 2 * np.pi, cc.n_params)))
+            linalg.check_density(pur.realize(rng.uniform(0, 2 * np.pi, pur.n_params)))
+            linalg.check_density(cc.realize(rng.uniform(0, 2 * np.pi, cc.n_params)))
 
     def test_cc_purity_equals_distribution_purity(self, rng):
         state = ConvexCombinationState(qcbm_circuit(2, 2), layered_unitary_circuit(2, 2))
         for _ in range(20):
             params = rng.uniform(0, 2 * np.pi, state.n_params)
-            rho = realize_density(state, params)
+            rho = state.realize(params)
             p = state.distribution(params)
             assert abs(np.trace(rho @ rho).real - np.sum(p**2)) < 1e-9
 
@@ -207,5 +205,5 @@ def test_born_distribution_template(rng):
 def test_realized_states_are_density_matrices(seed):
     rng = np.random.default_rng(seed)
     state = PurificationState(layered_unitary_circuit(3, 2), 1, 2)
-    rho = realize_density(state, rng.uniform(0, 2 * np.pi, state.n_params))
+    rho = state.realize(rng.uniform(0, 2 * np.pi, state.n_params))
     linalg.check_density(rho)

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from qslack.config import ConfigError, config_from_dict, load_config, resolve_output_dir
+from qslack.config import ConfigError, ExperimentConfig, config_from_dict, load_config, resolve_output_dir
 from qslack.runner import build_from_config, emit_plot, run_experiment
 
 
@@ -24,6 +24,14 @@ def tiny_config(**over):
 
 
 class TestConfig:
+    @pytest.mark.parametrize("problem", ["trace_distance_dual", "tvd_primal", "cham_dual"])
+    def test_dataclass_and_document_defaults_agree(self, problem):
+        direct = ExperimentConfig(problem=problem)
+        parsed = config_from_dict({"problem": problem})
+        for name in ("n_system", "n_runs", "seed", "instance_seed", "output_dir", "workers"):
+            assert getattr(direct, name) == getattr(parsed, name), name
+        assert direct.spsa.perturbation == parsed.spsa.perturbation
+
     def test_minimal_tvd_defaults(self):
         cfg = config_from_dict({"problem": "tvd_dual"})
         assert cfg.n_system == 2

@@ -8,17 +8,13 @@ from qslack.estimate import (
     Estimator,
     Prepared,
     ShotModel,
-    estimate_collision,
-    estimate_overlap_loschmidt,
-    estimate_overlap_swap,
-    estimate_pauli_expect,
     hoeffding_shots,
     prepare,
 )
 from qslack.pauli import PauliString, WalshVector
 from tests.conftest import ket, random_density
 
-EXACT = ShotModel()
+EXACT = Estimator(ShotModel())
 
 
 def cc_pair(rng, n=2):
@@ -31,72 +27,72 @@ def cc_pair(rng, n=2):
 class TestExactMode:
     def test_pauli_z_on_zero(self):
         rho = np.outer(ket("0"), ket("0").conj())
-        e = estimate_pauli_expect(rho, PauliString((3,)), EXACT)
+        e = EXACT.pauli_expect(rho, PauliString((3,)))
         assert e.value == 1.0 and e.std_err == 0.0
 
     def test_identity_string(self, rng):
-        e = estimate_pauli_expect(random_density(4, rng), PauliString((0, 0)), EXACT)
+        e = EXACT.pauli_expect(random_density(4, rng), PauliString((0, 0)))
         assert np.isclose(e.value, 1.0)
 
     def test_pure_state_self_overlap(self):
         rho = np.outer(ket("00"), ket("00").conj())
-        assert np.isclose(estimate_overlap_swap(rho, rho, EXACT).value, 1.0)
+        assert np.isclose(EXACT.overlap(rho, rho).value, 1.0)
 
     def test_orthogonal_states(self):
         r0 = np.outer(ket("0"), ket("0").conj())
         r1 = np.outer(ket("1"), ket("1").conj())
-        assert np.isclose(estimate_overlap_swap(r0, r1, EXACT).value, 0.0)
+        assert np.isclose(EXACT.overlap(r0, r1).value, 0.0)
 
     def test_maximally_mixed_overlap(self):
         half = np.eye(2) / 2
-        assert np.isclose(estimate_overlap_swap(half, half, EXACT).value, 0.5)
+        assert np.isclose(EXACT.overlap(half, half).value, 0.5)
 
     def test_collision_cases(self):
         point = np.array([1.0, 0.0, 0.0, 0.0])
         uniform = np.full(4, 0.25)
-        assert np.isclose(estimate_collision(point, point, EXACT).value, 1.0)
-        assert np.isclose(estimate_collision(uniform, uniform, EXACT).value, 0.25)
-        assert np.isclose(estimate_collision(np.array([1.0, 0]), np.array([0, 1.0]), EXACT).value, 0.0)
+        assert np.isclose(EXACT.collision(point, point).value, 1.0)
+        assert np.isclose(EXACT.collision(uniform, uniform).value, 0.25)
+        assert np.isclose(EXACT.collision(np.array([1.0, 0]), np.array([0, 1.0])).value, 0.0)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            estimate_overlap_swap(np.eye(2) / 2, np.eye(4) / 4, EXACT)
+            EXACT.overlap(np.eye(2) / 2, np.eye(4) / 4)
         with pytest.raises(ValueError):
-            estimate_collision(np.array([1.0]), np.array([0.5, 0.5]), EXACT)
+            EXACT.collision(np.array([1.0]), np.array([0.5, 0.5]))
 
 
 class TestLoschmidt:
     def test_identical_point_mass(self):
         state = ConvexCombinationState(qcbm_circuit(1, 1), layered_unitary_circuit(1, 1))
         a = prepare(state, np.zeros(state.n_params))
-        assert np.isclose(estimate_overlap_loschmidt(a, a, EXACT).value, 1.0)
+        assert np.isclose(EXACT.loschmidt(a, a).value, 1.0)
 
     def test_matches_swap_on_random_pairs(self, rng):
         for _ in range(200):
             a, b = cc_pair(rng)
-            swap = estimate_overlap_swap(a, b, EXACT).value
-            echo = estimate_overlap_loschmidt(a, b, EXACT).value
+            swap = EXACT.overlap(a, b).value
+            echo = EXACT.loschmidt(a, b).value
             assert abs(swap - echo) < 1e-10
 
     def test_sample_access_variant(self, rng):
         # second argument given only as a dense state: q(x) = <x|U^dag sigma U|x>
         a, _ = cc_pair(rng)
         sigma = random_density(4, rng)
-        echo = estimate_overlap_loschmidt(a, sigma, EXACT).value
+        echo = EXACT.loschmidt(a, sigma).value
         q = np.real(np.diag(a.basis.conj().T @ sigma @ a.basis))
         assert abs(echo - float(a.dist @ q)) < 1e-12
         assert abs(echo - np.trace(a.rho @ sigma).real) < 1e-10
 
     def test_needs_cc_first_argument(self, rng):
         with pytest.raises(ValueError):
-            estimate_overlap_loschmidt(random_density(4, rng), random_density(4, rng), EXACT)
+            EXACT.loschmidt(random_density(4, rng), random_density(4, rng))
 
 
 class TestShotMode:
     def test_binomial_concentration(self, rng):
         # |estimate - m| <= 5 sqrt((1 - m^2)/N) in >= 99% of trials
         rho = random_density(2, rng)
-        m = estimate_pauli_expect(rho, PauliString((3,)), EXACT).value
+        m = EXACT.pauli_expect(rho, PauliString((3,))).value
         n = 10_000
         est = Estimator(ShotModel("shots", n=n), rng)
         band = 5 * math.sqrt((1 - m**2) / n)
@@ -109,7 +105,7 @@ class TestShotMode:
     def test_unbiased_and_variance_calibrated(self, rng):
         rho = random_density(2, rng)
         sigma = random_density(2, rng)
-        m = estimate_overlap_swap(rho, sigma, EXACT).value
+        m = EXACT.overlap(rho, sigma).value
         n = 10_000
         est = Estimator(ShotModel("shots", n=n), rng)
         draws = np.array([est.overlap(rho, sigma).value for _ in range(10_000)])

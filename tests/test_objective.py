@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from itertools import product
 
-from qslack import linalg, objective as obj
-from qslack.estimate import Estimator, Prepared
-from qslack.pauli import PauliObservable, PauliString, WalshObservable
+from qslack import build_problem, linalg, objective as obj
+from qslack.ansatz import ConvexCombinationState, layered_unitary_circuit, qcbm_circuit
+from qslack.estimate import Estimator, Prepared, ShotModel, as_prepared, prepare
+from qslack.pauli import PauliObservable, PauliString, WalshObservable, WalshVector
 from qslack.oracle import exact_negativity, exact_root_fidelity, exact_trace_distance, exact_tvd
 from tests.conftest import bell_state, ket, random_density, random_hermitian
 
@@ -342,12 +343,12 @@ class TestTvd:
     def test_dual_identical_inputs(self, rng):
         p = random_dist(4, rng)
         r = random_dist(4, rng)
-        tb = obj.tvd_dual_objective(p, p, r, r, 1.0, 1.0, 10.0, EST)
+        tb = obj.td_dual_objective(p, p, r, r, 1.0, 1.0, 10.0, EST)
         assert abs(tb.value - 1.0) < 1e-12
 
     def test_dual_zero_scalars(self, rng):
         p, q, r, s = (random_dist(4, rng) for _ in range(4))
-        tb = obj.tvd_dual_objective(p, q, r, s, 0.0, 0.0, 10.0, EST)
+        tb = obj.td_dual_objective(p, q, r, s, 0.0, 0.0, 10.0, EST)
         assert abs(tb.value - 10.0 * np.sum((q - p) ** 2)) < 1e-12
 
     def test_dual_expansion_matches_dense(self, rng):
@@ -355,7 +356,7 @@ class TestTvd:
             for _ in range(25):
                 p, q, r, s = (random_dist(2**n, rng) for _ in range(4))
                 lam, mu = rng.uniform(0, 2, 2)
-                tb = obj.tvd_dual_objective(p, q, r, s, lam, mu, 10.0, EST)
+                tb = obj.td_dual_objective(p, q, r, s, lam, mu, 10.0, EST)
                 dv, dp = obj.tvd_dual_dense(p, q, r, s, lam, mu, 10.0)
                 assert abs(tb.value - dv) < 1e-9
 
@@ -364,7 +365,7 @@ class TestTvd:
             for _ in range(25):
                 p, q, r, s = (random_dist(2**n, rng) for _ in range(4))
                 lam, mu = rng.uniform(0, 2, 2)
-                tb = obj.tvd_primal_objective(p, q, r, s, lam, mu, 10.0, EST)
+                tb = obj.td_primal_objective(p, q, r, s, lam, mu, 10.0, EST)
                 dv, dp = obj.tvd_primal_dense(p, q, r, s, lam, mu, 10.0)
                 assert abs(tb.value - dv) < 1e-9
 
@@ -374,14 +375,14 @@ class TestTvd:
         pos = np.maximum(diff, 0)
         neg = np.maximum(-diff, 0)
         lam, mu = pos.sum(), neg.sum()
-        tb = obj.tvd_dual_objective(p, q, pos / lam, neg / mu, lam, mu, 100.0, EST)
+        tb = obj.td_dual_objective(p, q, pos / lam, neg / mu, lam, mu, 100.0, EST)
         tvd = exact_tvd(p, q)
         assert abs(tb.value - tvd) < 1e-9
         ind = (diff > 0).astype(float)
         lam_p = ind.sum()
         rest = 1.0 - ind
         mu_p = rest.sum()
-        tb2 = obj.tvd_primal_objective(p, q, ind / lam_p, rest / mu_p, lam_p, mu_p, 100.0, EST)
+        tb2 = obj.td_primal_objective(p, q, ind / lam_p, rest / mu_p, lam_p, mu_p, 100.0, EST)
         assert abs(tb2.value - tvd) < 1e-9
 
 
@@ -389,7 +390,7 @@ class TestClassicalCham:
     def test_no_constraints_uniform(self, rng):
         h = WalshObservable.from_text(2, {"11": 1.0, "00": 0.3})
         p = np.full(4, 0.25)
-        tb = obj.classical_cham_primal_objective(p, h, [], np.zeros(0), np.zeros(0), 10.0, EST)
+        tb = obj.cham_primal_objective(p, h, [], np.zeros(0), np.zeros(0), 10.0, EST)
         assert abs(tb.value - np.mean(h.dense())) < 1e-12
 
     def test_primal_expansion_matches_dense(self, rng):
@@ -400,7 +401,7 @@ class TestClassicalCham:
         for _ in range(25):
             p = random_dist(4, rng)
             z = rng.uniform(0, 1, 2)
-            tb = obj.classical_cham_primal_objective(p, h, a_list, b, z, 10.0, EST)
+            tb = obj.cham_primal_objective(p, h, a_list, b, z, 10.0, EST)
             dv, dp = obj.classical_cham_primal_dense(p, h.dense(), a_dense, b, z, 10.0)
             assert abs(tb.value - dv) < 1e-10
 
@@ -414,7 +415,7 @@ class TestClassicalCham:
             y = rng.uniform(0, 1, 2)
             mu = rng.uniform(-1, 1)
             nu = rng.uniform(0, 1)
-            tb = obj.classical_cham_dual_objective(w, h, a_list, b, y, mu, nu, 10.0, EST)
+            tb = obj.cham_dual_objective(w, h, a_list, b, y, mu, nu, 10.0, EST)
             dv, dp = obj.classical_cham_dual_dense(w, h.dense(), a_dense, b, y, mu, nu, 10.0)
             assert abs(tb.value - dv) < 1e-10
 
@@ -538,3 +539,119 @@ class TestPenaltyStructure:
         assert primal <= td + 1e-6
         assert dual >= td - 1e-6
         assert abs(primal - td) < 1e-6 and abs(dual - td) < 1e-6
+
+
+def random_expansion(n, rng, walsh=False, k=5):
+    labels = sorted(product(range(2 if walsh else 4), repeat=n))
+    pick = sorted(rng.choice(len(labels), k, replace=False))
+    exp = obj.Expansion(tuple(labels[i] for i in pick), rng.uniform(-1, 1, k), walsh)
+    basis = WalshVector if walsh else PauliString
+    dense = sum(c * basis(l).dense() for l, c in zip(exp.labels, exp.coeffs))
+    return exp, dense
+
+
+def operand_spaces(rng):
+    """(dimension, [(operand, dense form)]) for every kind of operand."""
+    n = 2
+    d = 2**n
+    cc = ConvexCombinationState(qcbm_circuit(n, 2), layered_unitary_circuit(n, 2))
+    cc_state = prepare(cc, rng.uniform(0, 2 * np.pi, cc.n_params))
+    states = [as_prepared(random_density(d, rng)) for _ in range(2)]
+    quantum = [(s, s.rho) for s in states] + [
+        (cc_state, cc_state.rho),
+        (obj.IDENTITY, np.eye(d)),
+        random_expansion(n, rng),
+        random_expansion(n, rng),
+    ]
+    dists = [as_prepared(random_dist(d, rng)) for _ in range(2)]
+    classical = [(p, p.dist) for p in dists] + [
+        (obj.IDENTITY, np.ones(d)),
+        random_expansion(n, rng, walsh=True, k=3),
+        random_expansion(n, rng, walsh=True, k=3),
+    ]
+    blocks = [obj.Block(k, s) for k, s in ((0, states[0]), (1, states[1]), (1, cc_state))]
+    big = as_prepared(random_density(2 * d, rng))
+    alpha = rng.standard_normal(4**n) + 1j * rng.standard_normal(4**n)
+    alpha[3] = 0.0
+    x_mat = obj.coeffs_to_matrix(alpha, n)
+    off = np.kron([[0, 1], [0, 0]], x_mat.conj().T) + np.kron([[0, 0], [1, 0]], x_mat)
+    x_rev = obj.coeffs_to_matrix(alpha[::-1], n)
+    off_rev = np.kron([[0, 1], [0, 0]], x_rev.conj().T) + np.kron([[0, 0], [1, 0]], x_rev)
+    block_space = [(b, np.kron(obj._PROJ[b.k], b.state.rho)) for b in blocks] + [
+        (obj.OffDiagonal(alpha), off),
+        (obj.OffDiagonal(alpha[::-1].copy()), off_rev),
+        (big, big.rho),
+        (obj.IDENTITY, np.eye(2 * d)),
+        random_expansion(n + 1, rng, k=12),
+    ]
+    return [(d, quantum), (d, classical), (2 * d, block_space)]
+
+
+class TestSqNorm:
+    def test_every_pair_of_kinds_matches_the_literal_sum(self, rng):
+        for _ in range(5):
+            for d, operands in operand_spaces(rng):
+                for i, (xi, mi) in enumerate(operands):
+                    for j, (xj, mj) in enumerate(operands):
+                        ci, cj = rng.uniform(-2, 2, 2)
+                        terms = [(ci, xi)] if i == j else [(ci, xi), (cj, xj)]
+                        want = linalg.hs_norm_sq(ci * mi if i == j else ci * mi + cj * mj)
+                        got = obj.sq_norm(terms, d, EST)
+                        assert abs(got - want) <= 1e-12 * max(1.0, want), (i, j)
+
+    def test_structural_pairs_sample_nothing(self, rng):
+        class NoSampling(Estimator):
+            def _pm_one(self, mean):
+                raise AssertionError("sampled a term fixed by structure")
+
+            _bernoulli = _pm_one
+
+        rho, sigma = (as_prepared(random_density(2, rng)) for _ in range(2))
+        h = obj.Expansion(((0,), (3,)), np.array([0.5, -0.25]))
+        off = obj.Expansion(((1, 0), (2, 3)), np.array([0.3, 0.7]))
+        obj.sq_norm([(1.0, obj.IDENTITY), (2.0, h), (-1.0, obj.Expansion(((3,),), np.ones(1)))], 2, NoSampling())
+        obj.sq_norm([(1.0, off), (2.0, obj.IDENTITY)], 4, NoSampling())
+        assert obj._inner(obj.Block(0, rho), obj.Block(1, sigma), 4, NoSampling()) == 0.0
+        assert obj._inner(obj.Block(1, rho), off, 4, NoSampling()) == 0.0
+        assert obj._inner(obj.IDENTITY, rho, 2, NoSampling()) == 1.0
+
+    def test_zero_coefficients_are_not_estimated(self, rng):
+        calls = []
+
+        class Counting(Estimator):
+            def pauli_expect(self, state, p):
+                calls.append(p.labels)
+                return super().pauli_expect(state, p)
+
+        rho = as_prepared(random_density(4, rng))
+        exp = obj.Expansion(((0, 1), (3, 3), (2, 0)), np.array([0.5, 0.0, -1.0]))
+        obj.sq_norm([(1.0, exp), (0.0, rho)], 4, Counting())
+        assert calls == [(0, 1), (2, 0)]
+
+
+# Two successive shot-mode evaluations of each term form at fixed parameters,
+# sharing one Estimator.  They pin the order and the number of the Estimator
+# calls, and with them the noise stream that a shot-mode run shares with its
+# SPSA draws.  Negativity is left out: its calls are grouped per squared norm.
+SHOT_STREAM = {
+    "trace_distance_primal": (-29.208851751132073, -28.95629112325786),
+    "trace_distance_dual": (7.155923942156722, 8.875314232536256),
+    "fidelity_primal": (-65.7431248071489, -68.6257740126935),
+    "fidelity_dual": (116.40289473546146, 118.67960963581463),
+    "cham_primal": (1.8424908206868538, 1.7744198254608594),
+    "cham_dual": (-421.9559302460117, -415.1959490087973),
+    "tvd_primal": (-30.201911368802485, -30.20372386184891),
+    "tvd_dual": (8.266118586783994, 8.573872151403929),
+    "classical_cham_primal": (5.069656114908381, 5.2230729093985735),
+    "classical_cham_dual": (-50.970121687204724, -51.13382951600146),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(SHOT_STREAM))
+def test_shot_mode_noise_stream_is_pinned(tag):
+    o = build_problem(tag).objective
+    params = np.random.default_rng(7).uniform(0.1, 1.0, o.n_params)
+    est = Estimator(ShotModel("shots", n=1000), np.random.default_rng(0))
+    got = [o.evaluate(params, est).value for _ in range(2)]
+    for value, want in zip(got, SHOT_STREAM[tag]):
+        assert abs(value - want) <= 1e-12 * abs(want)

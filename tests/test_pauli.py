@@ -12,7 +12,6 @@ from qslack.pauli import (
     WalshVector,
     default_term_cap,
     expect,
-    observable_dense,
     pauli_eigenbasis_sampler,
     walsh_dot,
 )
@@ -112,7 +111,7 @@ class TestExpect:
         terms = {l: rng.standard_normal() for l in product(range(4), repeat=2)}
         o = PauliObservable(2, terms)
         rho = random_density(4, rng)
-        direct = linalg.hs_inner(observable_dense(o), rho).real
+        direct = linalg.hs_inner(o.dense(), rho).real
         assert abs(expect(o, rho) - direct) < 1e-10
 
     def test_dim_mismatch(self):
