@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 from .estimate import ShotModel
 from .optimizer import LrSchedule, SpsaConfig
@@ -26,7 +26,6 @@ class AnsatzConfig:
     type: str = "purification"
     layers: int = 2
     born_layers: int = 2
-    n_reference: int | None = None
 
     def __post_init__(self) -> None:
         if self.type not in ("purification", "convex_combination", "born"):
@@ -62,12 +61,6 @@ class ExperimentConfig:
             raise ConfigError("n_system must be positive")
         if self.problem.startswith("negativity") and self.n_system % 2 != 0:
             raise ConfigError("negativity problems need an even qubit count")
-
-    def to_dict(self) -> dict:
-        """Round-trippable plain dict (the inverse of config_from_dict)."""
-        d = asdict(self)
-        d["optimizer"] = d.pop("spsa")
-        return d
 
 
 # Simulation settings per (problem, ansatz type): layers (+ Born layers for
@@ -120,6 +113,15 @@ def _field_defaults(cls) -> dict:
     return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
 
 
+def _section(raw: dict, name: str, cls) -> dict:
+    """Pop the sub-document ``name``; its keys must be fields of ``cls``."""
+    sub = dict(raw.pop(name, {}))
+    unknown = sorted(set(sub) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {unknown}")
+    return sub
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a config from a JSON document; a missing key takes the problem
     default from ``DEFAULTS`` or else the default of its dataclass field."""
@@ -133,19 +135,19 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if problem not in PROBLEM_TAGS:
         raise ConfigError(f"unknown problem tag {problem!r}")
 
-    ansatz_raw = dict(raw.pop("ansatz", {}))
+    ansatz_raw = _section(raw, "ansatz", AnsatzConfig)
     ansatz_type = ansatz_raw.get("type", "born" if problem in CLASSICAL_TAGS else "purification")
     defaults = problem_defaults(problem, ansatz_type)
     ansatz = AnsatzConfig(
         type=ansatz_type,
         layers=int(ansatz_raw.get("layers", defaults["layers"])),
         born_layers=int(ansatz_raw.get("born_layers", defaults.get("born_layers", AnsatzConfig.born_layers))),
-        n_reference=ansatz_raw.get("n_reference"),
     )
 
-    shots = ShotModel.from_dict(raw.pop("shots", {"mode": "exact"}))
+    shots_raw = _section(raw, "shots", ShotModel)
+    shots = ShotModel(mode=shots_raw.get("mode", ShotModel.mode), n=int(float(shots_raw.get("n", ShotModel.n))))
 
-    spsa_raw = dict(raw.pop("optimizer", {}))
+    spsa_raw = _section(raw, "optimizer", SpsaConfig)
     spsa = SpsaConfig(
         learning_rate=float(spsa_raw.get("learning_rate", defaults["lr"])),
         perturbation=float(spsa_raw.get("perturbation", SpsaConfig.perturbation)),
@@ -153,7 +155,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         max_iters=int(spsa_raw.get("max_iters", defaults["max_iters"])),
     )
 
-    sched_raw = {**defaults["schedule"], **raw.pop("schedule", {})}
+    sched_raw = {**defaults["schedule"], **_section(raw, "schedule", LrSchedule)}
     schedule = LrSchedule(**{
         name: type(default)(sched_raw.get(name, default))
         for name, default in _field_defaults(LrSchedule).items()

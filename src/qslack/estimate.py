@@ -23,11 +23,10 @@ GAUSSIAN_SHOT_THRESHOLD = 10**6
 
 @dataclass(frozen=True)
 class ShotModel:
-    """Either {"mode": "exact"} or {"mode": "shots", "n": N, "seed": s}."""
+    """Either {"mode": "exact"} or {"mode": "shots", "n": N}."""
 
     mode: str = "exact"
     n: int = 0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.mode not in ("exact", "shots"):
@@ -38,11 +37,6 @@ class ShotModel:
     @property
     def exact(self) -> bool:
         return self.mode == "exact"
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ShotModel":
-        mode = d.get("mode", "exact")
-        return cls(mode=mode, n=int(float(d.get("n", 0))), seed=int(d.get("seed", 0)))
 
 
 @dataclass(frozen=True)
@@ -102,11 +96,12 @@ class Estimator:
 
     A single generator drives all draws, so a seeded estimator yields a
     reproducible noise stream; independent terms consume independent draws.
+    ``rng`` is a Generator or anything ``np.random.default_rng`` accepts.
     """
 
-    def __init__(self, shots: ShotModel | None = None, rng: np.random.Generator | None = None):
+    def __init__(self, shots: ShotModel | None = None, rng=0):
         self.shots = shots if shots is not None else ShotModel()
-        self.rng = rng if rng is not None else np.random.default_rng(self.shots.seed)
+        self.rng = np.random.default_rng(rng)
 
     # -- core emulators ----------------------------------------------------
     def _pm_one(self, mean: float) -> Estimate:

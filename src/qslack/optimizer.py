@@ -120,7 +120,7 @@ def lr_step(schedule: LrSchedule, history: Sequence[float], direction: str,
 
 
 def run_optimization(problem: PenaltyObjective, spsa: SpsaConfig, schedule: LrSchedule,
-                     rng: np.random.Generator | int, shots: ShotModel | None = None,
+                     rng, shots: ShotModel | None = None,
                      oracle: float | None = None) -> RunRecord:
     """Train the objective and record one row per iteration.
 
@@ -129,9 +129,9 @@ def run_optimization(problem: PenaltyObjective, spsa: SpsaConfig, schedule: LrSc
     sign-constrained scalars are clamped at zero afterwards.  A NaN objective
     or an infeasible barrier at the current iterate aborts the run with a
     diagnostic; the final summary re-evaluates the trained parameters.
+    ``rng`` is a Generator or anything ``np.random.default_rng`` accepts.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     shots = shots if shots is not None else ShotModel()
     # exact expectations carry no sampling noise, so the dense evaluation mode
     # (numerically identical to the exact term expansion) is used for speed

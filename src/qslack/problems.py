@@ -66,19 +66,18 @@ class Problem:
 
 # -- ansatz construction -------------------------------------------------
 
-def make_purification(n_system: int, layers: int, n_reference: int | None = None) -> PurificationState:
-    n_ref = n_system if n_reference is None else n_reference
-    return PurificationState(layered_unitary_circuit(n_ref + n_system, layers), n_ref, n_system)
+def make_purification(n_system: int, layers: int) -> PurificationState:
+    """A reference register as wide as the system, traced out."""
+    return PurificationState(layered_unitary_circuit(2 * n_system, layers), n_system, n_system)
 
 
 def make_cc(n_system: int, layers: int, born_layers: int) -> ConvexCombinationState:
     return ConvexCombinationState(qcbm_circuit(n_system, born_layers), layered_unitary_circuit(n_system, layers))
 
 
-def make_opt_template(ansatz_type: str, n_system: int, layers: int, born_layers: int,
-                      n_reference: int | None = None):
+def make_opt_template(ansatz_type: str, n_system: int, layers: int, born_layers: int):
     if ansatz_type == "purification":
-        return make_purification(n_system, layers, n_reference)
+        return make_purification(n_system, layers)
     if ansatz_type == "convex_combination":
         return make_cc(n_system, layers, born_layers)
     if ansatz_type == "born":
@@ -162,9 +161,9 @@ def _slack_init(ell: int) -> tuple[float, ...]:
 
 # -- builders -------------------------------------------------------------
 
-def build_problem(tag: str, n_system: int = 2, ansatz_type: str | None = None,
-                  layers: int = 2, born_layers: int = 2, n_reference: int | None = None,
-                  c: float = 10.0, instance_seed: int = 921, instance: dict | None = None) -> Problem:
+def build_problem(tag: str, n_system: int = 2, ansatz_type: str | None = None, layers: int = 2,
+                  born_layers: int = 2, c: float = 10.0, instance_seed: int = 921,
+                  instance: dict | None = None) -> Problem:
     if tag not in PROBLEM_TAGS:
         raise ValueError(f"unknown problem tag {tag!r}")
     if ansatz_type is None:
@@ -174,115 +173,112 @@ def build_problem(tag: str, n_system: int = 2, ansatz_type: str | None = None,
     if tag in QUANTUM_TAGS and ansatz_type == "born":
         raise ValueError(f"{tag} optimizes density matrices; pick purification or convex_combination")
     builder = _BUILDERS[tag]
-    return builder(n_system, ansatz_type, layers, born_layers, n_reference, c, instance_seed, instance)
+    return builder(n_system, ansatz_type, layers, born_layers, c, instance_seed, instance)
 
 
-def _build_distance(side: str, classical: bool):
+def _bind(scalars: dict[str, np.ndarray], c: float | None = None,
+          multipliers: tuple[str, ...] = (), vectors: tuple[str, ...] = ()) -> dict:
+    """Keyword arguments of both objective forms, made from the scalar blocks:
+    each one-element ``multipliers`` block as a number, each ``vectors`` block
+    whole (empty if the problem has none), and ``c`` unless it is None."""
+    args = {name: scalars[name][0] for name in multipliers}
+    args.update({name: scalars.get(name, np.zeros(0)) for name in vectors})
+    if c is not None:
+        args["c"] = c
+    return args
+
+
+def _bind_fidelity_primal(scalars: dict[str, np.ndarray], c: float) -> dict:
+    return {"alpha": scalars["alpha_re"] + 1j * scalars["alpha_im"], **_bind(scalars, c, ("lam",))}
+
+
+def _build_distance(side, classical, n, ansatz_type, layers, born_layers, c, instance_seed, instance) -> Problem:
     """Trace distance of two states, or total variation distance of two
     distributions (``classical``): the same term forms serve both."""
     if classical:
         dense = obj.tvd_primal_dense if side == "primal" else obj.tvd_dual_dense
+        rho, sigma = (as_prepared(frozen_born_input(n, [instance_seed, k])) for k in (1, 2))
+        oracle = orc.OracleResult(orc.exact_tvd(rho.dist, sigma.dist), "half-l1")
+        names, inputs = ("r", "s"), "two seeded Born-machine distributions"
     else:
         dense = obj.td_primal_dense if side == "primal" else obj.td_dual_dense
+        rho, sigma = (frozen_quantum_input(ansatz_type, n, [instance_seed, k]) for k in (1, 2))
+        oracle = orc.OracleResult(orc.exact_trace_distance(rho.rho, sigma.rho), "trace-norm")
+        names, inputs = ("omega", "tau"), "two seeded random mixed states"
     terms, direction = (obj.td_primal_objective, "max") if side == "primal" else (obj.td_dual_objective, "min")
-
-    def build(n, ansatz_type, layers, born_layers, n_reference, c, instance_seed, instance) -> Problem:
-        if classical:
-            rho, sigma = (as_prepared(frozen_born_input(n, [instance_seed, k])) for k in (1, 2))
-            oracle = orc.OracleResult(orc.exact_tvd(rho.dist, sigma.dist), "half-l1")
-            names, inputs = ("r", "s"), "two seeded Born-machine distributions"
-        else:
-            rho, sigma = (frozen_quantum_input(ansatz_type, n, [instance_seed, k]) for k in (1, 2))
-            oracle = orc.OracleResult(orc.exact_trace_distance(rho.rho, sigma.rho), "trace-norm")
-            names, inputs = ("omega", "tau"), "two seeded random mixed states"
-        templates = {name: make_opt_template(ansatz_type, n, layers, born_layers, n_reference) for name in names}
-        blocks = _angle_blocks(templates) + [_scalar("lam", 1, 1.0), _scalar("mu", 1, 1.0)]
-
-        def bind(sc):
-            return {"lam": sc["lam"][0], "mu": sc["mu"][0], "c": c}
-        pen_obj = PenaltyObjective(f"{'tvd' if classical else 'trace_distance'}_{side}", direction, c,
-                                   list(templates.values()), blocks, partial(dense, rho.dense, sigma.dense),
-                                   partial(terms, rho, sigma), bind)
-        return Problem(pen_obj.tag, pen_obj, oracle, n, {"inputs": inputs})
-    return build
+    templates = {name: make_opt_template(ansatz_type, n, layers, born_layers) for name in names}
+    blocks = _angle_blocks(templates) + [_scalar("lam", 1, 1.0), _scalar("mu", 1, 1.0)]
+    pen_obj = PenaltyObjective(f"{'tvd' if classical else 'trace_distance'}_{side}", direction, c,
+                               list(templates.values()), blocks, partial(dense, rho.dense, sigma.dense),
+                               partial(terms, rho, sigma), partial(_bind, c=c, multipliers=("lam", "mu")))
+    return Problem(pen_obj.tag, pen_obj, oracle, n, {"inputs": inputs})
 
 
-def _build_fidelity(side: str):
-    def build(n, ansatz_type, layers, born_layers, n_reference, c, instance_seed, instance) -> Problem:
-        rho = frozen_quantum_input(ansatz_type, n, [instance_seed, 1])
-        sigma = frozen_quantum_input(ansatz_type, n, [instance_seed, 2])
-        n_alpha = 4**n
-        if side == "primal":
-            templates = {"omega": make_opt_template(ansatz_type, n + 1, layers, born_layers, n_reference)}
-            blocks = _angle_blocks(templates) + [
-                _scalar("alpha_re", n_alpha, 0.0, nonneg=False, scale=ALPHA_SCALE),
-                _scalar("alpha_im", n_alpha, 0.0, nonneg=False, scale=ALPHA_SCALE),
-                _scalar("lam", 1, 1.0),
-            ]
-            dense, terms, direction = obj.fidelity_primal_dense, obj.fidelity_primal_objective, "max"
-
-            def bind(sc):
-                return {"alpha": sc["alpha_re"] + 1j * sc["alpha_im"], "lam": sc["lam"][0], "c": c}
-        else:
-            templates = {
-                "omega": make_opt_template(ansatz_type, n, layers, born_layers, n_reference),
-                "tau": make_opt_template(ansatz_type, n, layers, born_layers, n_reference),
-                "xi": make_opt_template(ansatz_type, n + 1, layers, born_layers, n_reference),
-            }
-            blocks = _angle_blocks(templates) + [
-                _scalar("lam", 1, 1.0, scale=FD_LM_SCALE),
-                _scalar("mu", 1, 1.0, scale=FD_LM_SCALE),
-                _scalar("nu", 1, 1.0, scale=FD_NU_SCALE),
-            ]
-            dense, terms, direction = obj.fidelity_dual_dense, obj.fidelity_dual_objective, "min"
-
-            def bind(sc):
-                return {"lam": sc["lam"][0], "mu": sc["mu"][0], "nu": sc["nu"][0], "c": c}
-        pen_obj = PenaltyObjective(f"fidelity_{side}", direction, c, list(templates.values()), blocks,
-                                   partial(dense, rho.rho, sigma.rho), partial(terms, rho, sigma), bind)
-        value = orc.exact_root_fidelity(rho.rho, sigma.rho)
-        return Problem(pen_obj.tag, pen_obj, orc.OracleResult(value, "root-fidelity"), n,
-                       {"inputs": "two seeded random mixed states"})
-    return build
-
-
-def _build_negativity(side: str):
-    def build(n, ansatz_type, layers, born_layers, n_reference, c, instance_seed, instance) -> Problem:
-        if n % 2 != 0:
-            raise ValueError("negativity needs an even total qubit count for the A|B split")
-        n_a = n_b = n // 2
-        rho = frozen_quantum_input(ansatz_type, n, [instance_seed, 1])
+def _build_fidelity(side, n, ansatz_type, layers, born_layers, c, instance_seed, instance) -> Problem:
+    rho = frozen_quantum_input(ansatz_type, n, [instance_seed, 1])
+    sigma = frozen_quantum_input(ansatz_type, n, [instance_seed, 2])
+    n_alpha = 4**n
+    if side == "primal":
+        templates = {"omega": make_opt_template(ansatz_type, n + 1, layers, born_layers)}
+        blocks = _angle_blocks(templates) + [
+            _scalar("alpha_re", n_alpha, 0.0, nonneg=False, scale=ALPHA_SCALE),
+            _scalar("alpha_im", n_alpha, 0.0, nonneg=False, scale=ALPHA_SCALE),
+            _scalar("lam", 1, 1.0),
+        ]
+        dense, terms, direction = obj.fidelity_primal_dense, obj.fidelity_primal_objective, "max"
+        bind = partial(_bind_fidelity_primal, c=c)
+    else:
         templates = {
-            "sigma": make_opt_template(ansatz_type, n, layers, born_layers, n_reference),
-            "tau": make_opt_template(ansatz_type, n, layers, born_layers, n_reference),
+            "omega": make_opt_template(ansatz_type, n, layers, born_layers),
+            "tau": make_opt_template(ansatz_type, n, layers, born_layers),
+            "xi": make_opt_template(ansatz_type, n + 1, layers, born_layers),
         }
-        n_alpha = 4**n
-        alpha_scale = ALPHA_SCALE if side == "primal" else ALPHA_SCALE_STIFF
-        blocks = _angle_blocks(templates) + [_scalar("alpha", n_alpha, 0.0, nonneg=False, scale=alpha_scale)]
-        if side == "dual":
-            blocks.append(_scalar("beta", n_alpha, 0.0, nonneg=False, scale=alpha_scale))
-            blocks += [_scalar("lam", 1, 1.0), _scalar("mu", 1, 1.0)]
-            dense, terms, direction = obj.negativity_dual_dense, obj.negativity_dual_objective, "min"
-
-            def bind(sc):
-                return {"alpha": sc["alpha"], "beta": sc["beta"], "lam": sc["lam"][0], "mu": sc["mu"][0], "c": c}
-        else:
-            blocks += [_scalar("lam", 1, 1.0, scale=NEG_P_LAM_SCALE),
-                       _scalar("mu", 1, 1.0, scale=NEG_P_MU_SCALE)]
-            dense, terms, direction = obj.negativity_primal_dense, obj.negativity_primal_objective, "max"
-
-            def bind(sc):
-                return {"alpha": sc["alpha"], "lam": sc["lam"][0], "mu": sc["mu"][0], "c": c}
-        pen_obj = PenaltyObjective(f"negativity_{side}", direction, c, list(templates.values()), blocks,
-                                   partial(dense, rho.rho, n_a=n_a, n_b=n_b),
-                                   partial(terms, rho, n_a=n_a, n_b=n_b), bind)
-        value = orc.exact_negativity(rho.rho, 2**n_a, 2**n_b)
-        return Problem(pen_obj.tag, pen_obj, orc.OracleResult(value, "pt-trace-norm"), n,
-                       {"inputs": "one seeded random bipartite state"})
-    return build
+        blocks = _angle_blocks(templates) + [
+            _scalar("lam", 1, 1.0, scale=FD_LM_SCALE),
+            _scalar("mu", 1, 1.0, scale=FD_LM_SCALE),
+            _scalar("nu", 1, 1.0, scale=FD_NU_SCALE),
+        ]
+        dense, terms, direction = obj.fidelity_dual_dense, obj.fidelity_dual_objective, "min"
+        bind = partial(_bind, c=c, multipliers=("lam", "mu", "nu"))
+    pen_obj = PenaltyObjective(f"fidelity_{side}", direction, c, list(templates.values()), blocks,
+                               partial(dense, rho.rho, sigma.rho), partial(terms, rho, sigma), bind)
+    value = orc.exact_root_fidelity(rho.rho, sigma.rho)
+    return Problem(pen_obj.tag, pen_obj, orc.OracleResult(value, "root-fidelity"), n,
+                   {"inputs": "two seeded random mixed states"})
 
 
-def _build_cham(side: str, classical: bool):
+def _build_negativity(side, n, ansatz_type, layers, born_layers, c, instance_seed, instance) -> Problem:
+    if n % 2 != 0:
+        raise ValueError("negativity needs an even total qubit count for the A|B split")
+    n_a = n_b = n // 2
+    rho = frozen_quantum_input(ansatz_type, n, [instance_seed, 1])
+    templates = {
+        "sigma": make_opt_template(ansatz_type, n, layers, born_layers),
+        "tau": make_opt_template(ansatz_type, n, layers, born_layers),
+    }
+    n_alpha = 4**n
+    alpha_scale = ALPHA_SCALE if side == "primal" else ALPHA_SCALE_STIFF
+    blocks = _angle_blocks(templates) + [_scalar("alpha", n_alpha, 0.0, nonneg=False, scale=alpha_scale)]
+    if side == "dual":
+        blocks.append(_scalar("beta", n_alpha, 0.0, nonneg=False, scale=alpha_scale))
+        blocks += [_scalar("lam", 1, 1.0), _scalar("mu", 1, 1.0)]
+        dense, terms, direction = obj.negativity_dual_dense, obj.negativity_dual_objective, "min"
+        vectors = ("alpha", "beta")
+    else:
+        blocks += [_scalar("lam", 1, 1.0, scale=NEG_P_LAM_SCALE),
+                   _scalar("mu", 1, 1.0, scale=NEG_P_MU_SCALE)]
+        dense, terms, direction = obj.negativity_primal_dense, obj.negativity_primal_objective, "max"
+        vectors = ("alpha",)
+    pen_obj = PenaltyObjective(f"negativity_{side}", direction, c, list(templates.values()), blocks,
+                               partial(dense, rho.rho, n_a=n_a, n_b=n_b),
+                               partial(terms, rho, n_a=n_a, n_b=n_b),
+                               partial(_bind, c=c, multipliers=("lam", "mu"), vectors=vectors))
+    value = orc.exact_negativity(rho.rho, 2**n_a, 2**n_b)
+    return Problem(pen_obj.tag, pen_obj, orc.OracleResult(value, "pt-trace-norm"), n,
+                   {"inputs": "one seeded random bipartite state"})
+
+
+def _build_cham(side, classical, n, ansatz_type, layers, born_layers, c, instance_seed, instance) -> Problem:
     """The constrained Hamiltonian problem over Pauli observables and states,
     or over Walsh observables and distributions (``classical``)."""
     if classical:
@@ -291,66 +287,60 @@ def _build_cham(side: str, classical: bool):
     else:
         tag, default_instance, parse = "cham", default_cham_instance, pauli_instance_from_dict
         dense = obj.cham_primal_dense if side == "primal" else obj.cham_dual_dense
-
-    def build(n, ansatz_type, layers, born_layers, n_reference, c, instance_seed, instance) -> Problem:
-        inst = instance if instance is not None else default_instance()
-        h, a_list, b = parse(n, inst)
-        ell = len(a_list)
-        template = make_opt_template(ansatz_type, n, layers, born_layers, n_reference)
-        if side == "primal":
-            blocks = _angle_blocks({"p" if classical else "rho": template})
-            if ell:
-                blocks.append(_scalar("z", ell, 0.0 if classical else _slack_init(ell)))
-            terms, direction = obj.cham_primal_objective, "min"
-
-            def bind(sc):
-                return {"z": sc.get("z", np.zeros(0)), "c": c}
+    inst = instance if instance is not None else default_instance()
+    h, a_list, b = parse(n, inst)
+    ell = len(a_list)
+    template = make_opt_template(ansatz_type, n, layers, born_layers)
+    if side == "primal":
+        blocks = _angle_blocks({"p" if classical else "rho": template})
+        if ell:
+            blocks.append(_scalar("z", ell, 0.0 if classical else _slack_init(ell)))
+        terms, direction = obj.cham_primal_objective, "min"
+        bind = partial(_bind, c=c, vectors=("z",))
+    else:
+        blocks = _angle_blocks({"w" if classical else "omega": template})
+        if ell:
+            blocks.append(_scalar("y", ell, 0.0 if classical else 0.001))
+        if classical:
+            blocks += [_scalar("mu", 1, 0.0, nonneg=False), _scalar("nu", 1, 0.0)]
         else:
-            blocks = _angle_blocks({"w" if classical else "omega": template})
-            if ell:
-                blocks.append(_scalar("y", ell, 0.0 if classical else 0.001))
-            if classical:
-                blocks += [_scalar("mu", 1, 0.0, nonneg=False), _scalar("nu", 1, 0.0)]
-            else:
-                blocks += [_scalar("mu", 1, -0.005, nonneg=False, scale=MU_SCALE),
-                           _scalar("nu", 1, 0.001, scale=NU_SCALE)]
-            terms, direction = obj.cham_dual_objective, "max"
-
-            def bind(sc):
-                return {"y": sc.get("y", np.zeros(0)), "mu": sc["mu"][0], "nu": sc["nu"][0], "c": c}
-        pen_obj = PenaltyObjective(f"{tag}_{side}", direction, c, [template], blocks,
-                                   partial(dense, h_dense=h.dense(), a_dense=[a.dense() for a in a_list], b=b),
-                                   partial(terms, h=h, a_list=a_list, b=b), bind)
-        value = (orc.lp_classical_cham_value if classical else orc.sdp_cham_value)(h, a_list, b)
-        return Problem(pen_obj.tag, pen_obj, value, n, {"instance": inst})
-    return build
+            blocks += [_scalar("mu", 1, -0.005, nonneg=False, scale=MU_SCALE),
+                       _scalar("nu", 1, 0.001, scale=NU_SCALE)]
+        terms, direction = obj.cham_dual_objective, "max"
+        bind = partial(_bind, c=c, multipliers=("mu", "nu"), vectors=("y",))
+    pen_obj = PenaltyObjective(f"{tag}_{side}", direction, c, [template], blocks,
+                               partial(dense, h_dense=h.dense(), a_dense=[a.dense() for a in a_list], b=b),
+                               partial(terms, h=h, a_list=a_list, b=b), bind)
+    value = (orc.lp_classical_cham_value if classical else orc.sdp_cham_value)(h, a_list, b)
+    return Problem(pen_obj.tag, pen_obj, value, n, {"instance": inst})
 
 
-def _build_cham_interior(n, ansatz_type, layers, born_layers, n_reference, c, instance_seed, instance) -> Problem:
+def _build_cham_interior(n, ansatz_type, layers, born_layers, c, instance_seed, instance) -> Problem:
     inst = instance if instance is not None else default_cham_instance()
     eta = float(inst.get("eta", 0.1))
     h, a_list, b = pauli_instance_from_dict(n, inst)
-    templates = {"rho": make_opt_template(ansatz_type, n, layers, born_layers, n_reference)}
+    templates = {"rho": make_opt_template(ansatz_type, n, layers, born_layers)}
+    # The barrier objective takes no penalty constant and has no scalar blocks.
     pen_obj = PenaltyObjective(
         "cham_interior_point", "min", c, list(templates.values()), _angle_blocks(templates),
         partial(obj.interior_point_cham_dense, h_dense=h.dense(), a_dense=[a.dense() for a in a_list], b=b, eta=eta),
-        partial(obj.interior_point_cham, h=h, a_list=a_list, b=b, eta=eta), lambda sc: {})
+        partial(obj.interior_point_cham, h=h, a_list=a_list, b=b, eta=eta), _bind)
     value = orc.sdp_cham_value(h, a_list, b)
     return Problem(pen_obj.tag, pen_obj, value, n, {"instance": inst, "eta": eta})
 
 
-_BUILDERS: dict[str, Callable] = {
-    "trace_distance_primal": _build_distance("primal", classical=False),
-    "trace_distance_dual": _build_distance("dual", classical=False),
-    "fidelity_primal": _build_fidelity("primal"),
-    "fidelity_dual": _build_fidelity("dual"),
-    "negativity_primal": _build_negativity("primal"),
-    "negativity_dual": _build_negativity("dual"),
-    "cham_primal": _build_cham("primal", classical=False),
-    "cham_dual": _build_cham("dual", classical=False),
+_BUILDERS: dict[str, Callable[..., Problem]] = {
+    "trace_distance_primal": partial(_build_distance, "primal", False),
+    "trace_distance_dual": partial(_build_distance, "dual", False),
+    "fidelity_primal": partial(_build_fidelity, "primal"),
+    "fidelity_dual": partial(_build_fidelity, "dual"),
+    "negativity_primal": partial(_build_negativity, "primal"),
+    "negativity_dual": partial(_build_negativity, "dual"),
+    "cham_primal": partial(_build_cham, "primal", False),
+    "cham_dual": partial(_build_cham, "dual", False),
     "cham_interior_point": _build_cham_interior,
-    "tvd_primal": _build_distance("primal", classical=True),
-    "tvd_dual": _build_distance("dual", classical=True),
-    "classical_cham_primal": _build_cham("primal", classical=True),
-    "classical_cham_dual": _build_cham("dual", classical=True),
+    "tvd_primal": partial(_build_distance, "primal", True),
+    "tvd_dual": partial(_build_distance, "dual", True),
+    "classical_cham_primal": partial(_build_cham, "primal", True),
+    "classical_cham_dual": partial(_build_cham, "dual", True),
 }

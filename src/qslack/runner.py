@@ -6,9 +6,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .config import ExperimentConfig, config_from_dict, resolve_output_dir
+from .config import ExperimentConfig, resolve_output_dir
 from .optimizer import RunRecord, aggregate_runs, run_optimization
 from .oracle import OracleResult
 from .problems import Problem, build_problem
@@ -21,18 +19,17 @@ def build_from_config(cfg: ExperimentConfig) -> Problem:
         ansatz_type=cfg.ansatz.type,
         layers=cfg.ansatz.layers,
         born_layers=cfg.ansatz.born_layers,
-        n_reference=cfg.ansatz.n_reference,
         c=cfg.penalty,
         instance_seed=cfg.instance_seed,
         instance=cfg.instance,
     )
 
 
-def _run_single(cfg_dict: dict, run_index: int) -> RunRecord:
-    cfg = config_from_dict(cfg_dict)
-    problem = build_from_config(cfg)
-    rng = np.random.default_rng([cfg.seed, run_index])
-    return run_optimization(problem.objective, cfg.spsa, cfg.schedule, rng,
+def _run_single(job: tuple[ExperimentConfig, Problem], run_index: int) -> RunRecord:
+    """One run of a campaign: trains the campaign's built problem from the
+    generator seeded by (config seed, run index)."""
+    cfg, problem = job
+    return run_optimization(problem.objective, cfg.spsa, cfg.schedule, [cfg.seed, run_index],
                             shots=cfg.shots, oracle=problem.oracle.value)
 
 
@@ -70,17 +67,18 @@ def write_summary_csv(path: str, agg: list[tuple[int, float, float, float]]) -> 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute the configured campaign and write run_<k>.csv, summary.csv,
-    convergence.svg, and a manifest of run statuses."""
+    convergence.svg, and a manifest of run statuses.  The problem, oracle
+    included, is built once and every run trains it."""
     out_dir = resolve_output_dir(cfg)
     os.makedirs(out_dir, exist_ok=True)
     problem = build_from_config(cfg)
-    cfg_dict = cfg.to_dict()
+    job = (cfg, problem)
 
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(_run_single, [cfg_dict] * cfg.n_runs, range(cfg.n_runs)))
+            records = list(pool.map(_run_single, [job] * cfg.n_runs, range(cfg.n_runs)))
     else:
-        records = [_run_single(cfg_dict, k) for k in range(cfg.n_runs)]
+        records = [_run_single(job, k) for k in range(cfg.n_runs)]
 
     result = ExperimentResult(output_dir=out_dir, oracle=problem.oracle, records=records)
     for k, rec in enumerate(records):

@@ -27,7 +27,7 @@ from qslack.config import config_from_dict
 from qslack.estimate import Estimator, ShotModel, hoeffding_shots, prepare
 from qslack.optimizer import parameter_shift_gradient_vector, spsa_gradient
 from qslack.pauli import PauliObservable, PauliString, WalshObservable
-from qslack.runner import _run_single, run_experiment
+from qslack.runner import _run_single, build_from_config, run_experiment
 from qslack.ansatz import ConvexCombinationState, layered_unitary_circuit, qcbm_circuit
 
 EST = Estimator()
@@ -63,8 +63,9 @@ def _campaign(problem_ansatz_pairs, n_seeds):
     keys = []
     for tag, at in problem_ansatz_pairs:
         cfg = config_from_dict({"problem": tag, "ansatz": {"type": at}})
+        problem = build_from_config(cfg)
         for seed in range(n_seeds):
-            jobs.append((cfg.to_dict(), seed))
+            jobs.append(((cfg, problem), seed))
             keys.append((tag, at, seed))
     with ProcessPoolExecutor(max_workers=2) as pool:
         results = list(pool.map(_run_job, jobs))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qslack.config import ConfigError, ExperimentConfig, config_from_dict, load_config, resolve_output_dir
+from qslack import runner
 from qslack.runner import build_from_config, emit_plot, run_experiment
 
 
@@ -70,6 +71,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown config keys"):
             config_from_dict({"problem": "tvd_dual", "typo_field": 1})
 
+    @pytest.mark.parametrize("section, key", [
+        ("optimizer", "learning_rte"), ("ansatz", "layer"), ("schedule", "kinds"),
+        ("shots", "sed"), ("shots", "seed"), ("ansatz", "n_reference"),
+    ])
+    def test_unknown_section_keys_rejected(self, section, key):
+        with pytest.raises(ConfigError, match=f"unknown {section} keys: \\['{key}'\\]"):
+            config_from_dict({"problem": "tvd_dual", section: {key: 1}})
+
     def test_negativity_needs_even_qubits(self):
         with pytest.raises(ConfigError):
             config_from_dict({"problem": "negativity_primal", "n_system": 3})
@@ -127,6 +136,21 @@ class TestRunner:
         for pa, pb in zip(serial.run_csvs, par.run_csvs):
             assert open(pa).read() == open(pb).read()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_campaign_builds_its_problem_once(self, tmp_path, monkeypatch, workers):
+        # A file counts the calls, so that calls made in pool workers count too.
+        calls = tmp_path / "calls"
+        build = runner.build_problem
+
+        def counted(*args, **kwargs):
+            with open(calls, "a") as fh:
+                fh.write("build\n")
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "build_problem", counted)
+        run_experiment(config_from_dict(tiny_config(n_runs=3, workers=workers, output_dir=str(tmp_path / "exp"))))
+        assert calls.read_text().count("build") == 1
+
     def test_build_from_config_oracle(self):
         cfg = config_from_dict({"problem": "classical_cham_primal"})
         problem = build_from_config(cfg)
@@ -143,7 +167,7 @@ class TestRunner:
     def test_shot_mode_campaign(self, tmp_path):
         cfg = config_from_dict(tiny_config(
             output_dir=str(tmp_path / "exp"),
-            shots={"mode": "shots", "n": 500, "seed": 3},
+            shots={"mode": "shots", "n": 500},
             n_runs=1,
         ))
         result = run_experiment(cfg)

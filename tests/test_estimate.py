@@ -130,8 +130,8 @@ class TestShotMode:
 
     def test_determinism_same_seed(self):
         rho = np.eye(2) / 2
-        a = Estimator(ShotModel("shots", n=100, seed=5)).overlap(rho, rho).value
-        b = Estimator(ShotModel("shots", n=100, seed=5)).overlap(rho, rho).value
+        a = Estimator(ShotModel("shots", n=100), 5).overlap(rho, rho).value
+        b = Estimator(ShotModel("shots", n=100), 5).overlap(rho, rho).value
         assert a == b
 
     def test_purity_uses_collision_for_cc(self, rng):

@@ -1,8 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 from itertools import product
 
-from qslack import build_problem, linalg, objective as obj
+from qslack import PROBLEM_TAGS, build_problem, linalg, objective as obj
 from qslack.ansatz import ConvexCombinationState, layered_unitary_circuit, qcbm_circuit
 from qslack.estimate import Estimator, Prepared, ShotModel, as_prepared, prepare
 from qslack.pauli import PauliObservable, PauliString, WalshObservable, WalshVector
@@ -655,3 +657,21 @@ def test_shot_mode_noise_stream_is_pinned(tag):
     got = [o.evaluate(params, est).value for _ in range(2)]
     for value, want in zip(got, SHOT_STREAM[tag]):
         assert abs(value - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("tag", PROBLEM_TAGS)
+def test_built_problem_pickles(tag):
+    problem = build_problem(tag)
+    clone = pickle.loads(pickle.dumps(problem))
+    assert clone.oracle == problem.oracle
+    rng = np.random.default_rng(11)
+    # The barrier objective is defined only inside its feasible set.
+    for _ in range(100):
+        params = rng.uniform(0.1, 1.0, problem.objective.n_params)
+        try:
+            problem.objective.evaluate(params)
+            break
+        except obj.BarrierViolationError:
+            continue
+    for est in (None, Estimator()):
+        assert clone.objective.evaluate(params, est) == problem.objective.evaluate(params, est)
