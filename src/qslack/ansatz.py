@@ -9,30 +9,34 @@ Qubit 0 is the most significant bit of the basis index.  All rotations use
 the half-angle convention exp(-i theta G / 2) with a Pauli generator G, so a
 zero parameter vector realizes the identity and the +-pi/2 parameter-shift
 rule is exact.
+
+Circuit engine.  Every gate is a basis permutation and a phase: (G psi)[r]
+= phase[r] * psi[perm[r]], an O(2^n) gather along the last axis with no
+2^n x 2^n matrix.  An X or Y label flips the qubit's bit; a Y label
+contributes -i where the bit of r is 0 and +i where it is 1 (the entries of
+sigma_y); a Z label contributes the sign (-1)^bit.  CNOT is a bare
+permutation.  A rotation applies cos(theta/2) psi - i sin(theta/2) (G psi),
+since G^2 = I.  Rzz instead applies (cos(theta/2) - i sin(theta/2) s) psi
+with the ZZ sign vector s: the two forms round differently, and Rzz keeps
+the form that earlier outputs were computed with, so they stay bit-identical.
+The ops are compiled once per circuit and kept on it (``ParamCircuit.ops``);
+a (dim, m) batch runs through the same loop as a vector, transposed so that
+the basis index is the last axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
-ONE_QUBIT_KINDS = ("rx", "ry", "rz")
-TWO_QUBIT_KINDS = ("rxx", "ryy", "rzz")
-FIXED_KINDS = ("cnot",)
-
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-
-
-@lru_cache(maxsize=None)
-def _zz_signs(n: int, q1: int, q2: int) -> np.ndarray:
-    idx = np.arange(2**n)
-    z1 = 1 - 2 * ((idx >> (n - 1 - q1)) & 1)
-    z2 = 1 - 2 * ((idx >> (n - 1 - q2)) & 1)
-    return (z1 * z2).astype(float)
+# kind -> (qubit count, Pauli label per qubit of the generator; None for CNOT)
+GATE_KINDS = {
+    "rx": (1, "X"), "ry": (1, "Y"), "rz": (1, "Z"),
+    "rxx": (2, "XX"), "ryy": (2, "YY"), "rzz": (2, "ZZ"),
+    "cnot": (2, None),
+}
 
 
 @dataclass(frozen=True)
@@ -50,97 +54,81 @@ class ParamCircuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self) -> None:
+        for g in self.gates:
+            if g.kind not in GATE_KINDS:
+                raise ValueError(f"gate {g} has unknown kind; expected one of {sorted(GATE_KINDS)}")
+            arity, labels = GATE_KINDS[g.kind]
+            if len(g.qubits) != arity:
+                raise ValueError(f"gate {g} needs {arity} qubit(s)")
+            if len(set(g.qubits)) != arity:
+                raise ValueError(f"gate {g} repeats a qubit")
+            if any(q < 0 or q >= self.n_qubits for q in g.qubits):
+                raise ValueError(f"gate {g} targets an out-of-range qubit")
+            if (g.param_index is None) != (labels is None):
+                raise ValueError(f"gate {g}: rotations take a parameter index, cnot takes none")
         indices = [g.param_index for g in self.gates if g.param_index is not None]
         if sorted(indices) != list(range(len(indices))):
             raise ValueError("parameter indices must be contiguous 0..L-1")
-        for g in self.gates:
-            if any(q < 0 or q >= self.n_qubits for q in g.qubits):
-                raise ValueError(f"gate {g} targets an out-of-range qubit")
 
     @property
     def n_params(self) -> int:
         return sum(1 for g in self.gates if g.param_index is not None)
 
-
-_PAULI_1Q = {"rx": _X, "ry": _Y, "rz": np.array([[1, 0], [0, -1]], dtype=complex)}
-
-
-def _apply_2q_dense(psi: np.ndarray, gate: np.ndarray, q1: int, q2: int, n: int) -> np.ndarray:
-    m = psi.shape[1]
-    t = psi.reshape((2,) * n + (m,))
-    t = np.moveaxis(t, (q1, q2), (0, 1))
-    rest = t.shape[2:]
-    t = gate @ t.reshape(4, -1)
-    t = np.moveaxis(t.reshape((2, 2) + rest), (0, 1), (q1, q2))
-    return t.reshape(2**n, m)
-
-
-def _embed_1q(op: np.ndarray, q: int, n: int) -> np.ndarray:
-    out = np.eye(2**q, dtype=complex)
-    out = np.kron(out, op)
-    return np.kron(out, np.eye(2 ** (n - q - 1), dtype=complex))
-
-
-@lru_cache(maxsize=None)
-def _compiled(circuit: ParamCircuit) -> tuple:
-    """Precompute the embedded generator of every gate.
-
-    Each rotation exp(-i theta G / 2) with G^2 = I is applied as
-    cos(theta/2) psi - i sin(theta/2) (G psi); diagonal generators keep only
-    their sign vector.  Fixed gates keep their dense embedding.
-    """
-    n = circuit.n_qubits
-    d = 2**n
-    ops = []
-    for g in circuit.gates:
-        if g.kind in ONE_QUBIT_KINDS:
-            ops.append(("rot", _embed_1q(_PAULI_1Q[g.kind], g.qubits[0], n), g.param_index))
-        elif g.kind == "rzz":
-            ops.append(("diag", _zz_signs(n, *g.qubits).reshape(-1, 1), g.param_index))
-        elif g.kind in ("rxx", "ryy"):
-            pauli = _X if g.kind == "rxx" else _Y
-            gen = _apply_2q_dense(np.eye(d, dtype=complex), np.kron(pauli, pauli), g.qubits[0], g.qubits[1], n)
-            ops.append(("rot", gen, g.param_index))
-        elif g.kind == "cnot":
-            fixed = _apply_2q_dense(np.eye(d, dtype=complex), _CNOT, g.qubits[0], g.qubits[1], n)
-            ops.append(("fixed", fixed, None))
-        else:
-            raise ValueError(f"unknown gate kind {g.kind}")
-    return tuple(ops)
+    @cached_property
+    def ops(self) -> tuple[tuple, ...]:
+        """Per gate (param index, perm, phase, diagonal), compiled on first use;
+        perm and phase are None where they are the identity, and ``diagonal``
+        marks Rzz, whose phase is its real sign vector."""
+        n = self.n_qubits
+        r = np.arange(2**n)
+        ops = []
+        for g in self.gates:
+            bits = [(r >> (n - 1 - q)) & 1 for q in g.qubits]
+            labels = GATE_KINDS[g.kind][1]
+            if labels is None:  # CNOT: flip the target where the control is 1
+                ops.append((None, r ^ (bits[0] << (n - 1 - g.qubits[1])), None, False))
+                continue
+            flip = 0
+            phase = np.ones(2**n, dtype=complex)
+            for q, a, b in zip(g.qubits, labels, bits):
+                if a in "XY":
+                    flip |= 1 << (n - 1 - q)
+                if a == "Y":
+                    phase *= np.where(b, 1j, -1j)
+                elif a == "Z":
+                    phase *= 1 - 2 * b
+            if g.kind == "rzz":
+                ops.append((g.param_index, None, phase.real.copy(), True))
+            else:
+                ops.append((g.param_index, r ^ flip if flip else None,
+                            None if np.all(phase == 1) else phase, False))
+        return tuple(ops)
 
 
 def apply_circuit(circuit: ParamCircuit, theta: np.ndarray, psi: np.ndarray | None = None) -> np.ndarray:
-    """Apply the circuit to a state vector or a (dim, m) batch of columns."""
+    """Apply the circuit to a state vector or a (dim, m) batch of columns.
+
+    The input is never modified or returned."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (circuit.n_params,):
         raise ValueError(f"expected {circuit.n_params} parameters, got {theta.shape}")
-    d = 2**circuit.n_qubits
-    one_dim = psi is None or psi.ndim == 1
     if psi is None:
-        psi = np.zeros(d, dtype=complex)
+        psi = np.zeros(2**circuit.n_qubits, dtype=complex)
         psi[0] = 1.0
     else:
-        psi = np.asarray(psi, dtype=complex).copy()
+        psi = np.array(psi, dtype=complex).T
     half = theta / 2.0
     cos_h = np.cos(half)
     msin_h = -1j * np.sin(half)
-    if one_dim:
-        for kind, op, idx in _compiled(circuit):
-            if kind == "rot":
-                psi = cos_h[idx] * psi + msin_h[idx] * (op @ psi)
-            elif kind == "diag":
-                psi = (cos_h[idx] + msin_h[idx] * op[:, 0]) * psi
-            else:
-                psi = op @ psi
-        return psi
-    for kind, op, idx in _compiled(circuit):
-        if kind == "rot":
-            psi = cos_h[idx] * psi + msin_h[idx] * (op @ psi)
-        elif kind == "diag":
-            psi = (cos_h[idx] + msin_h[idx] * op) * psi
-        else:
-            psi = op @ psi
-    return psi
+    for idx, perm, phase, diagonal in circuit.ops:
+        if diagonal:
+            psi = (cos_h[idx] + msin_h[idx] * phase) * psi
+            continue
+        g = psi if perm is None else psi[..., perm]
+        if phase is not None:
+            g = phase * g
+        psi = g if idx is None else cos_h[idx] * psi + msin_h[idx] * g
+    return psi.T
 
 
 def circuit_unitary(circuit: ParamCircuit, theta: np.ndarray) -> np.ndarray:

@@ -155,11 +155,6 @@ def mat_sqrt_psd(m: np.ndarray, neg_atol: float = 1e-8) -> np.ndarray:
     return hermitianize((v * np.sqrt(w)) @ v.conj().T)
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return hermitianize(g) * scale
-
-
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Full-rank random density matrix (Wishart-style)."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

@@ -126,9 +126,10 @@ def run_optimization(problem: PenaltyObjective, spsa: SpsaConfig, schedule: LrSc
 
     Each iteration evaluates the objective once for the record, then draws an
     SPSA gradient pair and takes a step (ascent for maximization problems);
-    sign-constrained scalars are clamped at zero afterwards.  A NaN objective
-    or an infeasible barrier at the current iterate aborts the run with a
-    diagnostic; the final summary re-evaluates the trained parameters.
+    sign-constrained scalars are clamped at zero afterwards.  A non-finite
+    objective (NaN or +-inf) or an infeasible barrier at the current iterate
+    aborts the run with a diagnostic, and so does either at the final
+    evaluation of the trained parameters, which is iteration ``max_iters``.
     ``rng`` is a Generator or anything ``np.random.default_rng`` accepts.
     """
     rng = np.random.default_rng(rng)
@@ -154,9 +155,9 @@ def run_optimization(problem: PenaltyObjective, spsa: SpsaConfig, schedule: LrSc
             record.aborted = True
             record.abort_reason = f"barrier violation at iteration {k}: {exc}"
             break
-        if math.isnan(tb.value):
+        if not math.isfinite(tb.value):
             record.aborted = True
-            record.abort_reason = f"NaN objective at iteration {k}"
+            record.abort_reason = f"non-finite objective ({tb.value}) at iteration {k}"
             break
         err = abs(tb.value - oracle) if oracle is not None else math.nan
         record.rows.append(IterationRow(k, tb.value, tb.penalty, err, lr))
@@ -174,12 +175,17 @@ def run_optimization(problem: PenaltyObjective, spsa: SpsaConfig, schedule: LrSc
     if not record.aborted:
         try:
             tb = problem.evaluate(params, est)
-            record.final_objective = tb.value
-            record.final_penalty = tb.penalty
-            record.final_error = abs(tb.value - oracle) if oracle is not None else math.nan
         except BarrierViolationError as exc:
             record.aborted = True
             record.abort_reason = f"barrier violation at final evaluation: {exc}"
+        else:
+            if math.isfinite(tb.value):
+                record.final_objective = tb.value
+                record.final_penalty = tb.penalty
+                record.final_error = abs(tb.value - oracle) if oracle is not None else math.nan
+            else:
+                record.aborted = True
+                record.abort_reason = f"non-finite objective ({tb.value}) at iteration {spsa.max_iters}"
     record.final_params = params
     return record
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -60,9 +60,6 @@ class PauliString:
     def dense(self) -> np.ndarray:
         return _dense_string(self.labels)
 
-    def y_count(self) -> int:
-        return sum(1 for l in self.labels if l == 2)
-
 
 @lru_cache(maxsize=None)
 def _dense_string(labels: tuple[int, ...]) -> np.ndarray:
@@ -79,10 +76,6 @@ def string_order(n: int) -> tuple[tuple[int, ...], ...]:
 def dense_string_basis(n: int) -> np.ndarray:
     """Stack of all 4^n dense Pauli strings in canonical order."""
     return np.stack([_dense_string(l) for l in string_order(n)])
-
-
-def dense(p: PauliString) -> np.ndarray:
-    return p.dense()
 
 
 def pauli_eigenbasis_sampler(p: PauliString) -> list[tuple[np.ndarray, np.ndarray, int]]:
@@ -142,10 +135,6 @@ class PauliObservable:
     def is_hermitian(self) -> bool:
         return all(abs(c.imag) < 1e-14 for c in self.terms.values())
 
-    def items(self) -> Iterator[tuple[PauliString, complex]]:
-        for labels, coeff in self.terms.items():
-            yield PauliString(labels), coeff
-
     def dense(self) -> np.ndarray:
         d = 2**self.n_qubits
         out = np.zeros((d, d), dtype=complex)
@@ -155,12 +144,6 @@ class PauliObservable:
 
     def coeff_norm_sq(self) -> float:
         return float(sum(abs(c) ** 2 for c in self.terms.values()))
-
-    def coeff(self, labels: tuple[int, ...]) -> complex:
-        return self.terms.get(tuple(labels), 0.0 + 0.0j)
-
-    def expect(self, rho: np.ndarray) -> complex:
-        return expect(self, rho)
 
 
 def expect(o: PauliObservable, rho: np.ndarray) -> complex:
@@ -245,10 +228,6 @@ class WalshObservable:
     def from_text(cls, n_bits: int, coeffs: Mapping[str, float]) -> "WalshObservable":
         return cls(n_bits, {WalshVector.from_text(t).labels: c for t, c in coeffs.items()})
 
-    def items(self) -> Iterator[tuple[WalshVector, float]]:
-        for labels, coeff in self.terms.items():
-            yield WalshVector(labels), coeff
-
     def dense(self) -> np.ndarray:
         out = np.zeros(2**self.n_bits)
         for labels, coeff in self.terms.items():
@@ -257,9 +236,3 @@ class WalshObservable:
 
     def coeff_norm_sq(self) -> float:
         return float(sum(c**2 for c in self.terms.values()))
-
-    def coeff(self, labels: tuple[int, ...]) -> float:
-        return self.terms.get(tuple(labels), 0.0)
-
-    def dot(self, p: np.ndarray) -> float:
-        return float(self.dense() @ np.asarray(p, dtype=float))

@@ -1,3 +1,6 @@
+from functools import reduce
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +65,76 @@ def test_gate_kinds_match_generators(rng):
         u = circuit_unitary(c, np.array([theta]))
         expected = np.cos(theta / 2) * np.eye(4) - 1j * np.sin(theta / 2) * g
         assert np.allclose(u, expected)
+
+
+_SIGMA = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.diag([1.0, -1.0]).astype(complex),
+}
+_GENERATOR = {"rx": "X", "ry": "Y", "rz": "Z", "rxx": "XX", "ryy": "YY", "rzz": "ZZ"}
+
+
+def _kron_on(n, factors):
+    """Tensor product with factors[q] on qubit q (qubit 0 leftmost), identity elsewhere."""
+    return reduce(np.kron, [factors.get(q, _SIGMA["I"]) for q in range(n)])
+
+
+def _reference_gate(kind, qubits, theta, n):
+    if kind == "cnot":
+        c, t = qubits
+        return (_kron_on(n, {c: np.diag([1.0, 0.0])})
+                + _kron_on(n, {c: np.diag([0.0, 1.0]), t: _SIGMA["X"]}))
+    g = _kron_on(n, {q: _SIGMA[a] for q, a in zip(qubits, _GENERATOR[kind])})
+    return np.cos(theta / 2) * np.eye(2**n) - 1j * np.sin(theta / 2) * g
+
+
+_PLACEMENTS = ([(k, (q,)) for k in ("rx", "ry", "rz") for q in range(3)]
+               + [(k, pair) for k in ("rxx", "ryy", "rzz", "cnot") for pair in permutations(range(3), 2)])
+
+
+@pytest.mark.parametrize("kind,qubits", _PLACEMENTS)
+def test_gate_placement_matches_kron_reference(kind, qubits, rng):
+    n, theta = 3, 0.73
+    gate = Gate(kind, qubits, None if kind == "cnot" else 0)
+    circuit = ParamCircuit(n, (gate,))
+    angles = np.array([] if kind == "cnot" else [theta])
+    u = _reference_gate(kind, qubits, theta, n)
+    batch = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+    kept = batch.copy()
+    out = apply_circuit(circuit, angles, batch)
+    assert np.abs(out - u @ batch).max() < 1e-12
+    assert np.array_equal(batch, kept) and not np.shares_memory(out, batch)
+    for j in range(batch.shape[1]):
+        column = batch[:, j].copy()
+        vec = apply_circuit(circuit, angles, column)
+        assert vec.tobytes() == out[:, j].tobytes()
+        assert np.array_equal(column, kept[:, j]) and not np.shares_memory(vec, column)
+    assert np.abs(apply_circuit(circuit, angles) - u[:, 0]).max() < 1e-12
+
+
+def test_empty_circuit_returns_a_copy(rng):
+    circuit = ParamCircuit(3, ())
+    for psi in (rng.standard_normal(8) + 0j, rng.standard_normal((8, 2)) + 0j):
+        out = apply_circuit(circuit, np.array([]), psi)
+        assert np.array_equal(out, psi) and not np.shares_memory(out, psi)
+
+
+@pytest.mark.parametrize("gate", [
+    Gate("rzz", (1, 1), 0),
+    Gate("rxx", (1, 1), 0),
+    Gate("rx", (0, 1), 0),
+    Gate("cnot", (0,), None),
+    Gate("cnot", (0, 1), 0),
+    Gate("ry", (0,), None),
+    Gate("rq", (0,), 0),
+    Gate("rz", (3,), 0),
+], ids=["repeated-rzz", "repeated-rxx", "two-qubit-rx", "one-qubit-cnot", "cnot-with-param",
+        "rotation-without-param", "unknown-kind", "out-of-range"])
+def test_invalid_gates_rejected_at_construction(gate):
+    with pytest.raises(ValueError):
+        ParamCircuit(3, (gate,))
 
 
 def test_param_indices_must_be_contiguous():

@@ -3,6 +3,7 @@ import pytest
 
 from qslack import build_problem
 from qslack.estimate import ShotModel
+from qslack.objective import TermBreakdown
 from qslack.optimizer import (
     LrSchedule,
     SpsaConfig,
@@ -146,6 +147,43 @@ class TestRunOptimization:
         rec = run_optimization(vqe_problem.objective, spsa, LrSchedule(), 7,
                                shots=ShotModel("shots", n=1000), oracle=None)
         assert len(rec.rows) == 20
+
+
+class _StubObjective:
+    """Two free parameters; every evaluation returns 1.0 except call ``bad_call``."""
+
+    direction = "min"
+
+    def __init__(self, bad_call: int, bad_value: float):
+        self.calls, self.bad_call, self.bad_value = 0, bad_call, bad_value
+
+    def initial_params(self, rng):
+        return np.zeros(2)
+
+    def evaluate(self, params, est=None):
+        self.calls += 1
+        return TermBreakdown(self.bad_value if self.calls == self.bad_call else 1.0, 0.0)
+
+    def scalars(self, params):
+        return {}
+
+    def clamp(self, params):
+        return params
+
+
+@pytest.mark.parametrize("bad_value", [np.inf, -np.inf, np.nan])
+def test_non_finite_objective_aborts(bad_value):
+    # each iteration evaluates the record point, then the SPSA pair: call 4 is
+    # iteration 1's record, and call 7 the final evaluation after 2 iterations
+    spsa = SpsaConfig(max_iters=2)
+    rec = run_optimization(_StubObjective(4, bad_value), spsa, LrSchedule(), 0)
+    assert rec.aborted and len(rec.rows) == 1
+    assert rec.abort_reason == f"non-finite objective ({bad_value}) at iteration 1"
+
+    rec = run_optimization(_StubObjective(7, bad_value), spsa, LrSchedule(), 0)
+    assert rec.aborted and len(rec.rows) == 2
+    assert rec.abort_reason == f"non-finite objective ({bad_value}) at iteration 2"
+    assert np.isnan(rec.final_objective)
 
 
 class TestParameterShift:
