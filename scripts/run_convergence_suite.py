@@ -1,9 +1,10 @@
 """Run the desk-scale convergence suite and print a summary table.
 
-For every problem/side combination and ansatz, runs a seeded multi-run
-campaign with the built-in defaults (exact expectations) and reports the
-median final error against the problem oracle.  Outputs (per-run CSVs,
-summary.csv, convergence.svg) land under --output-root.
+For every (problem, ansatz) pair of the defaults table except the
+interior-point barrier, runs a seeded multi-run campaign with the pair's
+defaults (exact expectations) and reports the median final error against
+the problem oracle.  Outputs (per-run CSVs, summary.csv, convergence.svg)
+land under --output-root.
 
 Usage:
     python scripts/run_convergence_suite.py [--output-root OUT] [--runs 5]
@@ -20,11 +21,8 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from qslack.config import config_from_dict
+from qslack.problems import DEFAULTS
 from qslack.runner import run_experiment
-
-QUANTUM = ["trace_distance_primal", "trace_distance_dual", "fidelity_primal", "fidelity_dual",
-           "negativity_primal", "negativity_dual", "cham_primal", "cham_dual"]
-CLASSICAL = ["tvd_primal", "tvd_dual", "classical_cham_primal", "classical_cham_dual"]
 
 
 def main() -> int:
@@ -37,14 +35,9 @@ def main() -> int:
                     help="comma-separated problem tags (default: all)")
     args = ap.parse_args()
 
-    combos = []
-    tags = args.problems.split(",") if args.problems else QUANTUM + CLASSICAL
-    for tag in tags:
-        if tag in CLASSICAL:
-            combos.append((tag, "born"))
-        else:
-            combos.append((tag, "purification"))
-            combos.append((tag, "convex_combination"))
+    tags = args.problems.split(",") if args.problems else None
+    combos = [(tag, ansatz) for tag, ansatz in DEFAULTS
+              if tag != "cham_interior_point" and (tags is None or tag in tags)]
 
     print(f"{'problem':26s} {'ansatz':20s} {'oracle':>9s} {'median':>9s} {'med err':>9s} {'time':>7s}")
     failures = 0

@@ -190,11 +190,8 @@ class PurificationState:
     def n_params(self) -> int:
         return self.circuit.n_params
 
-    def pure_state(self, theta: np.ndarray) -> np.ndarray:
-        return apply_circuit(self.circuit, theta)
-
     def realize(self, theta: np.ndarray) -> np.ndarray:
-        psi = self.pure_state(theta)
+        psi = apply_circuit(self.circuit, theta)
         m = psi.reshape(2**self.n_reference, 2**self.n_system)
         return m.T @ m.conj()
 
@@ -244,23 +241,11 @@ class BornDistribution:
     born_circuit: ParamCircuit
 
     @property
-    def n_outcomes(self) -> int:
-        return 2**self.born_circuit.n_qubits
-
-    @property
     def n_params(self) -> int:
         return self.born_circuit.n_params
 
     def realize(self, phi: np.ndarray) -> np.ndarray:
         return qcbm_distribution(self.born_circuit, phi)
-
-
-def sample_cc(state: ConvexCombinationState, params: np.ndarray, rng: np.random.Generator) -> tuple[int, np.ndarray]:
-    """Draw x ~ p_phi and return it with the prepared pure state U(gamma)|x>."""
-    p = state.distribution(params)
-    x = int(rng.choice(len(p), p=p))
-    u = state.basis_unitary(params)
-    return x, u[:, x].copy()
 
 
 def _shift_gates(circuit: ParamCircuit, qubit_offset: int, param_offset: int) -> list[Gate]:

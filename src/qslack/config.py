@@ -1,20 +1,23 @@
-"""Experiment configuration: JSON loading, validation, per-problem defaults.
+"""Experiment configuration: JSON loading, validation and defaults.
 
-A config file is a flat JSON document; every field except ``problem`` has a
-default.  Defaults for layers, penalty constant, learning-rate scheme, and
-gradient normalization follow the per-problem simulation settings, keyed by
-ansatz type.
+A config file is a JSON document; only ``problem`` is required.  The document
+is laid over the row of ``problems.DEFAULTS`` for its (problem, ansatz type)
+pair, which holds the layer counts, the penalty constant, the learning-rate
+scheme, gradient normalization and the iteration cap; the ansatz type itself
+defaults to ``problems.default_ansatz_type``.  A key in neither takes the
+default of its dataclass field.  ``DEFAULTS`` is also importable from here.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
+from typing import get_type_hints
 
 from .estimate import ShotModel
 from .optimizer import LrSchedule, SpsaConfig
-from .problems import CLASSICAL_TAGS, PROBLEM_TAGS
+from .problems import DEFAULTS, INSTANCE_SEED, N_SYSTEM, PROBLEM_TAGS, default_ansatz_type, problem_defaults
 
 
 class ConfigError(ValueError):
@@ -23,9 +26,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class AnsatzConfig:
-    type: str = "purification"
-    layers: int = 2
-    born_layers: int = 2
+    type: str
+    layers: int
+    born_layers: int
 
     def __post_init__(self) -> None:
         if self.type not in ("purification", "convex_combination", "born"):
@@ -36,16 +39,19 @@ class AnsatzConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A campaign.  The per-pair settings have no default here: a config
+    document takes them from ``DEFAULTS``."""
+
     problem: str
-    n_system: int = 2
-    ansatz: AnsatzConfig = field(default_factory=AnsatzConfig)
+    ansatz: AnsatzConfig
+    penalty: float
+    spsa: SpsaConfig
+    schedule: LrSchedule
+    n_system: int = N_SYSTEM
     shots: ShotModel = field(default_factory=ShotModel)
-    penalty: float = 10.0
-    spsa: SpsaConfig = field(default_factory=SpsaConfig)
-    schedule: LrSchedule = field(default_factory=LrSchedule)
     n_runs: int = 5
     seed: int = 7
-    instance_seed: int = 921
+    instance_seed: int = INSTANCE_SEED
     output_dir: str = "qslack_out"
     workers: int = 1
     instance: dict | None = None
@@ -63,117 +69,46 @@ class ExperimentConfig:
             raise ConfigError("negativity problems need an even qubit count")
 
 
-# Simulation settings per (problem, ansatz type): layers (+ Born layers for
-# convex-combination states), penalty constant, learning-rate scheme, and
-# whether the SPSA direction is normalized.  Iteration counts and initial
-# rates are chosen so the exact-mode runs settle inside the acceptance
-# tolerances.
-_REG = lambda window, lr=0.1, min_lr=1e-3, iters=4000: dict(
-    schedule=dict(kind="regression_window", window=window, min_lr=min_lr), lr=lr, max_iters=iters)
-_REG2 = lambda window, factor, lr=0.1, min_lr=1e-3, iters=4000: dict(
-    schedule=dict(kind="regression_window_bidir", window=window, factor=factor, min_lr=min_lr), lr=lr, max_iters=iters)
-_HALVE = lambda period, lr, min_lr=1e-5, iters=4000: dict(
-    schedule=dict(kind="halve_every", period=period, min_lr=min_lr), lr=lr, max_iters=iters)
-_FIXED = lambda lr, iters=4000: dict(schedule=dict(kind="fixed"), lr=lr, max_iters=iters)
-
-DEFAULTS: dict[tuple[str, str], dict] = {
-    ("trace_distance_primal", "purification"): dict(layers=3, c=10.0, normalize=True, **_REG(500)),
-    ("trace_distance_dual", "purification"): dict(layers=3, c=100.0, normalize=True, **_REG(500)),
-    ("fidelity_primal", "purification"): dict(layers=4, c=45.0, normalize=True, **_REG(500, iters=6000)),
-    ("fidelity_dual", "purification"): dict(layers=3, c=5.0, normalize=True, **_REG(300, iters=6000)),
-    ("negativity_primal", "purification"): dict(layers=3, c=5.0, normalize=True, **_REG(500)),
-    ("negativity_dual", "purification"): dict(layers=3, c=100.0, normalize=True, **_REG(500)),
-    ("cham_primal", "purification"): dict(layers=2, c=100.0, normalize=True, **_HALVE(10000, 0.05, iters=5000)),
-    ("cham_dual", "purification"): dict(layers=2, c=100.0, normalize=False, **_HALVE(1000, 0.001, iters=5000)),
-    ("cham_interior_point", "purification"): dict(layers=2, c=1.0, normalize=True, **_REG(300, iters=2000)),
-    ("trace_distance_primal", "convex_combination"): dict(layers=4, born_layers=2, c=10.0, normalize=True, **_FIXED(0.005, iters=6000)),
-    ("trace_distance_dual", "convex_combination"): dict(layers=3, born_layers=2, c=100.0, normalize=True, **_HALVE(1000, 0.05, iters=5000)),
-    ("fidelity_primal", "convex_combination"): dict(layers=8, born_layers=3, c=50.0, normalize=True, **_REG2(500, 1.1, iters=6000)),
-    ("fidelity_dual", "convex_combination"): dict(layers=4, born_layers=3, c=5.0, normalize=True, **_REG2(500, 1.1, iters=6000)),
-    ("negativity_primal", "convex_combination"): dict(layers=2, born_layers=1, c=5.0, normalize=True, **_REG(500)),
-    ("negativity_dual", "convex_combination"): dict(layers=3, born_layers=2, c=100.0, normalize=True, **_REG(500)),
-    ("cham_primal", "convex_combination"): dict(layers=15, born_layers=2, c=100.0, normalize=True, **_HALVE(1000, 0.05, iters=5000)),
-    ("cham_dual", "convex_combination"): dict(layers=15, born_layers=2, c=100.0, normalize=True, **_HALVE(1000, 0.05, iters=5000)),
-    ("cham_interior_point", "convex_combination"): dict(layers=2, born_layers=2, c=1.0, normalize=True, **_REG(300, iters=2000)),
-    ("tvd_primal", "born"): dict(layers=2, born_layers=2, c=10.0, normalize=True, **_REG(300, iters=3000)),
-    ("tvd_dual", "born"): dict(layers=2, born_layers=2, c=100.0, normalize=True, **_REG(300, iters=3000)),
-    ("classical_cham_primal", "born"): dict(layers=3, born_layers=3, c=10.0, normalize=True, **_REG(300, iters=3000)),
-    ("classical_cham_dual", "born"): dict(layers=3, born_layers=3, c=10.0, normalize=True, **_REG(300, iters=3000)),
+# Each sub-document of a config: its key, and the field and class it builds.
+_SECTIONS = {
+    "ansatz": ("ansatz", AnsatzConfig),
+    "shots": ("shots", ShotModel),
+    "optimizer": ("spsa", SpsaConfig),
+    "schedule": ("schedule", LrSchedule),
 }
 
 
-def problem_defaults(problem: str, ansatz_type: str) -> dict:
-    try:
-        return DEFAULTS[(problem, ansatz_type)]
-    except KeyError:
-        raise ConfigError(f"no defaults for problem {problem!r} with ansatz {ansatz_type!r}") from None
-
-
-def _field_defaults(cls) -> dict:
-    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
-
-
-def _section(raw: dict, name: str, cls) -> dict:
-    """Pop the sub-document ``name``; its keys must be fields of ``cls``."""
-    sub = dict(raw.pop(name, {}))
-    unknown = sorted(set(sub) - {f.name for f in fields(cls)})
+def _build(cls, doc: dict, name: str, **built):
+    """``cls`` from the fields in ``built`` and the document ``doc``, whose
+    keys must name the other fields; a value for an int, float, bool or str
+    field is converted to that type."""
+    types = get_type_hints(cls)
+    unknown = sorted(set(doc) - (set(types) - set(built)))
     if unknown:
         raise ConfigError(f"unknown {name} keys: {unknown}")
-    return sub
+    return cls(**{k: types[k](v) if types[k] in (int, float, bool, str) else v for k, v in doc.items()}, **built)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a config from a JSON document; a missing key takes the problem
-    default from ``DEFAULTS`` or else the default of its dataclass field."""
+    """Build a config from a JSON document laid over the ``DEFAULTS`` row of
+    its pair: a sub-document key by key, any other key whole."""
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
-    raw = dict(raw)
+    if "problem" not in raw:
+        raise ConfigError("config is missing the required 'problem' field")
+    if raw["problem"] not in PROBLEM_TAGS:
+        raise ConfigError(f"unknown problem tag {raw['problem']!r}")
+    for key in _SECTIONS:
+        if not isinstance(raw.get(key, {}), dict):
+            raise ConfigError(f"config key {key!r} must hold a JSON object")
     try:
-        problem = raw.pop("problem")
-    except KeyError:
-        raise ConfigError("config is missing the required 'problem' field") from None
-    if problem not in PROBLEM_TAGS:
-        raise ConfigError(f"unknown problem tag {problem!r}")
-
-    ansatz_raw = _section(raw, "ansatz", AnsatzConfig)
-    ansatz_type = ansatz_raw.get("type", "born" if problem in CLASSICAL_TAGS else "purification")
-    defaults = problem_defaults(problem, ansatz_type)
-    ansatz = AnsatzConfig(
-        type=ansatz_type,
-        layers=int(ansatz_raw.get("layers", defaults["layers"])),
-        born_layers=int(ansatz_raw.get("born_layers", defaults.get("born_layers", AnsatzConfig.born_layers))),
-    )
-
-    shots_raw = _section(raw, "shots", ShotModel)
-    shots = ShotModel(mode=shots_raw.get("mode", ShotModel.mode), n=int(float(shots_raw.get("n", ShotModel.n))))
-
-    spsa_raw = _section(raw, "optimizer", SpsaConfig)
-    spsa = SpsaConfig(
-        learning_rate=float(spsa_raw.get("learning_rate", defaults["lr"])),
-        perturbation=float(spsa_raw.get("perturbation", SpsaConfig.perturbation)),
-        normalize=bool(spsa_raw.get("normalize", defaults["normalize"])),
-        max_iters=int(spsa_raw.get("max_iters", defaults["max_iters"])),
-    )
-
-    sched_raw = {**defaults["schedule"], **_section(raw, "schedule", LrSchedule)}
-    schedule = LrSchedule(**{
-        name: type(default)(sched_raw.get(name, default))
-        for name, default in _field_defaults(LrSchedule).items()
-    })
-
-    penalty = float(raw.pop("penalty", defaults["c"]))
-    known = {
-        name: type(default)(raw.pop(name, default))
-        for name, default in _field_defaults(ExperimentConfig).items()
-        if name not in ("penalty", "instance")
-    }
-    known["instance"] = raw.pop("instance", None)
-    if raw:
-        raise ConfigError(f"unknown config keys: {sorted(raw)}")
-    try:
-        return ExperimentConfig(problem=problem, ansatz=ansatz, shots=shots, penalty=penalty,
-                                spsa=spsa, schedule=schedule, **known)
-    except ValueError as exc:
+        ansatz_type = raw.get("ansatz", {}).get("type", default_ansatz_type(raw["problem"]))
+        row = problem_defaults(raw["problem"], ansatz_type)
+        row = {**row, "ansatz": {"type": ansatz_type, **row["ansatz"]}}
+        doc = {**row, **raw, **{key: {**row.get(key, {}), **raw.get(key, {})} for key in _SECTIONS}}
+        built = {name: _build(cls, doc.pop(key), key) for key, (name, cls) in _SECTIONS.items()}
+        return _build(ExperimentConfig, doc, "config", **built)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
 

@@ -43,7 +43,6 @@ class ShotModel:
 class Estimate:
     value: float
     std_err: float = 0.0
-    n_shots: int = 0
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,7 @@ class Estimator:
         else:
             p = min(1.0, max(0.0, (1.0 + mean) / 2.0))
             val = 2.0 * self.rng.binomial(n, p) / n - 1.0
-        return Estimate(val, math.sqrt(max(0.0, 1.0 - val**2) / n), n)
+        return Estimate(val, math.sqrt(max(0.0, 1.0 - val**2) / n))
 
     def _bernoulli(self, mean: float) -> Estimate:
         mean = float(mean)
@@ -128,7 +127,7 @@ class Estimator:
             val = mean + sd * self.rng.standard_normal()
         else:
             val = self.rng.binomial(n, p) / n
-        return Estimate(val, math.sqrt(max(0.0, val * (1.0 - val)) / n), n)
+        return Estimate(val, math.sqrt(max(0.0, val * (1.0 - val)) / n))
 
     # -- primitives --------------------------------------------------------
     def pauli_expect(self, state, p: PauliString) -> Estimate:

@@ -7,8 +7,6 @@ trace.  Validation helpers enforce those invariants at module boundaries.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 # Tolerances used by the validators below.
@@ -52,47 +50,11 @@ def hermitianize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with complex dtype."""
-    return np.kron(as_complex(a), as_complex(b))
-
-
 def kron_all(*factors: np.ndarray) -> np.ndarray:
     out = as_complex(factors[0])
     for f in factors[1:]:
         out = np.kron(out, as_complex(f))
     return out
-
-
-def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Sequence[bool]) -> np.ndarray:
-    """Trace out the factors whose ``keep`` mask entry is False.
-
-    ``dims`` lists the tensor-factor dimensions (their product must equal the
-    matrix dimension); ``keep`` is a boolean mask of the same length.  Kept
-    factors retain their original order.  Tracing everything returns a 1x1
-    matrix holding the full trace.
-    """
-    m = as_complex(m)
-    dims = list(dims)
-    keep = [bool(k) for k in keep]
-    if len(keep) != len(dims):
-        raise ValueError("keep mask length must match dims")
-    d = int(np.prod(dims))
-    if m.shape != (d, d):
-        raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
-    n = len(dims)
-    t = m.reshape(tuple(dims) + tuple(dims))
-    # Row axis i and column axis n+i of factor i are contracted when traced.
-    row_idx = list(range(n))
-    col_idx = list(range(n, 2 * n))
-    out_rows = [row_idx[i] for i in range(n) if keep[i]]
-    out_cols = [col_idx[i] for i in range(n) if keep[i]]
-    for i in range(n):
-        if not keep[i]:
-            col_idx[i] = row_idx[i]
-    t = np.einsum(t, row_idx + col_idx, out_rows + out_cols)
-    d_keep = int(np.prod([dims[i] for i in range(n) if keep[i]])) if any(keep) else 1
-    return t.reshape(d_keep, d_keep)
 
 
 def partial_transpose_b(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:

@@ -46,9 +46,9 @@ block P_k rho  expansion A     0 for strings that start with X or Y; for I or
                                negated for Z on block 1
 block P_k rho  state           ``overlap`` of P_k (x) rho with the state
 off-diagonal   itself          d sum_x |alpha_x|^2
-off-diagonal   state           sum_x Re(alpha_x) ``pauli_expect`` of X (x)
-                               sigma_x + Im(alpha_x) of Y (x) sigma_x, both
-                               estimated for every non-zero alpha_x
+off-diagonal   state           as its expansion over X and Y strings,
+                               sum_x Re(alpha_x) X (x) sigma_x +
+                               Im(alpha_x) Y (x) sigma_x
 off-diagonal   IDENTITY, block 0
 off-diagonal   expansion       as its expansion over X and Y strings
 =============  ==============  ============================================
@@ -254,17 +254,6 @@ class OffDiagonal(NamedTuple):
         return Expansion(tuple((q,) + x for x in string_order(n) for q in (1, 2)),
                          np.column_stack((self.alpha.real, self.alpha.imag)).ravel())
 
-    def expect(self, state: Prepared, est: Estimator) -> float:
-        """Both strings of every non-zero alpha_x are estimated."""
-        n = (len(self.alpha).bit_length() - 1) // 2
-        cross = 0.0
-        for a, labels in zip(self.alpha, string_order(n)):
-            if a != 0:
-                ex = est.pauli_expect(state, PauliString((1,) + labels))
-                ey = est.pauli_expect(state, PauliString((2,) + labels))
-                cross += a.real * ex.value + a.imag * ey.value
-        return cross
-
 
 _RANK = {Identity: 0, Expansion: 1, Block: 2, OffDiagonal: 3, Prepared: 4}
 _PROJ = (PROJ0, PROJ1)
@@ -307,7 +296,7 @@ def _inner(a, b, d: float, est: Estimator) -> float:
     if tb is OffDiagonal:  # traceless, and zero on the diagonal blocks
         return _inner(a, b.expansion(), d, est) if ta is Expansion or ta is OffDiagonal else 0.0
     if ta is OffDiagonal:
-        return a.expect(b, est)
+        return _expect(a.expansion(), b, est)
     if ta is Identity:
         if tb is Identity:
             return d

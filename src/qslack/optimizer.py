@@ -26,10 +26,14 @@ class SpsaConfig:
             raise ValueError("max_iters must be non-negative")
 
 
+# Iterations between two learning-rate updates.
+CHECK_EVERY = 100
+
+
 @dataclass(frozen=True)
 class LrSchedule:
     """fixed, halve_every (period N), or the regression schemes that fit a
-    line to the recent objective history every ``check_every`` iterations and
+    line to the recent objective history every ``CHECK_EVERY`` iterations and
     halve on an adverse slope; the bidirectional variant also multiplies by
     ``factor`` on a favorable slope.  A slope of exactly zero counts as
     favorable."""
@@ -39,7 +43,6 @@ class LrSchedule:
     window: int = 500
     factor: float = 1.1
     min_lr: float = 1e-3
-    check_every: int = 100
 
     def __post_init__(self) -> None:
         if self.kind not in ("fixed", "halve_every", "regression_window", "regression_window_bidir"):
@@ -48,7 +51,7 @@ class LrSchedule:
             raise ValueError("min_lr must be positive")
         if self.window < 2:
             raise ValueError("regression window must be >= 2")
-        if self.kind == "halve_every" and self.period % self.check_every != 0:
+        if self.kind == "halve_every" and self.period % CHECK_EVERY != 0:
             raise ValueError("halving period must be a multiple of the check period")
 
 
@@ -147,7 +150,7 @@ def run_optimization(problem: PenaltyObjective, spsa: SpsaConfig, schedule: LrSc
         return problem.evaluate(p, est).value
 
     for k in range(spsa.max_iters):
-        if k > 0 and k % schedule.check_every == 0:
+        if k > 0 and k % CHECK_EVERY == 0:
             lr = lr_step(schedule, history, problem.direction, lr, k)
         try:
             tb = problem.evaluate(params, est)

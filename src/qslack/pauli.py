@@ -54,9 +54,6 @@ class PauliString:
         except ValueError:
             raise ValueError(f"invalid Pauli string text {text!r}") from None
 
-    def text(self) -> str:
-        return "".join(PAULI_CHARS[l] for l in self.labels)
-
     def dense(self) -> np.ndarray:
         return _dense_string(self.labels)
 
@@ -78,32 +75,12 @@ def dense_string_basis(n: int) -> np.ndarray:
     return np.stack([_dense_string(l) for l in string_order(n)])
 
 
-def pauli_eigenbasis_sampler(p: PauliString) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """Per-qubit measurement bases and sign flags for sampling Tr[sigma_x rho].
-
-    For qubit j returns (|phi_0>, |phi_1>, f) where the projective outcome y
-    contributes a sign (-1)^(y*f); f is 0 only for identity labels, whose
-    outcome is ignored in the sign.
-    """
-    bases = {
-        0: (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)),
-        3: (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)),
-        1: (np.array([1, 1], dtype=complex) / np.sqrt(2), np.array([1, -1], dtype=complex) / np.sqrt(2)),
-        2: (np.array([1, 1j], dtype=complex) / np.sqrt(2), np.array([1, -1j], dtype=complex) / np.sqrt(2)),
-    }
-    out = []
-    for l in p.labels:
-        b0, b1 = bases[l]
-        out.append((b0, b1, 0 if l == 0 else 1))
-    return out
-
-
 @dataclass
 class PauliObservable:
     """Sparse coefficient expansion sum_x c_x sigma_x.
 
     Coefficients are real for Hermitian observables; complex coefficients are
-    allowed (the expansion of a general matrix) and flip ``is_hermitian``.
+    allowed (the expansion of a general matrix).
     """
 
     n_qubits: int
@@ -131,36 +108,12 @@ class PauliObservable:
         terms = {PauliString.from_text(t).labels: c for t, c in coeffs.items()}
         return cls(n_qubits, terms, term_cap)
 
-    @property
-    def is_hermitian(self) -> bool:
-        return all(abs(c.imag) < 1e-14 for c in self.terms.values())
-
     def dense(self) -> np.ndarray:
         d = 2**self.n_qubits
         out = np.zeros((d, d), dtype=complex)
         for labels, coeff in self.terms.items():
             out += coeff * PauliString(labels).dense()
         return out
-
-    def coeff_norm_sq(self) -> float:
-        return float(sum(abs(c) ** 2 for c in self.terms.values()))
-
-
-def expect(o: PauliObservable, rho: np.ndarray) -> complex:
-    """sum_x c_x Tr[sigma_x rho], evaluated exactly.
-
-    Returns a real float for real-coefficient observables.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    d = 2**o.n_qubits
-    if rho.shape != (d, d):
-        raise ValueError(f"state shape {rho.shape} does not match {o.n_qubits} qubits")
-    val = 0.0 + 0.0j
-    for labels, coeff in o.terms.items():
-        val += coeff * np.trace(PauliString(labels).dense() @ rho)
-    if o.is_hermitian:
-        return float(val.real)
-    return complex(val)
 
 
 @dataclass(frozen=True)
@@ -173,37 +126,17 @@ class WalshVector:
         if len(self.labels) < 1 or any(l not in (0, 1) for l in self.labels):
             raise ValueError(f"invalid Walsh labels {self.labels}")
 
-    @property
-    def n_bits(self) -> int:
-        return len(self.labels)
-
     @classmethod
     def from_text(cls, text: str) -> "WalshVector":
         if not all(ch in "01" for ch in text):
             raise ValueError(f"invalid Walsh text {text!r}")
         return cls(tuple(int(ch) for ch in text))
 
-    def text(self) -> str:
-        return "".join(str(l) for l in self.labels)
-
     def dense(self) -> np.ndarray:
         out = WALSH[self.labels[0]]
         for l in self.labels[1:]:
             out = np.kron(out, WALSH[l])
         return out
-
-    def sign(self, index: int) -> int:
-        """Entry value at basis index (bits MSB-first), computed as (-1)^(x . i)."""
-        bits = [(index >> (self.n_bits - 1 - j)) & 1 for j in range(self.n_bits)]
-        return -1 if sum(l * b for l, b in zip(self.labels, bits)) % 2 else 1
-
-
-def walsh_dot(w: WalshVector, p: np.ndarray) -> float:
-    """Inner product s_x^T p; the expectation of (-1)^(x . I) under I ~ p."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (2**w.n_bits,):
-        raise ValueError(f"vector length {p.shape} does not match {w.n_bits} bits")
-    return float(w.dense() @ p)
 
 
 @dataclass
@@ -233,6 +166,3 @@ class WalshObservable:
         for labels, coeff in self.terms.items():
             out += coeff * WalshVector(labels).dense()
         return out
-
-    def coeff_norm_sq(self) -> float:
-        return float(sum(c**2 for c in self.terms.values()))

@@ -36,7 +36,6 @@ PROBLEM_TAGS = (
     "classical_cham_primal", "classical_cham_dual",
 )
 
-QUANTUM_TAGS = PROBLEM_TAGS[:9]
 CLASSICAL_TAGS = PROBLEM_TAGS[9:]
 
 INPUT_LAYERS = 2
@@ -159,19 +158,83 @@ def _slack_init(ell: int) -> tuple[float, ...]:
     return tuple(base[i] if i < len(base) else 0.1 for i in range(ell))
 
 
+# -- defaults -------------------------------------------------------------
+
+# The system size and the seed of the frozen problem inputs, unless named.
+N_SYSTEM = 2
+INSTANCE_SEED = 921
+
+
+def _row(layers: int, born_layers: int, penalty: float, learning_rate: float, normalize: bool,
+         max_iters: int, **schedule) -> dict:
+    """One row of ``DEFAULTS``, in the shape of a config document."""
+    return {"ansatz": {"layers": layers, "born_layers": born_layers}, "penalty": penalty,
+            "optimizer": {"learning_rate": learning_rate, "normalize": normalize, "max_iters": max_iters},
+            "schedule": schedule}
+
+
+# The simulation settings of each (problem, ansatz type) pair: layers, Born
+# layers (of convex-combination states and Born machines), penalty constant,
+# initial learning rate, whether the SPSA direction is normalized, iteration
+# cap and learning-rate schedule.  Iteration counts and initial rates are
+# chosen so the exact-mode runs settle inside the acceptance tolerances.
+# The keys are exactly the pairs a problem can be built with.
+DEFAULTS: dict[tuple[str, str], dict] = {
+    ("trace_distance_primal", "purification"): _row(3, 2, 10.0, 0.1, True, 4000, kind="regression_window", window=500),
+    ("trace_distance_dual", "purification"): _row(3, 2, 100.0, 0.1, True, 4000, kind="regression_window", window=500),
+    ("fidelity_primal", "purification"): _row(4, 2, 45.0, 0.1, True, 6000, kind="regression_window", window=500),
+    ("fidelity_dual", "purification"): _row(3, 2, 5.0, 0.1, True, 6000, kind="regression_window", window=300),
+    ("negativity_primal", "purification"): _row(3, 2, 5.0, 0.1, True, 4000, kind="regression_window", window=500),
+    ("negativity_dual", "purification"): _row(3, 2, 100.0, 0.1, True, 4000, kind="regression_window", window=500),
+    ("cham_primal", "purification"): _row(2, 2, 100.0, 0.05, True, 5000, kind="halve_every", period=10000, min_lr=1e-5),
+    ("cham_dual", "purification"): _row(2, 2, 100.0, 0.001, False, 5000, kind="halve_every", period=1000, min_lr=1e-5),
+    ("cham_interior_point", "purification"): _row(2, 2, 1.0, 0.1, True, 2000, kind="regression_window", window=300),
+    ("trace_distance_primal", "convex_combination"): _row(4, 2, 10.0, 0.005, True, 6000, kind="fixed"),
+    ("trace_distance_dual", "convex_combination"): _row(3, 2, 100.0, 0.05, True, 5000, kind="halve_every", period=1000, min_lr=1e-5),
+    ("fidelity_primal", "convex_combination"): _row(8, 3, 50.0, 0.1, True, 6000, kind="regression_window_bidir", window=500),
+    ("fidelity_dual", "convex_combination"): _row(4, 3, 5.0, 0.1, True, 6000, kind="regression_window_bidir", window=500),
+    ("negativity_primal", "convex_combination"): _row(2, 1, 5.0, 0.1, True, 4000, kind="regression_window", window=500),
+    ("negativity_dual", "convex_combination"): _row(3, 2, 100.0, 0.1, True, 4000, kind="regression_window", window=500),
+    ("cham_primal", "convex_combination"): _row(15, 2, 100.0, 0.05, True, 5000, kind="halve_every", period=1000, min_lr=1e-5),
+    ("cham_dual", "convex_combination"): _row(15, 2, 100.0, 0.05, True, 5000, kind="halve_every", period=1000, min_lr=1e-5),
+    ("cham_interior_point", "convex_combination"): _row(2, 2, 1.0, 0.1, True, 2000, kind="regression_window", window=300),
+    ("tvd_primal", "born"): _row(2, 2, 10.0, 0.1, True, 3000, kind="regression_window", window=300),
+    ("tvd_dual", "born"): _row(2, 2, 100.0, 0.1, True, 3000, kind="regression_window", window=300),
+    ("classical_cham_primal", "born"): _row(3, 3, 10.0, 0.1, True, 3000, kind="regression_window", window=300),
+    ("classical_cham_dual", "born"): _row(3, 3, 10.0, 0.1, True, 3000, kind="regression_window", window=300),
+}
+
+
+def default_ansatz_type(tag: str) -> str:
+    """Born machines for the distribution problems, purifications for the state problems."""
+    return "born" if tag in CLASSICAL_TAGS else "purification"
+
+
+def problem_defaults(tag: str, ansatz_type: str) -> dict:
+    """The ``DEFAULTS`` row of the pair; a pair without one cannot be built."""
+    try:
+        return DEFAULTS[(tag, ansatz_type)]
+    except KeyError:
+        types = [a for t, a in DEFAULTS if t == tag]
+        raise ValueError(f"{tag} takes ansatz type {' or '.join(types)}, not {ansatz_type!r}") from None
+
+
 # -- builders -------------------------------------------------------------
 
-def build_problem(tag: str, n_system: int = 2, ansatz_type: str | None = None, layers: int = 2,
-                  born_layers: int = 2, c: float = 10.0, instance_seed: int = 921,
-                  instance: dict | None = None) -> Problem:
+def build_problem(tag: str, n_system: int = N_SYSTEM, ansatz_type: str | None = None,
+                  layers: int | None = None, born_layers: int | None = None, c: float | None = None,
+                  instance_seed: int = INSTANCE_SEED, instance: dict | None = None) -> Problem:
+    """The problem ``tag`` with its oracle.  The ansatz type defaults to
+    ``default_ansatz_type(tag)``, and the layer counts and the penalty constant
+    ``c`` to the pair's ``DEFAULTS`` row: the problem ``qslack run`` trains."""
     if tag not in PROBLEM_TAGS:
         raise ValueError(f"unknown problem tag {tag!r}")
     if ansatz_type is None:
-        ansatz_type = "born" if tag in CLASSICAL_TAGS else "purification"
-    if tag in CLASSICAL_TAGS and ansatz_type != "born":
-        raise ValueError(f"{tag} optimizes distributions; ansatz type must be 'born'")
-    if tag in QUANTUM_TAGS and ansatz_type == "born":
-        raise ValueError(f"{tag} optimizes density matrices; pick purification or convex_combination")
+        ansatz_type = default_ansatz_type(tag)
+    row = problem_defaults(tag, ansatz_type)
+    layers = row["ansatz"]["layers"] if layers is None else layers
+    born_layers = row["ansatz"]["born_layers"] if born_layers is None else born_layers
+    c = row["penalty"] if c is None else c
     builder = _BUILDERS[tag]
     return builder(n_system, ansatz_type, layers, born_layers, c, instance_seed, instance)
 

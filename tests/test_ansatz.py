@@ -19,7 +19,6 @@ from qslack.ansatz import (
     layered_unitary_circuit,
     qcbm_circuit,
     qcbm_distribution,
-    sample_cc,
 )
 
 
@@ -209,20 +208,6 @@ class TestRealize:
 
 
 class TestSampleCc:
-    def test_point_mass_always_zero(self, rng):
-        state = ConvexCombinationState(qcbm_circuit(2, 1), layered_unitary_circuit(2, 1))
-        params = np.zeros(state.n_params)
-        for _ in range(20):
-            x, vec = sample_cc(state, params, rng)
-            assert x == 0
-
-    def test_returned_state_is_unitary_column(self, rng):
-        state = ConvexCombinationState(qcbm_circuit(2, 2), layered_unitary_circuit(2, 2))
-        params = rng.uniform(0, 2 * np.pi, state.n_params)
-        u = state.basis_unitary(params)
-        x, vec = sample_cc(state, params, rng)
-        assert np.allclose(vec, u[:, x])
-
     def test_empirical_frequencies(self, rng):
         state = ConvexCombinationState(qcbm_circuit(2, 2), layered_unitary_circuit(2, 1))
         params = rng.uniform(0, 2 * np.pi, state.n_params)

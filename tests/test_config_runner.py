@@ -6,6 +6,9 @@ import pytest
 
 from qslack.config import ConfigError, ExperimentConfig, config_from_dict, load_config, resolve_output_dir
 from qslack import runner
+from qslack.estimate import Estimator
+from qslack.objective import BarrierViolationError
+from qslack.problems import DEFAULTS, build_problem
 from qslack.runner import build_from_config, emit_plot, run_experiment
 
 
@@ -27,11 +30,33 @@ def tiny_config(**over):
 class TestConfig:
     @pytest.mark.parametrize("problem", ["trace_distance_dual", "tvd_primal", "cham_dual"])
     def test_dataclass_and_document_defaults_agree(self, problem):
-        direct = ExperimentConfig(problem=problem)
         parsed = config_from_dict({"problem": problem})
+        direct = ExperimentConfig(problem=problem, ansatz=parsed.ansatz, penalty=parsed.penalty,
+                                  spsa=parsed.spsa, schedule=parsed.schedule)
         for name in ("n_system", "n_runs", "seed", "instance_seed", "output_dir", "workers"):
             assert getattr(direct, name) == getattr(parsed, name), name
         assert direct.spsa.perturbation == parsed.spsa.perturbation
+
+    def test_per_pair_settings_have_no_dataclass_default(self):
+        with pytest.raises(TypeError):
+            ExperimentConfig(problem="tvd_dual")
+
+    @pytest.mark.parametrize("tag, ansatz_type", sorted(DEFAULTS))
+    def test_build_problem_defaults_match_the_document(self, tag, ansatz_type):
+        direct = build_problem(tag, ansatz_type=ansatz_type)
+        parsed = build_from_config(config_from_dict({"problem": tag, "ansatz": {"type": ansatz_type}}))
+        assert direct.objective.n_params == parsed.objective.n_params
+        rng = np.random.default_rng(5)
+        # The barrier objective is defined only inside its feasible set.
+        for _ in range(100):
+            params = rng.uniform(0.1, 1.0, direct.objective.n_params)
+            try:
+                direct.objective.evaluate(params)
+                break
+            except BarrierViolationError:
+                continue
+        for est in (None, Estimator()):
+            assert direct.objective.evaluate(params, est) == parsed.objective.evaluate(params, est)
 
     def test_minimal_tvd_defaults(self):
         cfg = config_from_dict({"problem": "tvd_dual"})

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qslack import linalg
 from tests.conftest import bell_state, random_density, random_hermitian
@@ -14,7 +12,7 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 
 class TestKron:
     def test_identity(self):
-        assert np.allclose(linalg.kron(I2, I2), np.eye(4))
+        assert np.allclose(linalg.kron_all(I2, I2), np.eye(4))
 
     def test_sx_sz_entrywise(self):
         # oracle: (A x B)[i*p + k, j*q + l] = A[i, j] B[k, l]
@@ -24,64 +22,32 @@ class TestKron:
                 for k in range(2):
                     for l in range(2):
                         expected[2 * i + k, 2 * j + l] = SX[i, j] * SZ[k, l]
-        got = linalg.kron(SX, SZ)
+        got = linalg.kron_all(SX, SZ)
         assert np.allclose(got, expected)
         assert got[0, 2] == 1 and got[1, 3] == -1 and got[2, 0] == 1 and got[3, 1] == -1
 
     def test_diagonal_case(self):
-        assert np.allclose(linalg.kron(SZ, np.diag([1.0, 1.0])), np.diag([1, 1, -1, -1]))
+        assert np.allclose(linalg.kron_all(SZ, np.diag([1.0, 1.0])), np.diag([1, 1, -1, -1]))
 
     def test_associativity_random(self, rng):
         for _ in range(25):
             a = random_hermitian(2, rng)
             b = random_hermitian(3, rng)
             c = random_hermitian(2, rng)
-            left = linalg.kron(linalg.kron(a, b), c)
-            right = linalg.kron(a, linalg.kron(b, c))
+            left = linalg.kron_all(linalg.kron_all(a, b), c)
+            right = linalg.kron_all(a, linalg.kron_all(b, c))
             assert np.sqrt(linalg.hs_norm_sq(left - right)) <= 1e-12
-
-
-class TestPartialTrace:
-    def test_bell_reduction(self):
-        # oracle: sum the 2x2 diagonal blocks of the Bell projector by hand
-        bell = bell_state()
-        expected = bell[0:2, 0:2] + bell[2:4, 2:4]
-        got = linalg.partial_trace(bell, [2, 2], [False, True])
-        assert np.allclose(got, expected)
-        assert np.allclose(got, np.eye(2) / 2)
-
-    def test_product_input(self, rng):
-        for _ in range(10):
-            a = random_hermitian(2, rng)
-            b = random_hermitian(4, rng)
-            got = linalg.partial_trace(linalg.kron(a, b), [2, 4], [True, False])
-            assert np.allclose(got, a * np.trace(b))
-
-    def test_trace_everything(self, rng):
-        m = random_hermitian(8, rng)
-        got = linalg.partial_trace(m, [2, 2, 2], [False, False, False])
-        assert got.shape == (1, 1)
-        assert np.isclose(got[0, 0], np.trace(m))
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            linalg.partial_trace(np.eye(6), [2, 2], [True, False])
-
-    def test_trace_preserved(self, rng):
-        m = random_hermitian(8, rng)
-        got = linalg.partial_trace(m, [2, 4], [False, True])
-        assert np.isclose(np.trace(got), np.trace(m))
 
 
 class TestPartialTranspose:
     def test_pauli_sign_flip(self):
         # transposing the B factor negates sigma_Y and fixes I, X, Z
         for sa in (I2, SX, SY, SZ):
-            assert np.allclose(linalg.partial_transpose_b(linalg.kron(sa, SY), 2, 2),
-                               -linalg.kron(sa, SY))
+            assert np.allclose(linalg.partial_transpose_b(np.kron(sa, SY), 2, 2),
+                               -np.kron(sa, SY))
             for sb, sign in ((I2, 1), (SX, 1), (SZ, 1)):
-                assert np.allclose(linalg.partial_transpose_b(linalg.kron(sa, sb), 2, 2),
-                                   sign * linalg.kron(sa, sb))
+                assert np.allclose(linalg.partial_transpose_b(np.kron(sa, sb), 2, 2),
+                                   sign * np.kron(sa, sb))
 
     def test_identity(self):
         assert np.allclose(linalg.partial_transpose_b(np.eye(4), 2, 2), np.eye(4))
@@ -202,13 +168,3 @@ class TestValidators:
     def test_check_hermitian_rejects(self):
         with pytest.raises(ValueError):
             linalg.check_hermitian(np.array([[0, 1], [0.5, 0]], dtype=complex))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_partial_trace_kron_identity(seed):
-    rng = np.random.default_rng(seed)
-    a = random_hermitian(2, rng)
-    b = random_hermitian(2, rng)
-    got = linalg.partial_trace(linalg.kron(a, b), [2, 2], [True, False])
-    assert np.allclose(got, a * np.trace(b))

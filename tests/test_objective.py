@@ -651,7 +651,7 @@ SHOT_STREAM = {
 
 @pytest.mark.parametrize("tag", sorted(SHOT_STREAM))
 def test_shot_mode_noise_stream_is_pinned(tag):
-    o = build_problem(tag).objective
+    o = build_problem(tag, layers=2, born_layers=2, c=10.0).objective
     params = np.random.default_rng(7).uniform(0.1, 1.0, o.n_params)
     est = Estimator(ShotModel("shots", n=1000), np.random.default_rng(0))
     got = [o.evaluate(params, est).value for _ in range(2)]

@@ -90,7 +90,7 @@ class TestLrStep:
 
     def test_invalid_period(self):
         with pytest.raises(ValueError):
-            LrSchedule(kind="halve_every", period=250, check_every=100)
+            LrSchedule(kind="halve_every", period=250)
 
 
 @pytest.fixture(scope="module")

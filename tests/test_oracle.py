@@ -77,7 +77,7 @@ class TestRootFidelity:
 
 class TestNegativity:
     def test_product_state(self, rng):
-        rho = linalg.kron(random_density(2, rng), random_density(2, rng))
+        rho = np.kron(random_density(2, rng), random_density(2, rng))
         assert np.isclose(orc.exact_negativity(rho, 2, 2), 1.0, atol=1e-10)
 
     def test_bell(self):
@@ -92,7 +92,7 @@ class TestNegativity:
         for _ in range(50):
             rho = 0.0
             for _ in range(3):
-                rho = rho + linalg.kron(random_density(2, rng), random_density(2, rng)) / 3
+                rho = rho + np.kron(random_density(2, rng), random_density(2, rng)) / 3
             pt = linalg.partial_transpose_b(rho, 2, 2)
             if np.linalg.eigvalsh(pt).min() >= -1e-12:
                 assert orc.exact_negativity(rho, 2, 2) >= 1.0 - 1e-9
