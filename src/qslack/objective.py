@@ -58,6 +58,15 @@ Only the entries that name an Estimator primitive sample anything.
 row-major order, so the order of the operands fixes the order of the
 Estimator calls, and with it the noise stream a shot-mode run consumes.
 
+The paper's general form, maximize lambda Tr[A rho] subject to
+lambda Phi(rho) <= B, is one :class:`SdpInstance`.  A and B are lists of
+(coefficient, operand) pairs, and Phi(X) = sum_k f_k Tr[S_k X] T_k is a list
+of triples (f_k, S_k, T_k); each operand is a ``Prepared`` state or a Pauli
+``Expansion``.  :func:`LcsInstance` builds one from density matrices and
+:func:`PauliMapInstance` from Pauli observables and a map between strings.
+The term forms estimate Tr[S_k rho] once for each k and pass the weighted
+T_k to :func:`sq_norm`.
+
 ``PenaltyObjective`` packages a problem instance with its parameter layout
 (circuit angles for each variational state followed by the scalar blocks)
 and evaluates either form from a flat parameter vector.
@@ -129,7 +138,7 @@ class ParamBlock:
 
 
 class PenaltyObjective:
-    """A problem instance bound to ansatz templates and a penalty constant.
+    """A problem instance bound to ansatz templates.
 
     ``dense`` and ``terms`` are the two forms of the objective with the fixed
     problem inputs already bound.  Both take the realized states (dense
@@ -138,14 +147,10 @@ class PenaltyObjective:
     also takes the Estimator as ``est``.
     """
 
-    def __init__(self, tag, direction, c, state_templates, blocks, dense, terms, bind):
-        if c <= 0:
-            raise ValueError("penalty constant must be positive")
+    def __init__(self, direction, state_templates, blocks, dense, terms, bind):
         if direction not in ("max", "min"):
             raise ValueError(f"unknown direction {direction}")
-        self.tag = tag
         self.direction = direction
-        self.c = float(c)
         self.state_templates = list(state_templates)
         self.blocks = list(blocks)
         self._dense = dense
@@ -340,10 +345,9 @@ def td_dual_dense(rho, sigma, omega, tau, lam, mu, c):
     return lam + c * pen, pen
 
 
-def td_dual_objective(rho, sigma, omega, tau, lam, mu, c, est: Estimator | None = None) -> TermBreakdown:
+def td_dual_objective(rho, sigma, omega, tau, lam, mu, c, est: Estimator) -> TermBreakdown:
     """lambda + c * ||lambda omega - rho + sigma - mu tau||_2^2.  On
     distributions this is the total variation distance dual."""
-    est = est if est is not None else Estimator()
     rho, sigma, omega, tau = map(as_prepared, (rho, sigma, omega, tau))
     pen = sq_norm([(lam, omega), (-1.0, rho), (1.0, sigma), (-mu, tau)], _dim(rho), est)
     return TermBreakdown(lam + c * pen, pen)
@@ -357,10 +361,9 @@ def td_primal_dense(rho, sigma, tau, omega, lam, mu, c):
     return float(val) - c * pen, pen
 
 
-def td_primal_objective(rho, sigma, tau, omega, lam, mu, c, est: Estimator | None = None) -> TermBreakdown:
+def td_primal_objective(rho, sigma, tau, omega, lam, mu, c, est: Estimator) -> TermBreakdown:
     """lambda Tr[tau(rho - sigma)] - c * ||I - lambda tau - mu omega||_2^2.
     On distributions this is the total variation distance primal."""
-    est = est if est is not None else Estimator()
     rho, sigma, tau, omega = map(as_prepared, (rho, sigma, tau, omega))
     d = _dim(rho)
     gain = lam * (_inner(tau, rho, d, est) - _inner(tau, sigma, d, est))
@@ -405,14 +408,13 @@ def fidelity_primal_dense(rho, sigma, omega, alpha: np.ndarray, lam, c):
     return float(val), pen
 
 
-def fidelity_primal_objective(rho, sigma, omega, alpha: np.ndarray, lam, c, est: Estimator | None = None) -> TermBreakdown:
+def fidelity_primal_objective(rho, sigma, omega, alpha: np.ndarray, lam, c, est: Estimator) -> TermBreakdown:
     """2^n Re[alpha_0] - c * ||P0 (x) rho + P1 (x) sigma - lambda omega + offdiag||_2^2.
 
     ``alpha`` is the complex coefficient vector of the off-diagonal block X
     in the Pauli basis, ordered lexicographically; ``omega`` lives on n+1
     qubits with qubit 0 indexing the 2x2 block structure.
     """
-    est = est if est is not None else Estimator()
     rho, sigma, omega = map(as_prepared, (rho, sigma, omega))
     alpha = np.asarray(alpha)
     d = _dim(rho)
@@ -429,10 +431,9 @@ def fidelity_dual_dense(rho, sigma, omega, tau, xi, lam, mu, nu, c):
     return float(val) + c * pen, pen
 
 
-def fidelity_dual_objective(rho, sigma, omega, tau, xi, lam, mu, nu, c, est: Estimator | None = None) -> TermBreakdown:
+def fidelity_dual_objective(rho, sigma, omega, tau, xi, lam, mu, nu, c, est: Estimator) -> TermBreakdown:
     """(lambda Tr[omega rho] + mu Tr[tau sigma])/2
     + c * ||P0 (x) lambda omega + P1 (x) mu tau + X (x) I - nu xi||_2^2."""
-    est = est if est is not None else Estimator()
     rho, sigma, omega, tau, xi = map(as_prepared, (rho, sigma, omega, tau, xi))
     d = _dim(rho)
     gain = 0.5 * lam * _inner(omega, rho, d, est) + 0.5 * mu * _inner(tau, sigma, d, est)
@@ -465,11 +466,10 @@ def negativity_primal_dense(rho_ab, sigma_ab, tau_ab, alpha: np.ndarray, lam, mu
 
 
 def negativity_primal_objective(rho_ab, sigma_ab, tau_ab, alpha: np.ndarray, lam, mu, c,
-                                n_a: int, n_b: int, est: Estimator | None = None) -> TermBreakdown:
+                                n_a: int, n_b: int, est: Estimator) -> TermBreakdown:
     """Tr[H^T_B rho] - c * (||I - H - lambda sigma||^2 + ||I + H - mu tau||^2)
     for H = sum_x alpha_x sigma_x; the partial transpose acts on the
     coefficients as a sign flip per Y label on B."""
-    est = est if est is not None else Estimator()
     rho_ab, sigma_ab, tau_ab = map(as_prepared, (rho_ab, sigma_ab, tau_ab))
     strings = string_order(n_a + n_b)
     d = 2.0 ** (n_a + n_b)
@@ -496,10 +496,9 @@ def negativity_dual_dense(rho_ab, sigma_ab, tau_ab, alpha: np.ndarray, beta: np.
 
 
 def negativity_dual_objective(rho_ab, sigma_ab, tau_ab, alpha: np.ndarray, beta: np.ndarray,
-                              lam, mu, c, n_a: int, n_b: int, est: Estimator | None = None) -> TermBreakdown:
+                              lam, mu, c, n_a: int, n_b: int, est: Estimator) -> TermBreakdown:
     """2^n (alpha_0 + beta_0) + c * (||(K - L)^T_B - rho||^2 + ||K - lambda sigma||^2
     + ||L - mu tau||^2) for K, L with Pauli coefficients alpha, beta."""
-    est = est if est is not None else Estimator()
     rho_ab, sigma_ab, tau_ab = map(as_prepared, (rho_ab, sigma_ab, tau_ab))
     strings = string_order(n_a + n_b)
     d = 2.0 ** (n_a + n_b)
@@ -529,9 +528,8 @@ def classical_cham_primal_dense(p, h_dense, a_dense: list[np.ndarray], b: np.nda
 
 
 def cham_primal_objective(rho, h: PauliObservable | WalshObservable, a_list: list, b: np.ndarray,
-                          z: np.ndarray, c, est: Estimator | None = None) -> TermBreakdown:
+                          z: np.ndarray, c, est: Estimator) -> TermBreakdown:
     """<H> + c sum_i (<A_i> - b_i - z_i)^2 from per-string estimates."""
-    est = est if est is not None else Estimator()
     rho = as_prepared(rho)
     energy = _expect(Expansion.of(h), rho, est)
     pen = 0.0
@@ -557,9 +555,8 @@ def classical_cham_dual_dense(w, h_dense, a_dense: list[np.ndarray], b: np.ndarr
 
 
 def cham_dual_objective(omega, h: PauliObservable | WalshObservable, a_list: list, b: np.ndarray,
-                        y: np.ndarray, mu, nu, c, est: Estimator | None = None) -> TermBreakdown:
+                        y: np.ndarray, mu, nu, c, est: Estimator) -> TermBreakdown:
     """sum_i b_i y_i + mu - c * ||H - sum_i y_i A_i - mu I - nu omega||_2^2."""
-    est = est if est is not None else Estimator()
     omega = as_prepared(omega)
     terms = ([(1.0, Expansion.of(h))] + [(-yi, Expansion.of(a)) for yi, a in zip(y, a_list)]
              + [(-mu, IDENTITY), (-nu, omega)])
@@ -579,11 +576,10 @@ def interior_point_cham_dense(rho, h_dense, a_dense: list[np.ndarray], b: np.nda
 
 
 def interior_point_cham(rho, h: PauliObservable, a_list: list[PauliObservable], b: np.ndarray,
-                        eta: float, est: Estimator | None = None) -> TermBreakdown:
+                        eta: float, est: Estimator) -> TermBreakdown:
     """Tr[H rho] - eta sum_i ln(Tr[A_i rho] - b_i); raises outside the barrier."""
     if eta <= 0:
         raise ValueError("barrier parameter must be positive")
-    est = est if est is not None else Estimator()
     rho = as_prepared(rho)
     energy = _expect(Expansion.of(h), rho, est)
     barrier = 0.0
@@ -599,109 +595,62 @@ def interior_point_cham(rho, h: PauliObservable, a_list: list[PauliObservable], 
 # Generic builders over an explicit SDP instance
 # ======================================================================
 
-def _mapped(entries, x: Prepared, est: Estimator) -> Expansion:
-    """sum of f Tr[sigma_in x] sigma_out over (in, out, f) entries, with one
-    estimate per distinct input string."""
-    seen: dict[tuple[int, ...], float] = {}
-    out: dict[tuple[int, ...], float] = {}
-    for l_in, l_out, f in entries:
-        if l_in not in seen:
-            seen[l_in] = est.pauli_expect(x, PauliString(l_in)).value
-        out[l_out] = out.get(l_out, 0.0) + f * seen[l_in]
-    return Expansion(tuple(out), np.array(list(out.values())))
-
-
 @dataclass
-class LcsInstance:
-    """Inputs given as linear combinations of sampleable states."""
+class SdpInstance:
+    """The general form: maximize lambda Tr[A rho] subject to
+    lambda Phi(rho) <= B, with A = sum of c X over ``a_terms``, B likewise
+    over ``b_terms``, and Phi(X) = sum_k f_k Tr[S_k X] T_k over the
+    ``phi_terms`` triples (f_k, S_k, T_k); Phi^dag swaps S and T.  Every
+    operand is a ``Prepared`` state or a Pauli ``Expansion``."""
 
     n_in: int
     n_out: int
-    a_terms: list[tuple[float, np.ndarray]]
-    b_terms: list[tuple[float, np.ndarray]]
-    phi_terms: list[tuple[float, np.ndarray, np.ndarray]]
+    a_terms: list[tuple[float, object]]
+    b_terms: list[tuple[float, object]]
+    phi_terms: list[tuple[float, object, object]]
 
     def a_dense(self) -> np.ndarray:
-        return sum((c * s for c, s in self.a_terms), np.zeros((2**self.n_in,) * 2, dtype=complex))
+        return _combination(self.a_terms, self.n_in)
 
     def b_dense(self) -> np.ndarray:
-        return sum((c * s for c, s in self.b_terms), np.zeros((2**self.n_out,) * 2, dtype=complex))
+        return _combination(self.b_terms, self.n_out)
 
     def phi(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros((2**self.n_out,) * 2, dtype=complex)
-        for coeff, sig, om in self.phi_terms:
-            out = out + coeff * np.einsum("ij,ji->", sig, x) * om
-        return out
+        return _combination([(f * np.einsum("ij,ji->", _matrix(s), x), t) for f, s, t in self.phi_terms],
+                            self.n_out)
 
     def phi_dag(self, y: np.ndarray) -> np.ndarray:
-        out = np.zeros((2**self.n_in,) * 2, dtype=complex)
-        for coeff, sig, om in self.phi_terms:
-            out = out + coeff * np.einsum("ij,ji->", om, y) * sig
-        return out
-
-    # -- operands of the term form: lists of (coefficient, operand) ------
-    def a_operands(self) -> list:
-        return [(c, as_prepared(s)) for c, s in self.a_terms]
-
-    def b_operands(self) -> list:
-        return [(c, as_prepared(s)) for c, s in self.b_terms]
-
-    def phi_operands(self, x: Prepared, est: Estimator) -> list:
-        return [(c * est.overlap(sig, x).value, as_prepared(om)) for c, sig, om in self.phi_terms]
-
-    def phi_dag_operands(self, y: Prepared, est: Estimator) -> list:
-        return [(c * est.overlap(om, y).value, as_prepared(sig)) for c, sig, om in self.phi_terms]
+        return _combination([(f * np.einsum("ij,ji->", _matrix(t), y), s) for f, s, t in self.phi_terms],
+                            self.n_in)
 
 
-@dataclass
-class PauliMapInstance:
-    """Inputs given as sparse Pauli expansions; phi maps strings to strings."""
-
-    a_obs: PauliObservable
-    b_obs: PauliObservable
-    phi_map: dict[tuple[tuple[int, ...], tuple[int, ...]], float]
-
-    @property
-    def n_in(self) -> int:
-        return self.a_obs.n_qubits
-
-    @property
-    def n_out(self) -> int:
-        return self.b_obs.n_qubits
-
-    def a_dense(self) -> np.ndarray:
-        return self.a_obs.dense()
-
-    def b_dense(self) -> np.ndarray:
-        return self.b_obs.dense()
-
-    def phi(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros((2**self.n_out,) * 2, dtype=complex)
-        for (lx, ly), coeff in self.phi_map.items():
-            out = out + coeff * np.einsum("ij,ji->", PauliString(lx).dense(), x) * PauliString(ly).dense()
-        return out
-
-    def phi_dag(self, y: np.ndarray) -> np.ndarray:
-        out = np.zeros((2**self.n_in,) * 2, dtype=complex)
-        for (lx, ly), coeff in self.phi_map.items():
-            out = out + coeff * np.einsum("ij,ji->", PauliString(ly).dense(), y) * PauliString(lx).dense()
-        return out
-
-    # -- operands of the term form: lists of (coefficient, operand) ------
-    def a_operands(self) -> list:
-        return [(1.0, Expansion.of(self.a_obs))]
-
-    def b_operands(self) -> list:
-        return [(1.0, Expansion.of(self.b_obs))]
-
-    def phi_operands(self, x: Prepared, est: Estimator) -> list:
-        return [(1.0, _mapped(((lx, ly, f) for (lx, ly), f in self.phi_map.items()), x, est))]
-
-    def phi_dag_operands(self, y: Prepared, est: Estimator) -> list:
-        return [(1.0, _mapped(((ly, lx, f) for (lx, ly), f in self.phi_map.items()), y, est))]
+def _matrix(x) -> np.ndarray:
+    """The dense matrix of a ``Prepared`` state or a Pauli ``Expansion``."""
+    if type(x) is Expansion:
+        return sum(c * PauliString(l).dense() for l, c in zip(x.labels, x.coeffs))
+    return x.dense
 
 
-SdpInstance = LcsInstance | PauliMapInstance
+def _combination(terms, n: int) -> np.ndarray:
+    """sum of c X over (c, X) pairs, as a 2^n x 2^n matrix."""
+    return sum((c * _matrix(x) for c, x in terms), np.zeros((2**n,) * 2, dtype=complex))
+
+
+def LcsInstance(n_in: int, n_out: int, a_terms, b_terms, phi_terms) -> SdpInstance:
+    """An instance whose operands are linear combinations of states, given
+    as density matrices (or ``Prepared`` states)."""
+    return SdpInstance(n_in, n_out, [(c, as_prepared(s)) for c, s in a_terms],
+                       [(c, as_prepared(s)) for c, s in b_terms],
+                       [(f, as_prepared(s), as_prepared(t)) for f, s, t in phi_terms])
+
+
+def PauliMapInstance(a_obs: PauliObservable, b_obs: PauliObservable,
+                     phi_map: dict[tuple[tuple[int, ...], tuple[int, ...]], float]) -> SdpInstance:
+    """An instance over sparse Pauli expansions; ``phi_map`` maps an (input,
+    output) string pair to its coefficient."""
+    one = np.ones(1)
+    return SdpInstance(a_obs.n_qubits, b_obs.n_qubits, [(1.0, Expansion.of(a_obs))], [(1.0, Expansion.of(b_obs))],
+                       [(f, Expansion((lx,), one), Expansion((ly,), one)) for (lx, ly), f in phi_map.items()])
 
 
 def generic_primal_dense(inst: SdpInstance, rho, sigma, lam, mu, c):
@@ -718,24 +667,21 @@ def generic_dual_dense(inst: SdpInstance, tau, omega, kappa, nu, c):
     return float(val), pen
 
 
-def generic_primal_objective(inst: SdpInstance, rho, sigma, lam, mu, c,
-                             est: Estimator | None = None) -> TermBreakdown:
+def generic_primal_objective(inst: SdpInstance, rho, sigma, lam, mu, c, est: Estimator) -> TermBreakdown:
     """lambda Tr[A rho] - c ||B - lambda Phi(rho) - mu sigma||_2^2."""
-    est = est if est is not None else Estimator()
     rho, sigma = as_prepared(rho), as_prepared(sigma)
-    gain = sum(ca * _inner(a, rho, 2.0**inst.n_in, est) for ca, a in inst.a_operands())
-    terms = inst.b_operands() + [(-lam * cp, p) for cp, p in inst.phi_operands(rho, est)] + [(-mu, sigma)]
-    pen = sq_norm(terms, 2.0**inst.n_out, est)
+    d_in = 2.0**inst.n_in
+    gain = sum(ca * _inner(a, rho, d_in, est) for ca, a in inst.a_terms)
+    phi = [(-lam * f * _inner(s, rho, d_in, est), t) for f, s, t in inst.phi_terms]
+    pen = sq_norm(inst.b_terms + phi + [(-mu, sigma)], 2.0**inst.n_out, est)
     return TermBreakdown(lam * gain - c * pen, pen)
 
 
-def generic_dual_objective(inst: SdpInstance, tau, omega, kappa, nu, c,
-                           est: Estimator | None = None) -> TermBreakdown:
+def generic_dual_objective(inst: SdpInstance, tau, omega, kappa, nu, c, est: Estimator) -> TermBreakdown:
     """kappa Tr[B tau] + c ||kappa Phi^dag(tau) - A - nu omega||_2^2."""
-    est = est if est is not None else Estimator()
     tau, omega = as_prepared(tau), as_prepared(omega)
-    gain = sum(cb * _inner(b, tau, 2.0**inst.n_out, est) for cb, b in inst.b_operands())
-    terms = ([(kappa * cp, p) for cp, p in inst.phi_dag_operands(tau, est)]
-             + [(-ca, a) for ca, a in inst.a_operands()] + [(-nu, omega)])
-    pen = sq_norm(terms, 2.0**inst.n_in, est)
+    d_out = 2.0**inst.n_out
+    gain = sum(cb * _inner(b, tau, d_out, est) for cb, b in inst.b_terms)
+    phi_dag = [(kappa * f * _inner(t, tau, d_out, est), s) for f, s, t in inst.phi_terms]
+    pen = sq_norm(phi_dag + [(-ca, a) for ca, a in inst.a_terms] + [(-nu, omega)], 2.0**inst.n_in, est)
     return TermBreakdown(kappa * gain + c * pen, pen)

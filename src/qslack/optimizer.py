@@ -131,8 +131,8 @@ def run_optimization(problem: PenaltyObjective, spsa: SpsaConfig, schedule: LrSc
     SPSA gradient pair and takes a step (ascent for maximization problems);
     sign-constrained scalars are clamped at zero afterwards.  A non-finite
     objective (NaN or +-inf) or an infeasible barrier at the current iterate
-    aborts the run with a diagnostic, and so does either at the final
-    evaluation of the trained parameters, which is iteration ``max_iters``.
+    aborts the run with a diagnostic.  The final evaluation of the trained
+    parameters is iteration ``max_iters``, checked the same way.
     ``rng`` is a Generator or anything ``np.random.default_rng`` accepts.
     """
     rng = np.random.default_rng(rng)
@@ -149,9 +149,7 @@ def run_optimization(problem: PenaltyObjective, spsa: SpsaConfig, schedule: LrSc
     def evaluate(p: np.ndarray) -> float:
         return problem.evaluate(p, est).value
 
-    for k in range(spsa.max_iters):
-        if k > 0 and k % CHECK_EVERY == 0:
-            lr = lr_step(schedule, history, problem.direction, lr, k)
+    for k in range(spsa.max_iters + 1):
         try:
             tb = problem.evaluate(params, est)
         except BarrierViolationError as exc:
@@ -163,6 +161,11 @@ def run_optimization(problem: PenaltyObjective, spsa: SpsaConfig, schedule: LrSc
             record.abort_reason = f"non-finite objective ({tb.value}) at iteration {k}"
             break
         err = abs(tb.value - oracle) if oracle is not None else math.nan
+        if k == spsa.max_iters:
+            record.final_objective, record.final_penalty, record.final_error = tb.value, tb.penalty, err
+            break
+        if k > 0 and k % CHECK_EVERY == 0:
+            lr = lr_step(schedule, history, problem.direction, lr, k)
         record.rows.append(IterationRow(k, tb.value, tb.penalty, err, lr))
         record.scalar_history.append(problem.scalars(params))
         history.append(tb.value)
@@ -175,20 +178,6 @@ def run_optimization(problem: PenaltyObjective, spsa: SpsaConfig, schedule: LrSc
         params = params + sign * lr * grad
         problem.clamp(params)
 
-    if not record.aborted:
-        try:
-            tb = problem.evaluate(params, est)
-        except BarrierViolationError as exc:
-            record.aborted = True
-            record.abort_reason = f"barrier violation at final evaluation: {exc}"
-        else:
-            if math.isfinite(tb.value):
-                record.final_objective = tb.value
-                record.final_penalty = tb.penalty
-                record.final_error = abs(tb.value - oracle) if oracle is not None else math.nan
-            else:
-                record.aborted = True
-                record.abort_reason = f"non-finite objective ({tb.value}) at iteration {spsa.max_iters}"
     record.final_params = params
     return record
 

@@ -80,16 +80,15 @@ class PauliObservable:
     """Sparse coefficient expansion sum_x c_x sigma_x.
 
     Coefficients are real for Hermitian observables; complex coefficients are
-    allowed (the expansion of a general matrix).
+    allowed (the expansion of a general matrix).  At most
+    ``default_term_cap(n_qubits)`` terms are accepted, a guard on instances
+    read from JSON.
     """
 
     n_qubits: int
     terms: dict[tuple[int, ...], complex] = field(default_factory=dict)
-    term_cap: int | None = None
 
     def __post_init__(self) -> None:
-        cap = self.term_cap if self.term_cap is not None else default_term_cap(self.n_qubits)
-        self.term_cap = cap
         clean: dict[tuple[int, ...], complex] = {}
         for labels, coeff in self.terms.items():
             labels = tuple(labels)
@@ -99,14 +98,14 @@ class PauliObservable:
             coeff = complex(coeff)
             if coeff != 0:
                 clean[labels] = coeff
+        cap = default_term_cap(self.n_qubits)
         if len(clean) > cap:
             raise ValueError(f"{len(clean)} terms exceeds cap {cap}")
         self.terms = dict(sorted(clean.items()))
 
     @classmethod
-    def from_text(cls, n_qubits: int, coeffs: Mapping[str, complex], term_cap: int | None = None) -> "PauliObservable":
-        terms = {PauliString.from_text(t).labels: c for t, c in coeffs.items()}
-        return cls(n_qubits, terms, term_cap)
+    def from_text(cls, n_qubits: int, coeffs: Mapping[str, complex]) -> "PauliObservable":
+        return cls(n_qubits, {PauliString.from_text(t).labels: c for t, c in coeffs.items()})
 
     def dense(self) -> np.ndarray:
         d = 2**self.n_qubits

@@ -56,11 +56,8 @@ NU_SCALE = 4.0
 
 @dataclass
 class Problem:
-    tag: str
     objective: PenaltyObjective
     oracle: orc.OracleResult
-    n_system: int
-    meta: dict
 
 
 # -- ansatz construction -------------------------------------------------
@@ -235,6 +232,8 @@ def build_problem(tag: str, n_system: int = N_SYSTEM, ansatz_type: str | None = 
     layers = row["ansatz"]["layers"] if layers is None else layers
     born_layers = row["ansatz"]["born_layers"] if born_layers is None else born_layers
     c = row["penalty"] if c is None else c
+    if c <= 0:
+        raise ValueError("penalty constant must be positive")
     builder = _BUILDERS[tag]
     return builder(n_system, ansatz_type, layers, born_layers, c, instance_seed, instance)
 
@@ -262,19 +261,18 @@ def _build_distance(side, classical, n, ansatz_type, layers, born_layers, c, ins
         dense = obj.tvd_primal_dense if side == "primal" else obj.tvd_dual_dense
         rho, sigma = (as_prepared(frozen_born_input(n, [instance_seed, k])) for k in (1, 2))
         oracle = orc.OracleResult(orc.exact_tvd(rho.dist, sigma.dist), "half-l1")
-        names, inputs = ("r", "s"), "two seeded Born-machine distributions"
+        names = ("r", "s")
     else:
         dense = obj.td_primal_dense if side == "primal" else obj.td_dual_dense
         rho, sigma = (frozen_quantum_input(ansatz_type, n, [instance_seed, k]) for k in (1, 2))
         oracle = orc.OracleResult(orc.exact_trace_distance(rho.rho, sigma.rho), "trace-norm")
-        names, inputs = ("omega", "tau"), "two seeded random mixed states"
+        names = ("omega", "tau")
     terms, direction = (obj.td_primal_objective, "max") if side == "primal" else (obj.td_dual_objective, "min")
     templates = {name: make_opt_template(ansatz_type, n, layers, born_layers) for name in names}
     blocks = _angle_blocks(templates) + [_scalar("lam", 1, 1.0), _scalar("mu", 1, 1.0)]
-    pen_obj = PenaltyObjective(f"{'tvd' if classical else 'trace_distance'}_{side}", direction, c,
-                               list(templates.values()), blocks, partial(dense, rho.dense, sigma.dense),
+    pen_obj = PenaltyObjective(direction, list(templates.values()), blocks, partial(dense, rho.dense, sigma.dense),
                                partial(terms, rho, sigma), partial(_bind, c=c, multipliers=("lam", "mu")))
-    return Problem(pen_obj.tag, pen_obj, oracle, n, {"inputs": inputs})
+    return Problem(pen_obj, oracle)
 
 
 def _build_fidelity(side, n, ansatz_type, layers, born_layers, c, instance_seed, instance) -> Problem:
@@ -303,11 +301,10 @@ def _build_fidelity(side, n, ansatz_type, layers, born_layers, c, instance_seed,
         ]
         dense, terms, direction = obj.fidelity_dual_dense, obj.fidelity_dual_objective, "min"
         bind = partial(_bind, c=c, multipliers=("lam", "mu", "nu"))
-    pen_obj = PenaltyObjective(f"fidelity_{side}", direction, c, list(templates.values()), blocks,
+    pen_obj = PenaltyObjective(direction, list(templates.values()), blocks,
                                partial(dense, rho.rho, sigma.rho), partial(terms, rho, sigma), bind)
     value = orc.exact_root_fidelity(rho.rho, sigma.rho)
-    return Problem(pen_obj.tag, pen_obj, orc.OracleResult(value, "root-fidelity"), n,
-                   {"inputs": "two seeded random mixed states"})
+    return Problem(pen_obj, orc.OracleResult(value, "root-fidelity"))
 
 
 def _build_negativity(side, n, ansatz_type, layers, born_layers, c, instance_seed, instance) -> Problem:
@@ -332,23 +329,22 @@ def _build_negativity(side, n, ansatz_type, layers, born_layers, c, instance_see
                    _scalar("mu", 1, 1.0, scale=NEG_P_MU_SCALE)]
         dense, terms, direction = obj.negativity_primal_dense, obj.negativity_primal_objective, "max"
         vectors = ("alpha",)
-    pen_obj = PenaltyObjective(f"negativity_{side}", direction, c, list(templates.values()), blocks,
+    pen_obj = PenaltyObjective(direction, list(templates.values()), blocks,
                                partial(dense, rho.rho, n_a=n_a, n_b=n_b),
                                partial(terms, rho, n_a=n_a, n_b=n_b),
                                partial(_bind, c=c, multipliers=("lam", "mu"), vectors=vectors))
     value = orc.exact_negativity(rho.rho, 2**n_a, 2**n_b)
-    return Problem(pen_obj.tag, pen_obj, orc.OracleResult(value, "pt-trace-norm"), n,
-                   {"inputs": "one seeded random bipartite state"})
+    return Problem(pen_obj, orc.OracleResult(value, "pt-trace-norm"))
 
 
 def _build_cham(side, classical, n, ansatz_type, layers, born_layers, c, instance_seed, instance) -> Problem:
     """The constrained Hamiltonian problem over Pauli observables and states,
     or over Walsh observables and distributions (``classical``)."""
     if classical:
-        tag, default_instance, parse = "classical_cham", default_classical_cham_instance, walsh_instance_from_dict
+        default_instance, parse = default_classical_cham_instance, walsh_instance_from_dict
         dense = obj.classical_cham_primal_dense if side == "primal" else obj.classical_cham_dual_dense
     else:
-        tag, default_instance, parse = "cham", default_cham_instance, pauli_instance_from_dict
+        default_instance, parse = default_cham_instance, pauli_instance_from_dict
         dense = obj.cham_primal_dense if side == "primal" else obj.cham_dual_dense
     inst = instance if instance is not None else default_instance()
     h, a_list, b = parse(n, inst)
@@ -371,11 +367,11 @@ def _build_cham(side, classical, n, ansatz_type, layers, born_layers, c, instanc
                        _scalar("nu", 1, 0.001, scale=NU_SCALE)]
         terms, direction = obj.cham_dual_objective, "max"
         bind = partial(_bind, c=c, multipliers=("mu", "nu"), vectors=("y",))
-    pen_obj = PenaltyObjective(f"{tag}_{side}", direction, c, [template], blocks,
+    pen_obj = PenaltyObjective(direction, [template], blocks,
                                partial(dense, h_dense=h.dense(), a_dense=[a.dense() for a in a_list], b=b),
                                partial(terms, h=h, a_list=a_list, b=b), bind)
     value = (orc.lp_classical_cham_value if classical else orc.sdp_cham_value)(h, a_list, b)
-    return Problem(pen_obj.tag, pen_obj, value, n, {"instance": inst})
+    return Problem(pen_obj, value)
 
 
 def _build_cham_interior(n, ansatz_type, layers, born_layers, c, instance_seed, instance) -> Problem:
@@ -385,11 +381,11 @@ def _build_cham_interior(n, ansatz_type, layers, born_layers, c, instance_seed, 
     templates = {"rho": make_opt_template(ansatz_type, n, layers, born_layers)}
     # The barrier objective takes no penalty constant and has no scalar blocks.
     pen_obj = PenaltyObjective(
-        "cham_interior_point", "min", c, list(templates.values()), _angle_blocks(templates),
+        "min", list(templates.values()), _angle_blocks(templates),
         partial(obj.interior_point_cham_dense, h_dense=h.dense(), a_dense=[a.dense() for a in a_list], b=b, eta=eta),
         partial(obj.interior_point_cham, h=h, a_list=a_list, b=b, eta=eta), _bind)
     value = orc.sdp_cham_value(h, a_list, b)
-    return Problem(pen_obj.tag, pen_obj, value, n, {"instance": inst, "eta": eta})
+    return Problem(pen_obj, value)
 
 
 _BUILDERS: dict[str, Callable[..., Problem]] = {

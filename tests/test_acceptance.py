@@ -286,7 +286,7 @@ def test_criterion_4_sandwich(quantum_campaign, cslack_campaign):
     total = 0
     print("\ncriterion 4:")
     for name, (ptag, dtag, at, source) in pairs.items():
-        oracle = build_problem(ptag.replace("_primal", "_primal") if False else ptag,
+        oracle = build_problem(ptag,
                                ansatz_type=at).oracle.value
         for seed in range(N_SEEDS):
             p_final = source[(ptag, at, seed)][0]

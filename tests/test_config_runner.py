@@ -58,6 +58,11 @@ class TestConfig:
         for est in (None, Estimator()):
             assert direct.objective.evaluate(params, est) == parsed.objective.evaluate(params, est)
 
+    @pytest.mark.parametrize("tag", ["trace_distance_dual", "cham_interior_point"])
+    def test_build_problem_rejects_nonpositive_penalty(self, tag):
+        with pytest.raises(ValueError, match="penalty constant"):
+            build_problem(tag, c=0.0)
+
     def test_minimal_tvd_defaults(self):
         cfg = config_from_dict({"problem": "tvd_dual"})
         assert cfg.n_system == 2

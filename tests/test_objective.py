@@ -509,6 +509,29 @@ class TestGenericBuilders:
                 dv, dp = obj.generic_dual_dense(inst, tau, omega, kap, nu, 5.0)
                 assert abs(tb.value - dv) < 1e-9
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_lcs_and_pauli_map_forms_agree(self, n, rng):
+        # one instance written both ways: Pauli observables and a string map, and
+        # linear combinations whose matrices are those strings
+        labels = sorted(product(range(4), repeat=n))
+        string = lambda l: PauliString(l).dense()
+        for _ in range(10):
+            a = {labels[i]: rng.uniform(-1, 1) for i in rng.choice(len(labels), 2, replace=False)}
+            b = {labels[i]: rng.uniform(-1, 1) for i in rng.choice(len(labels), 2, replace=False)}
+            lx, lx2 = (labels[i] for i in rng.choice(len(labels), 2, replace=False))
+            ly, ly2 = (labels[i] for i in rng.choice(len(labels), 2, replace=False))
+            # the input string lx feeds two outputs
+            phi_map = {(lx, ly): rng.uniform(-1, 1), (lx, ly2): rng.uniform(-1, 1), (lx2, ly): rng.uniform(-1, 1)}
+            pmi = obj.PauliMapInstance(PauliObservable(n, a), PauliObservable(n, b), phi_map)
+            lcs = obj.LcsInstance(n, n, [(c, string(l)) for l, c in a.items()],
+                                  [(c, string(l)) for l, c in b.items()],
+                                  [(f, string(l_in), string(l_out)) for (l_in, l_out), f in phi_map.items()])
+            args = (random_density(2**n, rng), random_density(2**n, rng), *rng.uniform(0, 2, 2), 5.0)
+            for dense, terms in ((obj.generic_primal_dense, obj.generic_primal_objective),
+                                 (obj.generic_dual_dense, obj.generic_dual_objective)):
+                assert abs(dense(lcs, *args)[0] - dense(pmi, *args)[0]) < 1e-9
+                assert abs(terms(lcs, *args, EST).value - terms(pmi, *args, EST).value) < 1e-9
+
 
 class TestPenaltyStructure:
     def test_objective_affine_in_c(self, rng):

@@ -3,7 +3,7 @@ import pytest
 
 from qslack import build_problem
 from qslack.estimate import ShotModel
-from qslack.objective import TermBreakdown
+from qslack.objective import BarrierViolationError, TermBreakdown
 from qslack.optimizer import (
     LrSchedule,
     SpsaConfig,
@@ -150,7 +150,8 @@ class TestRunOptimization:
 
 
 class _StubObjective:
-    """Two free parameters; every evaluation returns 1.0 except call ``bad_call``."""
+    """Two free parameters; every evaluation returns 1.0 except call ``bad_call``,
+    which returns ``bad_value``, or raises it if it is an exception."""
 
     direction = "min"
 
@@ -162,7 +163,11 @@ class _StubObjective:
 
     def evaluate(self, params, est=None):
         self.calls += 1
-        return TermBreakdown(self.bad_value if self.calls == self.bad_call else 1.0, 0.0)
+        if self.calls != self.bad_call:
+            return TermBreakdown(1.0, 0.0)
+        if isinstance(self.bad_value, Exception):
+            raise self.bad_value
+        return TermBreakdown(self.bad_value, 0.0)
 
     def scalars(self, params):
         return {}
@@ -183,6 +188,19 @@ def test_non_finite_objective_aborts(bad_value):
     rec = run_optimization(_StubObjective(7, bad_value), spsa, LrSchedule(), 0)
     assert rec.aborted and len(rec.rows) == 2
     assert rec.abort_reason == f"non-finite objective ({bad_value}) at iteration 2"
+    assert np.isnan(rec.final_objective)
+
+
+def test_barrier_violation_aborts():
+    # the same calls as above: iteration 1's record point, then the final evaluation
+    spsa = SpsaConfig(max_iters=2)
+    rec = run_optimization(_StubObjective(4, BarrierViolationError("slack -1")), spsa, LrSchedule(), 0)
+    assert rec.aborted and len(rec.rows) == 1
+    assert rec.abort_reason == "barrier violation at iteration 1: slack -1"
+
+    rec = run_optimization(_StubObjective(7, BarrierViolationError("slack -1")), spsa, LrSchedule(), 0)
+    assert rec.aborted and len(rec.rows) == 2
+    assert rec.abort_reason == "barrier violation at iteration 2: slack -1"
     assert np.isnan(rec.final_objective)
 
 

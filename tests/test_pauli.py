@@ -84,8 +84,10 @@ class TestPauliObservable:
     def test_term_cap(self):
         assert default_term_cap(2) == 16
         assert default_term_cap(3) == 64
+        labels = list(product(range(4), repeat=4))
+        PauliObservable(4, {l: 1.0 for l in labels[:64]})
         with pytest.raises(ValueError):
-            PauliObservable(1, {(0,): 1.0, (1,): 1.0, (2,): 1.0, (3,): 1.0}, term_cap=3)
+            PauliObservable(4, {l: 1.0 for l in labels[:65]})
 
     def test_canonical_order(self):
         o = PauliObservable(1, {(3,): 1.0, (1,): 2.0})
