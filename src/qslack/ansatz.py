@@ -20,8 +20,15 @@ since G^2 = I.  Rzz instead applies (cos(theta/2) - i sin(theta/2) s) psi
 with the ZZ sign vector s: the two forms round differently, and Rzz keeps
 the form that earlier outputs were computed with, so they stay bit-identical.
 The ops are compiled once per circuit and kept on it (``ParamCircuit.ops``);
-a (dim, m) batch runs through the same loop as a vector, transposed so that
-the basis index is the last axis.
+a (dim, k) batch of columns runs through the same loop as a vector,
+transposed so that the basis index is the last axis.
+
+Row axis.  ``apply_circuit`` also takes an (m, n_params) array of angle rows:
+row i drives entry i of a leading batch axis through the same loop, with the
+cos/sin of each gate's angle broadcast over the basis axis, and each entry
+equals the call with that row alone bit for bit.  The templates below realize
+a 2-D array of parameter rows the same way, so one circuit pass serves every
+point an SPSA iteration evaluates.
 """
 
 from __future__ import annotations
@@ -70,7 +77,7 @@ class ParamCircuit:
         if sorted(indices) != list(range(len(indices))):
             raise ValueError("parameter indices must be contiguous 0..L-1")
 
-    @property
+    @cached_property
     def n_params(self) -> int:
         return sum(1 for g in self.gates if g.param_index is not None)
 
@@ -106,18 +113,25 @@ class ParamCircuit:
 
 
 def apply_circuit(circuit: ParamCircuit, theta: np.ndarray, psi: np.ndarray | None = None) -> np.ndarray:
-    """Apply the circuit to a state vector or a (dim, m) batch of columns.
+    """Apply the circuit to a state vector or a (dim, k) batch of columns.
 
-    The input is never modified or returned."""
+    A 2-D ``theta`` holds one angle row per output: the result gains a
+    leading axis with one entry per row, each the circuit at that row applied
+    to the same input.  The input is never modified or returned."""
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (circuit.n_params,):
-        raise ValueError(f"expected {circuit.n_params} parameters, got {theta.shape}")
+    if theta.ndim not in (1, 2) or theta.shape[-1] != circuit.n_params:
+        raise ValueError(f"expected {circuit.n_params} parameters per row, got {theta.shape}")
+    columns = psi is not None and np.ndim(psi) == 2
     if psi is None:
         psi = np.zeros(2**circuit.n_qubits, dtype=complex)
         psi[0] = 1.0
     else:
         psi = np.array(psi, dtype=complex).T
-    half = theta / 2.0
+    half = theta.T / 2.0
+    if theta.ndim == 2:
+        # one batch entry per row; the angles of a gate broadcast over the entry's axes
+        psi = np.repeat(psi[None], len(theta), axis=0)
+        half = half.reshape(half.shape + (1,) * (psi.ndim - 1))
     cos_h = np.cos(half)
     msin_h = -1j * np.sin(half)
     for idx, perm, phase, diagonal in circuit.ops:
@@ -128,7 +142,7 @@ def apply_circuit(circuit: ParamCircuit, theta: np.ndarray, psi: np.ndarray | No
         if phase is not None:
             g = phase * g
         psi = g if idx is None else cos_h[idx] * psi + msin_h[idx] * g
-    return psi.T
+    return np.swapaxes(psi, -1, -2) if columns else psi
 
 
 def circuit_unitary(circuit: ParamCircuit, theta: np.ndarray) -> np.ndarray:
@@ -171,7 +185,7 @@ def qcbm_distribution(born_circuit: ParamCircuit, phi: np.ndarray) -> np.ndarray
     """Output distribution |<x|U(phi)|0...0>|^2 of a Born machine."""
     amps = apply_circuit(born_circuit, phi)
     p = np.abs(amps) ** 2
-    return p / p.sum()
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -192,8 +206,8 @@ class PurificationState:
 
     def realize(self, theta: np.ndarray) -> np.ndarray:
         psi = apply_circuit(self.circuit, theta)
-        m = psi.reshape(2**self.n_reference, 2**self.n_system)
-        return m.T @ m.conj()
+        m = psi.reshape(psi.shape[:-1] + (2**self.n_reference, 2**self.n_system))
+        return np.swapaxes(m, -1, -2) @ m.conj()
 
 
 @dataclass(frozen=True)
@@ -218,7 +232,7 @@ class ConvexCombinationState:
     def split(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         params = np.asarray(params, dtype=float)
         k = self.born_circuit.n_params
-        return params[:k], params[k:]
+        return params[..., :k], params[..., k:]
 
     def distribution(self, params: np.ndarray) -> np.ndarray:
         phi, _ = self.split(params)
@@ -229,9 +243,12 @@ class ConvexCombinationState:
         return circuit_unitary(self.basis_circuit, gamma)
 
     def realize(self, params: np.ndarray) -> np.ndarray:
-        p = self.distribution(params)
-        u = self.basis_unitary(params)
-        return (u * p) @ u.conj().T
+        return mixture(self.distribution(params), self.basis_unitary(params))
+
+
+def mixture(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_x p(x) u|x><x|u^dag, over any leading axes of p and u."""
+    return (u * p[..., None, :]) @ np.swapaxes(u.conj(), -1, -2)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import ConvexCombinationState, PurificationState
+from .ansatz import ConvexCombinationState, mixture
 from .pauli import PauliString, WalshVector
 
 GAUSSIAN_SHOT_THRESHOLD = 10**6
@@ -64,21 +64,23 @@ class Prepared:
         return self.dist is not None and self.basis is not None
 
 
-def prepare(template, params: np.ndarray) -> Prepared:
-    """Realize an ansatz template at the given parameters."""
+def prepare(template, params: np.ndarray) -> Prepared | list[Prepared]:
+    """Realize an ansatz template at a parameter vector, or at every row of a
+    2-D array of parameter rows: one circuit pass, one ``Prepared`` per row."""
+    params = np.asarray(params, dtype=float)
     if isinstance(template, ConvexCombinationState):
         p = template.distribution(params)
         u = template.basis_unitary(params)
-        return Prepared(rho=(u * p) @ u.conj().T, dist=p, basis=u)
-    if isinstance(template, PurificationState):
-        return Prepared(rho=template.realize(params))
-    realize = getattr(template, "realize", None)
-    if realize is None:
-        raise TypeError(f"cannot prepare object of type {type(template)!r}")
-    out = realize(params)
-    if out.ndim == 1:
-        return Prepared(dist=out)
-    return Prepared(rho=out)
+        fields = {"rho": mixture(p, u), "dist": p, "basis": u}
+    else:
+        realize = getattr(template, "realize", None)
+        if realize is None:
+            raise TypeError(f"cannot prepare object of type {type(template)!r}")
+        out = realize(params)
+        fields = {"dist" if out.ndim == params.ndim else "rho": out}
+    if params.ndim == 1:
+        return Prepared(**fields)
+    return [Prepared(**dict(zip(fields, row))) for row in zip(*fields.values())]
 
 
 def as_prepared(x) -> Prepared:

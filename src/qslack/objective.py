@@ -69,7 +69,8 @@ T_k to :func:`sq_norm`.
 
 ``PenaltyObjective`` packages a problem instance with its parameter layout
 (circuit angles for each variational state followed by the scalar blocks)
-and evaluates either form from a flat parameter vector.
+and evaluates either form from a flat parameter vector or from a 2-D array
+of parameter rows.
 """
 
 from __future__ import annotations
@@ -98,7 +99,12 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 class BarrierViolationError(ValueError):
-    """An interior-point barrier was evaluated outside the feasible region."""
+    """An interior-point barrier was evaluated outside the feasible region.
+
+    ``row`` is the index of the offending row when a 2-D array of parameter
+    rows was evaluated."""
+
+    row = 0
 
 
 @dataclass
@@ -145,6 +151,11 @@ class PenaltyObjective:
     arrays for ``dense``, ``Prepared`` states for ``terms``) followed by the
     keyword arguments that ``bind`` makes from the scalar blocks; ``terms``
     also takes the Estimator as ``est``.
+
+    Parameters come as one flat vector or as a 2-D array with one vector per
+    row.  All rows are realized together: templates that compare equal (the
+    two states of a trace distance, say) share one circuit pass over their
+    stacked angle rows.
     """
 
     def __init__(self, direction, state_templates, blocks, dense, terms, bind):
@@ -162,9 +173,15 @@ class PenaltyObjective:
             self._slices[b.name] = slice(off, off + b.size)
             off += b.size
         self.n_params = off
-        for b in self.blocks:
-            if b.kind == "angle" and b.size != self.state_templates[b.state_index].n_params:
-                raise ValueError(f"angle block {b.name} does not match its template")
+        angles = {b.state_index: b for b in self.blocks if b.kind == "angle"}
+        self._angle_slices: list[slice] = []
+        # each distinct template -> the indices of the templates equal to it
+        self._passes: dict[object, list[int]] = {}
+        for i, t in enumerate(self.state_templates):
+            if angles[i].size != t.n_params:
+                raise ValueError(f"angle block {angles[i].name} does not match its template")
+            self._angle_slices.append(self._slices[angles[i].name])
+            self._passes.setdefault(t, []).append(i)
 
     # -- parameter handling --------------------------------------------
     def block_slice(self, name: str) -> slice:
@@ -195,20 +212,38 @@ class PenaltyObjective:
             if b.kind != "angle"
         }
 
-    def realize_states(self, params: np.ndarray) -> list[Prepared]:
-        out: list[Prepared] = []
-        for i, t in enumerate(self.state_templates):
-            blk = next(b for b in self.blocks if b.kind == "angle" and b.state_index == i)
-            out.append(prepare(t, params[self._slices[blk.name]]))
-        return out
+    def realize_states(self, params: np.ndarray) -> list[Prepared] | list[list[Prepared]]:
+        """The state of every template, or one such list per row of a 2-D array."""
+        params = np.asarray(params, dtype=float)
+        rows = np.atleast_2d(params)
+        out: list[list] = [[None] * len(self.state_templates) for _ in rows]
+        for template, members in self._passes.items():
+            states = iter(prepare(template, np.concatenate([rows[:, self._angle_slices[i]] for i in members])))
+            for i in members:
+                for row_states in out:
+                    row_states[i] = next(states)
+        return out if params.ndim == 2 else out[0]
 
     # -- evaluation -----------------------------------------------------
-    def evaluate(self, params: np.ndarray, estimator: Estimator | None = None) -> TermBreakdown:
-        states = self.realize_states(params)
-        args = self._bind(self.scalars(params))
-        if estimator is None:
-            return TermBreakdown(*self._dense(*[s.dense for s in states], **args))
-        return self._terms(*states, **args, est=estimator)
+    def evaluate(self, params: np.ndarray, estimator: Estimator | None = None) -> TermBreakdown | list[TermBreakdown]:
+        """The objective at a parameter vector, or one breakdown per row of a
+        2-D array.  The rows are evaluated in order, so the Estimator draws
+        the same stream as one call per row; a row outside a barrier raises
+        ``BarrierViolationError`` with its ``row``."""
+        params = np.asarray(params, dtype=float)
+        rows = np.atleast_2d(params)
+        out = []
+        for r, (row, states) in enumerate(zip(rows, self.realize_states(rows))):
+            args = self._bind(self.scalars(row))
+            try:
+                if estimator is None:
+                    out.append(TermBreakdown(*self._dense(*[s.dense for s in states], **args)))
+                else:
+                    out.append(self._terms(*states, **args, est=estimator))
+            except BarrierViolationError as exc:
+                exc.row = r
+                raise
+        return out if params.ndim == 2 else out[0]
 
     def dense_value(self, dense_states: list[np.ndarray], scalars: dict[str, np.ndarray]) -> float:
         return self._dense(*dense_states, **self._bind(scalars))[0]

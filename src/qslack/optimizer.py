@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -76,17 +76,18 @@ class RunRecord:
     abort_reason: str = ""
 
 
-def spsa_gradient(f: Callable[[np.ndarray], float], theta: np.ndarray, c_pert: float,
-                  rng: np.random.Generator) -> np.ndarray:
+def rademacher(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A perturbation direction of n independent +-1 entries."""
+    return rng.integers(0, 2, size=n) * 2.0 - 1.0
+
+
+def spsa_gradient(f_plus: float, f_minus: float, delta: np.ndarray, c_pert: float) -> np.ndarray:
     """Single-direction simultaneous-perturbation gradient estimate.
 
-    Draws one Rademacher vector Delta and returns
-    [f(theta + c Delta) - f(theta - c Delta)] / (2 c Delta_k) per component.
+    From f_plus = f(theta + c Delta) and f_minus = f(theta - c Delta) with a
+    Rademacher Delta, returns [f_plus - f_minus] / (2 c Delta_k) per
+    component (1 / Delta_k = Delta_k).
     """
-    theta = np.asarray(theta, dtype=float)
-    delta = rng.integers(0, 2, size=theta.shape[0]) * 2.0 - 1.0
-    f_plus = f(theta + c_pert * delta)
-    f_minus = f(theta - c_pert * delta)
     return (f_plus - f_minus) / (2.0 * c_pert) * delta
 
 
@@ -127,12 +128,17 @@ def run_optimization(problem: PenaltyObjective, spsa: SpsaConfig, schedule: LrSc
                      oracle: float | None = None) -> RunRecord:
     """Train the objective and record one row per iteration.
 
-    Each iteration evaluates the objective once for the record, then draws an
-    SPSA gradient pair and takes a step (ascent for maximization problems);
-    sign-constrained scalars are clamped at zero afterwards.  A non-finite
-    objective (NaN or +-inf) or an infeasible barrier at the current iterate
-    aborts the run with a diagnostic.  The final evaluation of the trained
-    parameters is iteration ``max_iters``, checked the same way.
+    Each iteration evaluates the objective at the record point and at the
+    SPSA pair theta +- c Delta, then takes a step (ascent for maximization
+    problems); sign-constrained scalars are clamped at zero afterwards.  In
+    exact mode, which draws nothing from the generator, Delta is drawn first
+    and all three points go through one ``evaluate`` call.  In shot mode the
+    record point's shots precede Delta in the stream, so it is evaluated
+    alone and the pair in a second call.  A non-finite objective (NaN or
+    +-inf) or an infeasible barrier at the record point aborts the run with
+    a diagnostic; a perturbed point outside the barrier gives a zero step.
+    The final evaluation of the trained parameters is iteration
+    ``max_iters``, checked the same way.
     ``rng`` is a Generator or anything ``np.random.default_rng`` accepts.
     """
     rng = np.random.default_rng(rng)
@@ -143,15 +149,23 @@ def run_optimization(problem: PenaltyObjective, spsa: SpsaConfig, schedule: LrSc
     record = RunRecord()
     params = problem.initial_params(rng)
     lr = spsa.learning_rate
+    c = spsa.perturbation
     sign = 1.0 if problem.direction == "max" else -1.0
     history: list[float] = []
 
-    def evaluate(p: np.ndarray) -> float:
-        return problem.evaluate(p, est).value
-
     for k in range(spsa.max_iters + 1):
+        pair = None
         try:
-            tb = problem.evaluate(params, est)
+            if est is None and k < spsa.max_iters:
+                delta = rademacher(rng, len(params))
+                try:
+                    tb, *pair = problem.evaluate(np.stack((params, params + c * delta, params - c * delta)))
+                except BarrierViolationError as exc:
+                    if exc.row == 0:
+                        raise
+                    tb = problem.evaluate(params)  # only the pair is outside: a zero step
+            else:
+                tb = problem.evaluate(params, est)
         except BarrierViolationError as exc:
             record.aborted = True
             record.abort_reason = f"barrier violation at iteration {k}: {exc}"
@@ -169,10 +183,13 @@ def run_optimization(problem: PenaltyObjective, spsa: SpsaConfig, schedule: LrSc
         record.rows.append(IterationRow(k, tb.value, tb.penalty, err, lr))
         record.scalar_history.append(problem.scalars(params))
         history.append(tb.value)
-        try:
-            grad = spsa_gradient(evaluate, params, spsa.perturbation, rng)
-        except BarrierViolationError:
-            grad = np.zeros_like(params)
+        if est is not None:
+            delta = rademacher(rng, len(params))
+            try:
+                pair = problem.evaluate(np.stack((params + c * delta, params - c * delta)), est)
+            except BarrierViolationError:
+                pass
+        grad = np.zeros_like(params) if pair is None else spsa_gradient(pair[0].value, pair[1].value, delta, c)
         if spsa.normalize:
             grad = normalize_gradient(grad)
         params = params + sign * lr * grad

@@ -25,7 +25,7 @@ from qslack import objective as obj
 from qslack import oracle as orc
 from qslack.config import config_from_dict
 from qslack.estimate import Estimator, ShotModel, hoeffding_shots, prepare
-from qslack.optimizer import parameter_shift_gradient_vector, spsa_gradient
+from qslack.optimizer import parameter_shift_gradient_vector, rademacher, spsa_gradient
 from qslack.pauli import PauliObservable, PauliString, WalshObservable
 from qslack.runner import _run_single, build_from_config, run_experiment
 from qslack.ansatz import ConvexCombinationState, layered_unitary_circuit, qcbm_circuit
@@ -389,7 +389,8 @@ def test_criterion_6_gradient_checks():
 
     theta = np.array([0.05, -0.08, 0.1])
     f = lambda t: float(np.sum(t**2))
-    mean_grad = np.mean([spsa_gradient(f, theta, 0.1, rng) for _ in range(10_000)], axis=0)
+    deltas = [rademacher(rng, len(theta)) for _ in range(10_000)]
+    mean_grad = np.mean([spsa_gradient(f(theta + 0.1 * d), f(theta - 0.1 * d), d, 0.1) for d in deltas], axis=0)
     assert np.all(np.abs(mean_grad - 2 * theta) < 1e-2)
 
     elapsed = time.monotonic() - t0

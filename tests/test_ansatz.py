@@ -113,6 +113,53 @@ def test_gate_placement_matches_kron_reference(kind, qubits, rng):
     assert np.abs(apply_circuit(circuit, angles) - u[:, 0]).max() < 1e-12
 
 
+def _every_gate_kind(n):
+    """One circuit per gate kind on n qubits, placed on each qubit (pair),
+    interleaved with Ry layers so that the inputs of every gate are generic."""
+    gates, k = [], 0
+    for kind, qubits in [(k, (q,)) for k in ("rx", "ry", "rz") for q in range(n)] + [
+            (k, pair) for k in ("rxx", "ryy", "rzz", "cnot") for pair in permutations(range(n), 2)]:
+        for q in range(n):
+            gates.append(Gate("ry", (q,), k))
+            k += 1
+        gates.append(Gate(kind, qubits, None if kind == "cnot" else k))
+        k += kind != "cnot"
+    return ParamCircuit(n, tuple(gates))
+
+
+@pytest.mark.parametrize("start", ["ground", "vector", "columns"])
+def test_angle_rows_match_row_by_row_calls(start, rng):
+    circuit = _every_gate_kind(3)
+    rows = rng.uniform(0, 4 * np.pi, (5, circuit.n_params))
+    psi = {"ground": None,
+           "vector": rng.standard_normal(8) + 1j * rng.standard_normal(8),
+           "columns": rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))}[start]
+    kept = None if psi is None else psi.copy()
+    out = apply_circuit(circuit, rows, psi)
+    assert out.shape == (5,) + (apply_circuit(circuit, rows[0], psi).shape)
+    for i, row in enumerate(rows):
+        assert np.array_equal(out[i], apply_circuit(circuit, row, psi))
+    if psi is not None:
+        assert np.array_equal(psi, kept) and not np.shares_memory(out, psi)
+
+
+def test_angle_rows_of_a_unitary_and_a_distribution(rng):
+    circuit = layered_unitary_circuit(3, 2)
+    rows = rng.uniform(0, 2 * np.pi, (4, circuit.n_params))
+    u = circuit_unitary(circuit, rows)
+    p = qcbm_distribution(circuit, rows)
+    for i, row in enumerate(rows):
+        assert np.array_equal(u[i], circuit_unitary(circuit, row))
+        assert np.array_equal(p[i], qcbm_distribution(circuit, row))
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 7), (2, 2, 8), ()])
+def test_angle_shape_rejected(shape):
+    circuit = layered_unitary_circuit(2, 2)  # 8 parameters
+    with pytest.raises(ValueError, match="parameters per row"):
+        apply_circuit(circuit, np.zeros(shape))
+
+
 def test_empty_circuit_returns_a_copy(rng):
     circuit = ParamCircuit(3, ())
     for psi in (rng.standard_normal(8) + 0j, rng.standard_normal((8, 2)) + 0j):

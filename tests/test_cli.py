@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import os
 
 import pytest
 
@@ -65,3 +67,32 @@ def test_selftest(capsys):
     assert rc == 0
     assert "all checks passed" in out
     assert "FAIL" not in out
+
+
+def _suite():
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_convergence_suite.py")
+    spec = importlib.util.spec_from_file_location("run_convergence_suite", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_convergence_suite_rejects_unknown_override_keys(capsys):
+    suite = _suite()
+    assert suite.main(["--set", "optimizer.perturbaton=0.02"]) == 2
+    assert "unknown optimizer keys: ['perturbaton']" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        suite.main(["--set", "optimizer"])
+
+
+def test_convergence_suite_writes_a_json_table(tmp_path):
+    out = tmp_path / "table.json"
+    _suite().main(["--problems", "tvd_dual", "--runs", "1", "--workers", "1", "--output-root", str(tmp_path),
+                   "--set", "optimizer.max_iters=5", "--set", "schedule.kind=fixed", "--json", str(out)])
+    table = json.loads(out.read_text())
+    assert table["overrides"] == [{"optimizer.max_iters": 5}, {"schedule.kind": "fixed"}]
+    (pair,) = table["pairs"]
+    assert (pair["problem"], pair["ansatz"], pair["aborted"]) == ("tvd_dual", "born", 0)
+    assert pair["median_error"] == pytest.approx(abs(pair["median_final"] - pair["oracle"]))
+    with open(tmp_path / "tvd_dual__born" / "run_0.csv") as fh:
+        assert len(fh.read().splitlines()) == 6  # header and iterations 0..4

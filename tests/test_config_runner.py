@@ -121,6 +121,30 @@ class TestConfig:
         assert resolve_output_dir(cfg) == "rel"
 
 
+GOLDEN_RUNS = os.path.join(os.path.dirname(__file__), "data", "golden_runs")
+
+# Short campaigns (30 iterations, 2 runs, seed 7) whose run CSVs in
+# GOLDEN_RUNS were recorded from a loop that evaluated each SPSA point in its
+# own call: evaluating the points together must not move a byte.
+GOLDEN_CAMPAIGNS = {
+    "td_dual_purification_exact": {"problem": "trace_distance_dual", "ansatz": {"type": "purification"}},
+    "tvd_dual_born_exact": {"problem": "tvd_dual", "ansatz": {"type": "born"}},
+    "td_dual_purification_shots": {"problem": "trace_distance_dual", "ansatz": {"type": "purification"},
+                                   "shots": {"mode": "shots", "n": 1000}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CAMPAIGNS))
+def test_run_csvs_match_the_recorded_text(name, tmp_path):
+    cfg = config_from_dict({**GOLDEN_CAMPAIGNS[name], "optimizer": {"max_iters": 30}, "n_runs": 2,
+                            "seed": 7, "output_dir": str(tmp_path)})
+    result = run_experiment(cfg)
+    assert len(result.run_csvs) == 2
+    for k, path in enumerate(result.run_csvs):
+        with open(path) as got, open(os.path.join(GOLDEN_RUNS, f"{name}_run_{k}.csv")) as want:
+            assert got.read() == want.read()
+
+
 class TestRunner:
     def test_csv_schema_and_lengths(self, tmp_path):
         cfg = config_from_dict(tiny_config(output_dir=str(tmp_path / "exp")))

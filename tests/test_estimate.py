@@ -170,6 +170,19 @@ class TestPrepared:
         rebuilt = (a.basis * a.dist) @ a.basis.conj().T
         assert np.allclose(rebuilt, a.rho)
 
+    @pytest.mark.parametrize("kind", ["purification", "convex_combination", "born"])
+    def test_prepare_rows_match_row_by_row_calls(self, kind, rng):
+        from qslack.problems import make_opt_template
+        t = make_opt_template(kind, 2, 2, 2)
+        rows = rng.uniform(0, 2 * np.pi, (4, t.n_params))
+        batch = prepare(t, rows)
+        assert len(batch) == len(rows)
+        for got, row in zip(batch, rows):
+            want = prepare(t, row)
+            for field in ("rho", "dist", "basis"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert (a is None and b is None) or np.array_equal(a, b), field
+
     def test_walsh_expect_matches_dot(self, rng):
         p = np.abs(rng.standard_normal(4))
         p /= p.sum()

@@ -2,13 +2,14 @@ import pickle
 
 import numpy as np
 import pytest
-from itertools import product
+from itertools import islice, product
 
 from qslack import PROBLEM_TAGS, build_problem, linalg, objective as obj
 from qslack.ansatz import ConvexCombinationState, layered_unitary_circuit, qcbm_circuit
 from qslack.estimate import Estimator, Prepared, ShotModel, as_prepared, prepare
 from qslack.pauli import PauliObservable, PauliString, WalshObservable, WalshVector
 from qslack.oracle import exact_negativity, exact_root_fidelity, exact_trace_distance, exact_tvd
+from qslack.problems import DEFAULTS
 from tests.conftest import bell_state, ket, random_density, random_hermitian
 
 EST = Estimator()
@@ -698,3 +699,41 @@ def test_built_problem_pickles(tag):
             continue
     for est in (None, Estimator()):
         assert clone.objective.evaluate(params, est) == problem.objective.evaluate(params, est)
+
+
+def _inside(o, params) -> bool:
+    """Whether the objective is defined at ``params`` (always, unless it has a barrier)."""
+    try:
+        o.evaluate(params)
+    except obj.BarrierViolationError:
+        return False
+    return True
+
+
+def _rows_inside_the_barrier(o, count, rng):
+    candidates = (rng.uniform(0.1, 1.0, o.n_params) for _ in range(2000))
+    rows = list(islice((p for p in candidates if _inside(o, p)), count))
+    assert len(rows) == count, "too few parameter rows inside the barrier"
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("tag, ansatz_type", sorted(DEFAULTS))
+def test_rows_evaluate_like_one_call_per_row(tag, ansatz_type):
+    o = build_problem(tag, ansatz_type=ansatz_type).objective
+    rows = _rows_inside_the_barrier(o, 3, np.random.default_rng(3))
+    assert o.evaluate(rows) == [o.evaluate(row) for row in rows]
+    # term mode: the rows draw the noise stream of sequential calls
+    shots = ShotModel("shots", n=1000)
+    batch = o.evaluate(rows, Estimator(shots, np.random.default_rng(5)))
+    est = Estimator(shots, np.random.default_rng(5))
+    assert batch == [o.evaluate(row, est) for row in rows]
+
+
+def test_barrier_violation_names_its_row():
+    o = build_problem("cham_interior_point").objective
+    rng = np.random.default_rng(4)
+    inside = _rows_inside_the_barrier(o, 1, rng)[0]
+    outside = next(p for p in (rng.uniform(0, 2 * np.pi, o.n_params) for _ in range(200)) if not _inside(o, p))
+    with pytest.raises(obj.BarrierViolationError) as info:
+        o.evaluate(np.stack((inside, inside, outside, inside)))
+    assert info.value.row == 2

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from qslack import build_problem
-from qslack.estimate import ShotModel
+from qslack.estimate import Estimator, ShotModel
 from qslack.objective import BarrierViolationError, TermBreakdown
 from qslack.optimizer import (
     LrSchedule,
@@ -12,14 +14,21 @@ from qslack.optimizer import (
     normalize_gradient,
     parameter_shift_gradient,
     parameter_shift_gradient_vector,
+    rademacher,
     run_optimization,
     spsa_gradient,
 )
+from qslack.problems import default_cham_instance, pauli_instance_from_dict
+
+
+def _spsa(f, theta, c, rng):
+    delta = rademacher(rng, len(theta))
+    return spsa_gradient(f(theta + c * delta), f(theta - c * delta), delta, c)
 
 
 class TestSpsaGradient:
     def test_constant_function(self, rng):
-        g = spsa_gradient(lambda t: 3.5, np.zeros(4), 0.1, rng)
+        g = _spsa(lambda t: 3.5, np.zeros(4), 0.1, rng)
         assert np.allclose(g, 0.0)
 
     def test_quadratic_mean(self, rng):
@@ -27,14 +36,14 @@ class TestSpsaGradient:
         # resolve the mean within the 1e-2 band
         theta = np.array([0.05, -0.08, 0.1])
         f = lambda t: float(np.sum(t**2))
-        est = np.mean([spsa_gradient(f, theta, 0.1, rng) for _ in range(10_000)], axis=0)
+        est = np.mean([_spsa(f, theta, 0.1, rng) for _ in range(10_000)], axis=0)
         assert np.all(np.abs(est - 2 * theta) < 1e-2)
 
     def test_linear_mean(self, rng):
         a = np.array([1.0, -2.0, 0.5, 0.25])
         f = lambda t: float(a @ t)
         theta = rng.standard_normal(4)
-        est = np.mean([spsa_gradient(f, theta, 0.1, rng) for _ in range(20_000)], axis=0)
+        est = np.mean([_spsa(f, theta, 0.1, rng) for _ in range(20_000)], axis=0)
         assert np.all(np.abs(est - a) < 5e-2)
 
 
@@ -150,8 +159,9 @@ class TestRunOptimization:
 
 
 class _StubObjective:
-    """Two free parameters; every evaluation returns 1.0 except call ``bad_call``,
-    which returns ``bad_value``, or raises it if it is an exception."""
+    """Two free parameters; every evaluated row gives 1.0 except row number
+    ``bad_call``, which gives ``bad_value``, or raises it if it is an
+    exception."""
 
     direction = "min"
 
@@ -162,12 +172,14 @@ class _StubObjective:
         return np.zeros(2)
 
     def evaluate(self, params, est=None):
-        self.calls += 1
-        if self.calls != self.bad_call:
-            return TermBreakdown(1.0, 0.0)
-        if isinstance(self.bad_value, Exception):
-            raise self.bad_value
-        return TermBreakdown(self.bad_value, 0.0)
+        out = []
+        for row in range(len(np.atleast_2d(params))):
+            self.calls += 1
+            if self.calls == self.bad_call and isinstance(self.bad_value, Exception):
+                self.bad_value.row = row
+                raise self.bad_value
+            out.append(TermBreakdown(self.bad_value if self.calls == self.bad_call else 1.0, 0.0))
+        return out if np.ndim(params) == 2 else out[0]
 
     def scalars(self, params):
         return {}
@@ -178,8 +190,8 @@ class _StubObjective:
 
 @pytest.mark.parametrize("bad_value", [np.inf, -np.inf, np.nan])
 def test_non_finite_objective_aborts(bad_value):
-    # each iteration evaluates the record point, then the SPSA pair: call 4 is
-    # iteration 1's record, and call 7 the final evaluation after 2 iterations
+    # each iteration evaluates the record point, then the SPSA pair: row 4 is
+    # iteration 1's record, and row 7 the final evaluation after 2 iterations
     spsa = SpsaConfig(max_iters=2)
     rec = run_optimization(_StubObjective(4, bad_value), spsa, LrSchedule(), 0)
     assert rec.aborted and len(rec.rows) == 1
@@ -192,7 +204,7 @@ def test_non_finite_objective_aborts(bad_value):
 
 
 def test_barrier_violation_aborts():
-    # the same calls as above: iteration 1's record point, then the final evaluation
+    # the same rows as above: iteration 1's record point, then the final evaluation
     spsa = SpsaConfig(max_iters=2)
     rec = run_optimization(_StubObjective(4, BarrierViolationError("slack -1")), spsa, LrSchedule(), 0)
     assert rec.aborted and len(rec.rows) == 1
@@ -202,6 +214,61 @@ def test_barrier_violation_aborts():
     assert rec.aborted and len(rec.rows) == 2
     assert rec.abort_reason == "barrier violation at iteration 2: slack -1"
     assert np.isnan(rec.final_objective)
+
+
+class TestBarrierUnderBatching:
+    """cham_interior_point trained through the batched loop, from a chosen
+    start: a perturbed point outside the barrier gives a zero step while the
+    run goes on, and a record point outside aborts it."""
+
+    SHOTS = [None, ShotModel("shots", n=1000)]
+    C = 1.5
+
+    @staticmethod
+    def _problem():
+        o = build_problem("cham_interior_point").objective
+        _, a_list, b = pauli_instance_from_dict(2, default_cham_instance())
+
+        def slack(theta):
+            rho = o.realize_states(theta)[0].rho
+            return min(np.trace(a.dense() @ rho).real - bi for a, bi in zip(a_list, b))
+
+        return o, slack
+
+    @pytest.mark.parametrize("shots", SHOTS, ids=["exact", "shots"])
+    def test_perturbed_point_outside_gives_a_zero_step(self, shots):
+        o, slack = self._problem()
+        candidates = np.random.default_rng(1)
+        for _ in range(2000):
+            theta0 = candidates.uniform(0, 2 * np.pi, o.n_params)
+            if slack(theta0) < 0.2:
+                continue
+            rng = np.random.default_rng(0)
+            if shots is not None:  # the record point's shots precede Delta
+                o.evaluate(theta0, Estimator(shots, rng))
+            delta = rademacher(rng, o.n_params)
+            if min(slack(theta0 + self.C * delta), slack(theta0 - self.C * delta)) < -0.2:
+                break
+        else:
+            pytest.fail("no start with a perturbed point outside the barrier")
+        o.initial_params = lambda rng: theta0.copy()
+        rec = run_optimization(o, SpsaConfig(perturbation=self.C, max_iters=1), LrSchedule(), 0, shots=shots)
+        assert not rec.aborted and len(rec.rows) == 1 and math.isfinite(rec.final_objective)
+        assert np.array_equal(rec.final_params, theta0)
+
+    @pytest.mark.parametrize("shots", SHOTS, ids=["exact", "shots"])
+    def test_record_point_outside_aborts(self, shots):
+        o, slack = self._problem()
+        candidates = np.random.default_rng(2)
+        theta0 = next(t for t in (candidates.uniform(0, 2 * np.pi, o.n_params) for _ in range(200))
+                      if slack(t) < -0.2)
+        est = None if shots is None else Estimator(shots, np.random.default_rng(0))
+        with pytest.raises(BarrierViolationError) as info:
+            o.evaluate(theta0, est)
+        o.initial_params = lambda rng: theta0.copy()
+        rec = run_optimization(o, SpsaConfig(max_iters=3), LrSchedule(), 0, shots=shots)
+        assert rec.aborted and rec.rows == []
+        assert rec.abort_reason == f"barrier violation at iteration 0: {info.value}"
 
 
 class TestParameterShift:
