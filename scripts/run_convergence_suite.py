@@ -1,11 +1,10 @@
 """Run the desk-scale convergence suite and print a summary table.
 
-For every (problem, ansatz) pair of the defaults table except the
-interior-point barrier, runs a seeded multi-run campaign with the pair's
-defaults (exact expectations) and reports the median final value and the
-median of the runs' errors against the problem oracle, the statistic the
-acceptance criteria bound.  Outputs (per-run CSVs, summary.csv,
-convergence.svg) land under --output-root.
+For every (problem, ansatz) pair of the defaults table, runs a seeded
+multi-run campaign with the pair's defaults (exact expectations) and reports
+the median final value and the median of the runs' errors against the
+problem oracle, the statistic the acceptance criteria bound.  Outputs
+(per-run CSVs, summary.csv, convergence.svg) land under --output-root.
 
 ``--set section.key=value`` (repeatable) lays a value over every pair's
 config document, ``--set key=value`` a top-level one; the value is read as
@@ -73,8 +72,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     tags = args.problems.split(",") if args.problems else None
-    combos = [(tag, ansatz) for tag, ansatz in DEFAULTS
-              if tag != "cham_interior_point" and (tags is None or tag in tags)]
+    combos = [(tag, ansatz) for tag, ansatz in DEFAULTS if tags is None or tag in tags]
     configs = []
     for tag, ansatz in combos:
         doc = {

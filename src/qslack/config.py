@@ -17,7 +17,7 @@ from typing import get_type_hints
 
 from .estimate import ShotModel
 from .optimizer import LrSchedule, SpsaConfig
-from .problems import DEFAULTS, INSTANCE_SEED, N_SYSTEM, PROBLEM_TAGS, default_ansatz_type, problem_defaults
+from .problems import DEFAULTS, INSTANCE_SEED, N_SYSTEM, PROBLEM_TAGS, check_instance, default_ansatz_type, problem_defaults
 
 
 class ConfigError(ValueError):
@@ -67,6 +67,7 @@ class ExperimentConfig:
             raise ConfigError("n_system must be positive")
         if self.problem.startswith("negativity") and self.n_system % 2 != 0:
             raise ConfigError("negativity problems need an even qubit count")
+        check_instance(self.problem, self.n_system, self.instance)
 
 
 # Each sub-document of a config: its key, and the field and class it builds.

@@ -95,16 +95,6 @@ from .pauli import (
 
 PROJ0 = np.array([[1, 0], [0, 0]], dtype=complex)
 PROJ1 = np.array([[0, 0], [0, 1]], dtype=complex)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-
-
-class BarrierViolationError(ValueError):
-    """An interior-point barrier was evaluated outside the feasible region.
-
-    ``row`` is the index of the offending row when a 2-D array of parameter
-    rows was evaluated."""
-
-    row = 0
 
 
 @dataclass
@@ -228,21 +218,16 @@ class PenaltyObjective:
     def evaluate(self, params: np.ndarray, estimator: Estimator | None = None) -> TermBreakdown | list[TermBreakdown]:
         """The objective at a parameter vector, or one breakdown per row of a
         2-D array.  The rows are evaluated in order, so the Estimator draws
-        the same stream as one call per row; a row outside a barrier raises
-        ``BarrierViolationError`` with its ``row``."""
+        the same stream as one call per row."""
         params = np.asarray(params, dtype=float)
         rows = np.atleast_2d(params)
         out = []
-        for r, (row, states) in enumerate(zip(rows, self.realize_states(rows))):
+        for row, states in zip(rows, self.realize_states(rows)):
             args = self._bind(self.scalars(row))
-            try:
-                if estimator is None:
-                    out.append(TermBreakdown(*self._dense(*[s.dense for s in states], **args)))
-                else:
-                    out.append(self._terms(*states, **args, est=estimator))
-            except BarrierViolationError as exc:
-                exc.row = r
-                raise
+            if estimator is None:
+                out.append(TermBreakdown(*self._dense(*[s.dense for s in states], **args)))
+            else:
+                out.append(self._terms(*states, **args, est=estimator))
         return out if params.ndim == 2 else out[0]
 
     def dense_value(self, dense_states: list[np.ndarray], scalars: dict[str, np.ndarray]) -> float:
@@ -428,11 +413,7 @@ def coeffs_to_matrix(coeffs: np.ndarray, n: int) -> np.ndarray:
 
 
 def fidelity_block_matrix(rho: np.ndarray, sigma: np.ndarray, x_mat: np.ndarray) -> np.ndarray:
-    return (
-        np.kron(PROJ0, rho) + np.kron(PROJ1, sigma)
-        + np.kron(np.array([[0, 1], [0, 0]]), x_mat.conj().T)
-        + np.kron(np.array([[0, 0], [1, 0]]), x_mat)
-    )
+    return np.block([[rho, x_mat.conj().T], [x_mat, sigma]])
 
 
 def fidelity_primal_dense(rho, sigma, omega, alpha: np.ndarray, lam, c):
@@ -459,8 +440,8 @@ def fidelity_primal_objective(rho, sigma, omega, alpha: np.ndarray, lam, c, est:
 
 
 def fidelity_dual_dense(rho, sigma, omega, tau, xi, lam, mu, nu, c):
-    n = int(round(math.log2(rho.shape[0])))
-    arg = np.kron(PROJ0, lam * omega) + np.kron(PROJ1, mu * tau) + np.kron(SIGMA_X, np.eye(2**n)) - nu * xi
+    eye = np.eye(rho.shape[0])
+    arg = np.block([[lam * omega, eye], [eye, mu * tau]]) - nu * xi
     pen = linalg.hs_norm_sq(arg)
     val = 0.5 * lam * np.einsum("ij,ji->", omega, rho).real + 0.5 * mu * np.einsum("ij,ji->", tau, sigma).real
     return float(val) + c * pen, pen
@@ -597,33 +578,6 @@ def cham_dual_objective(omega, h: PauliObservable | WalshObservable, a_list: lis
              + [(-mu, IDENTITY), (-nu, omega)])
     pen = sq_norm(terms, _dim(omega), est)
     return TermBreakdown(float(np.dot(b, y) + mu) - c * pen, pen)
-
-
-def interior_point_cham_dense(rho, h_dense, a_dense: list[np.ndarray], b: np.ndarray, eta: float):
-    energy = float(np.einsum("ij,ji->", h_dense, rho).real)
-    barrier = 0.0
-    for a, bi in zip(a_dense, b):
-        slack = float(np.einsum("ij,ji->", a, rho).real) - bi
-        if slack <= 0:
-            raise BarrierViolationError(f"constraint slack {slack:.3e} is not positive")
-        barrier -= math.log(slack)
-    return energy + eta * barrier, barrier
-
-
-def interior_point_cham(rho, h: PauliObservable, a_list: list[PauliObservable], b: np.ndarray,
-                        eta: float, est: Estimator) -> TermBreakdown:
-    """Tr[H rho] - eta sum_i ln(Tr[A_i rho] - b_i); raises outside the barrier."""
-    if eta <= 0:
-        raise ValueError("barrier parameter must be positive")
-    rho = as_prepared(rho)
-    energy = _expect(Expansion.of(h), rho, est)
-    barrier = 0.0
-    for i, (a_obs, bi) in enumerate(zip(a_list, b)):
-        slack = _expect(Expansion.of(a_obs), rho, est) - bi
-        if slack <= 0:
-            raise BarrierViolationError(f"constraint {i} slack {slack:.3e} is not positive")
-        barrier -= math.log(slack)
-    return TermBreakdown(energy + eta * barrier, barrier)
 
 
 # ======================================================================

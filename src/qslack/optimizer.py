@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimate import Estimator, ShotModel, prepare
-from .objective import BarrierViolationError, PenaltyObjective
+from .objective import PenaltyObjective
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,6 @@ class IterationRow:
 @dataclass
 class RunRecord:
     rows: list[IterationRow] = field(default_factory=list)
-    scalar_history: list[dict[str, np.ndarray]] = field(default_factory=list)
     final_objective: float = math.nan
     final_penalty: float = math.nan
     final_error: float = math.nan
@@ -135,10 +134,9 @@ def run_optimization(problem: PenaltyObjective, spsa: SpsaConfig, schedule: LrSc
     and all three points go through one ``evaluate`` call.  In shot mode the
     record point's shots precede Delta in the stream, so it is evaluated
     alone and the pair in a second call.  A non-finite objective (NaN or
-    +-inf) or an infeasible barrier at the record point aborts the run with
-    a diagnostic; a perturbed point outside the barrier gives a zero step.
-    The final evaluation of the trained parameters is iteration
-    ``max_iters``, checked the same way.
+    +-inf) at the record point aborts the run with a diagnostic.  The final
+    evaluation of the trained parameters is iteration ``max_iters``, checked
+    the same way.
     ``rng`` is a Generator or anything ``np.random.default_rng`` accepts.
     """
     rng = np.random.default_rng(rng)
@@ -154,22 +152,11 @@ def run_optimization(problem: PenaltyObjective, spsa: SpsaConfig, schedule: LrSc
     history: list[float] = []
 
     for k in range(spsa.max_iters + 1):
-        pair = None
-        try:
-            if est is None and k < spsa.max_iters:
-                delta = rademacher(rng, len(params))
-                try:
-                    tb, *pair = problem.evaluate(np.stack((params, params + c * delta, params - c * delta)))
-                except BarrierViolationError as exc:
-                    if exc.row == 0:
-                        raise
-                    tb = problem.evaluate(params)  # only the pair is outside: a zero step
-            else:
-                tb = problem.evaluate(params, est)
-        except BarrierViolationError as exc:
-            record.aborted = True
-            record.abort_reason = f"barrier violation at iteration {k}: {exc}"
-            break
+        if est is None and k < spsa.max_iters:
+            delta = rademacher(rng, len(params))
+            tb, *pair = problem.evaluate(np.stack((params, params + c * delta, params - c * delta)))
+        else:
+            tb = problem.evaluate(params, est)
         if not math.isfinite(tb.value):
             record.aborted = True
             record.abort_reason = f"non-finite objective ({tb.value}) at iteration {k}"
@@ -181,15 +168,11 @@ def run_optimization(problem: PenaltyObjective, spsa: SpsaConfig, schedule: LrSc
         if k > 0 and k % CHECK_EVERY == 0:
             lr = lr_step(schedule, history, problem.direction, lr, k)
         record.rows.append(IterationRow(k, tb.value, tb.penalty, err, lr))
-        record.scalar_history.append(problem.scalars(params))
         history.append(tb.value)
         if est is not None:
             delta = rademacher(rng, len(params))
-            try:
-                pair = problem.evaluate(np.stack((params + c * delta, params - c * delta)), est)
-            except BarrierViolationError:
-                pass
-        grad = np.zeros_like(params) if pair is None else spsa_gradient(pair[0].value, pair[1].value, delta, c)
+            pair = problem.evaluate(np.stack((params + c * delta, params - c * delta)), est)
+        grad = spsa_gradient(pair[0].value, pair[1].value, delta, c)
         if spsa.normalize:
             grad = normalize_gradient(grad)
         params = params + sign * lr * grad
@@ -207,7 +190,7 @@ def parameter_shift_gradient(problem: PenaltyObjective, params: np.ndarray, k: i
     two in each state, replacing the state by (base +- shift-difference/2)
     and halving the spread recovers the inner product with the exact state
     derivative.  Scalar coordinates use a unit-scale central difference,
-    exact for the same degree-two reason.  Not valid for barrier objectives.
+    exact for the same degree-two reason.
     """
     params = np.asarray(params, dtype=float)
     block = None

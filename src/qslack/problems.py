@@ -27,17 +27,6 @@ from .estimate import Prepared, as_prepared, prepare
 from .objective import ParamBlock, PenaltyObjective
 from .pauli import PauliObservable, WalshObservable
 
-PROBLEM_TAGS = (
-    "trace_distance_primal", "trace_distance_dual",
-    "fidelity_primal", "fidelity_dual",
-    "negativity_primal", "negativity_dual",
-    "cham_primal", "cham_dual", "cham_interior_point",
-    "tvd_primal", "tvd_dual",
-    "classical_cham_primal", "classical_cham_dual",
-)
-
-CLASSICAL_TAGS = PROBLEM_TAGS[9:]
-
 INPUT_LAYERS = 2
 
 # Preconditioning of the scalar blocks: the coefficient-norm penalty terms
@@ -116,18 +105,40 @@ def _scalar(name: str, size: int, init, nonneg: bool = True, scale: float = 1.0)
 
 # -- observable parsing ---------------------------------------------------
 
-def pauli_instance_from_dict(n: int, instance: dict) -> tuple[PauliObservable, list[PauliObservable], np.ndarray]:
-    h = PauliObservable.from_text(n, instance["h"])
-    a_list = [PauliObservable.from_text(n, c["coeffs"]) for c in instance.get("constraints", [])]
-    b = np.array([float(c["b"]) for c in instance.get("constraints", [])])
+def _check_keys(doc: dict, name: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
+    missing = [k for k in required if k not in doc]
+    if missing:
+        raise ValueError(f"{name} is missing keys: {missing}")
+    unknown = sorted(set(doc) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {unknown}")
+
+
+def instance_from_dict(observable: type[PauliObservable] | type[WalshObservable], n: int,
+                       instance: dict) -> tuple[object, list, np.ndarray]:
+    """The objective ``h``, the constraint observables A_i and the bounds b_i
+    of a constrained-Hamiltonian instance document.  It holds ``h`` and
+    optionally ``constraints``, and each constraint ``coeffs`` and ``b``; any
+    other key is an error."""
+    _check_keys(instance, "instance", ("h",), ("constraints",))
+    constraints = instance.get("constraints", [])
+    for con in constraints:
+        _check_keys(con, "constraint", ("coeffs", "b"))
+    h = observable.from_text(n, instance["h"])
+    a_list = [observable.from_text(n, con["coeffs"]) for con in constraints]
+    b = np.array([float(con["b"]) for con in constraints])
     return h, a_list, b
 
 
-def walsh_instance_from_dict(n: int, instance: dict) -> tuple[WalshObservable, list[WalshObservable], np.ndarray]:
-    h = WalshObservable.from_text(n, instance["h"])
-    a_list = [WalshObservable.from_text(n, c["coeffs"]) for c in instance.get("constraints", [])]
-    b = np.array([float(c["b"]) for c in instance.get("constraints", [])])
-    return h, a_list, b
+def check_instance(tag: str, n: int, instance: dict | None) -> None:
+    """Raise ValueError unless ``instance`` is None or an instance document
+    that the problem ``tag`` reads: only the constrained-Hamiltonian
+    problems take one."""
+    if instance is None:
+        return
+    if "cham" not in tag:
+        raise ValueError(f"{tag} takes no instance")
+    instance_from_dict(WalshObservable if tag in CLASSICAL_TAGS else PauliObservable, n, instance)
 
 
 def default_cham_instance() -> dict:
@@ -185,7 +196,6 @@ DEFAULTS: dict[tuple[str, str], dict] = {
     ("negativity_dual", "purification"): _row(3, 2, 100.0, 0.1, True, 4000, kind="regression_window", window=500),
     ("cham_primal", "purification"): _row(2, 2, 100.0, 0.05, True, 5000, kind="halve_every", period=10000, min_lr=1e-5),
     ("cham_dual", "purification"): _row(2, 2, 100.0, 0.001, False, 5000, kind="halve_every", period=1000, min_lr=1e-5),
-    ("cham_interior_point", "purification"): _row(2, 2, 1.0, 0.1, True, 2000, kind="regression_window", window=300),
     ("trace_distance_primal", "convex_combination"): _row(4, 2, 10.0, 0.005, True, 6000, kind="fixed"),
     ("trace_distance_dual", "convex_combination"): _row(3, 2, 100.0, 0.05, True, 5000, kind="halve_every", period=1000, min_lr=1e-5),
     ("fidelity_primal", "convex_combination"): _row(8, 3, 50.0, 0.1, True, 6000, kind="regression_window_bidir", window=500),
@@ -194,12 +204,14 @@ DEFAULTS: dict[tuple[str, str], dict] = {
     ("negativity_dual", "convex_combination"): _row(3, 2, 100.0, 0.1, True, 4000, kind="regression_window", window=500),
     ("cham_primal", "convex_combination"): _row(15, 2, 100.0, 0.05, True, 5000, kind="halve_every", period=1000, min_lr=1e-5),
     ("cham_dual", "convex_combination"): _row(15, 2, 100.0, 0.05, True, 5000, kind="halve_every", period=1000, min_lr=1e-5),
-    ("cham_interior_point", "convex_combination"): _row(2, 2, 1.0, 0.1, True, 2000, kind="regression_window", window=300),
     ("tvd_primal", "born"): _row(2, 2, 10.0, 0.1, True, 3000, kind="regression_window", window=300),
     ("tvd_dual", "born"): _row(2, 2, 100.0, 0.1, True, 3000, kind="regression_window", window=300),
     ("classical_cham_primal", "born"): _row(3, 3, 10.0, 0.1, True, 3000, kind="regression_window", window=300),
     ("classical_cham_dual", "born"): _row(3, 3, 10.0, 0.1, True, 3000, kind="regression_window", window=300),
 }
+
+# The distribution problems: those whose pairs take Born machines.
+CLASSICAL_TAGS = tuple(tag for tag, ansatz_type in DEFAULTS if ansatz_type == "born")
 
 
 def default_ansatz_type(tag: str) -> str:
@@ -234,19 +246,19 @@ def build_problem(tag: str, n_system: int = N_SYSTEM, ansatz_type: str | None = 
     c = row["penalty"] if c is None else c
     if c <= 0:
         raise ValueError("penalty constant must be positive")
+    check_instance(tag, n_system, instance)
     builder = _BUILDERS[tag]
     return builder(n_system, ansatz_type, layers, born_layers, c, instance_seed, instance)
 
 
-def _bind(scalars: dict[str, np.ndarray], c: float | None = None,
+def _bind(scalars: dict[str, np.ndarray], c: float,
           multipliers: tuple[str, ...] = (), vectors: tuple[str, ...] = ()) -> dict:
     """Keyword arguments of both objective forms, made from the scalar blocks:
     each one-element ``multipliers`` block as a number, each ``vectors`` block
-    whole (empty if the problem has none), and ``c`` unless it is None."""
+    whole (empty if the problem has none), and ``c``."""
     args = {name: scalars[name][0] for name in multipliers}
     args.update({name: scalars.get(name, np.zeros(0)) for name in vectors})
-    if c is not None:
-        args["c"] = c
+    args["c"] = c
     return args
 
 
@@ -341,13 +353,13 @@ def _build_cham(side, classical, n, ansatz_type, layers, born_layers, c, instanc
     """The constrained Hamiltonian problem over Pauli observables and states,
     or over Walsh observables and distributions (``classical``)."""
     if classical:
-        default_instance, parse = default_classical_cham_instance, walsh_instance_from_dict
+        default_instance, observable = default_classical_cham_instance, WalshObservable
         dense = obj.classical_cham_primal_dense if side == "primal" else obj.classical_cham_dual_dense
     else:
-        default_instance, parse = default_cham_instance, pauli_instance_from_dict
+        default_instance, observable = default_cham_instance, PauliObservable
         dense = obj.cham_primal_dense if side == "primal" else obj.cham_dual_dense
     inst = instance if instance is not None else default_instance()
-    h, a_list, b = parse(n, inst)
+    h, a_list, b = instance_from_dict(observable, n, inst)
     ell = len(a_list)
     template = make_opt_template(ansatz_type, n, layers, born_layers)
     if side == "primal":
@@ -374,20 +386,6 @@ def _build_cham(side, classical, n, ansatz_type, layers, born_layers, c, instanc
     return Problem(pen_obj, value)
 
 
-def _build_cham_interior(n, ansatz_type, layers, born_layers, c, instance_seed, instance) -> Problem:
-    inst = instance if instance is not None else default_cham_instance()
-    eta = float(inst.get("eta", 0.1))
-    h, a_list, b = pauli_instance_from_dict(n, inst)
-    templates = {"rho": make_opt_template(ansatz_type, n, layers, born_layers)}
-    # The barrier objective takes no penalty constant and has no scalar blocks.
-    pen_obj = PenaltyObjective(
-        "min", list(templates.values()), _angle_blocks(templates),
-        partial(obj.interior_point_cham_dense, h_dense=h.dense(), a_dense=[a.dense() for a in a_list], b=b, eta=eta),
-        partial(obj.interior_point_cham, h=h, a_list=a_list, b=b, eta=eta), _bind)
-    value = orc.sdp_cham_value(h, a_list, b)
-    return Problem(pen_obj, value)
-
-
 _BUILDERS: dict[str, Callable[..., Problem]] = {
     "trace_distance_primal": partial(_build_distance, "primal", False),
     "trace_distance_dual": partial(_build_distance, "dual", False),
@@ -397,9 +395,11 @@ _BUILDERS: dict[str, Callable[..., Problem]] = {
     "negativity_dual": partial(_build_negativity, "dual"),
     "cham_primal": partial(_build_cham, "primal", False),
     "cham_dual": partial(_build_cham, "dual", False),
-    "cham_interior_point": _build_cham_interior,
     "tvd_primal": partial(_build_distance, "primal", True),
     "tvd_dual": partial(_build_distance, "dual", True),
     "classical_cham_primal": partial(_build_cham, "primal", True),
     "classical_cham_dual": partial(_build_cham, "dual", True),
 }
+
+# Every problem tag, in the order of the builders.
+PROBLEM_TAGS = tuple(_BUILDERS)

@@ -1,10 +1,12 @@
 import importlib.util
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
 from qslack.cli import main
+from qslack.problems import DEFAULTS
 
 
 def write_config(tmp_path, data):
@@ -96,3 +98,15 @@ def test_convergence_suite_writes_a_json_table(tmp_path):
     assert pair["median_error"] == pytest.approx(abs(pair["median_final"] - pair["oracle"]))
     with open(tmp_path / "tvd_dual__born" / "run_0.csv") as fh:
         assert len(fh.read().splitlines()) == 6  # header and iterations 0..4
+
+
+def test_convergence_suite_runs_every_defaults_pair(tmp_path, monkeypatch):
+    suite, ran = _suite(), []
+
+    def run_experiment(cfg):
+        ran.append((cfg.problem, cfg.ansatz.type))
+        return SimpleNamespace(records=[], oracle=SimpleNamespace(value=0.0))
+
+    monkeypatch.setattr(suite, "run_experiment", run_experiment)
+    suite.main(["--output-root", str(tmp_path)])
+    assert sorted(ran) == sorted(DEFAULTS)

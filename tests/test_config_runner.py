@@ -7,8 +7,7 @@ import pytest
 from qslack.config import ConfigError, ExperimentConfig, config_from_dict, load_config, resolve_output_dir
 from qslack import runner
 from qslack.estimate import Estimator
-from qslack.objective import BarrierViolationError
-from qslack.problems import DEFAULTS, build_problem
+from qslack.problems import DEFAULTS, PROBLEM_TAGS, build_problem
 from qslack.runner import build_from_config, emit_plot, run_experiment
 
 
@@ -28,9 +27,12 @@ def tiny_config(**over):
 
 
 class TestConfig:
-    @pytest.mark.parametrize("problem", ["trace_distance_dual", "tvd_primal", "cham_dual"])
+    @pytest.mark.parametrize("problem", ["trace_distance_dual", "tvd_primal", "cham_dual", "tvd_dual",
+                                         "classical_cham_primal", "classical_cham_dual"])
     def test_dataclass_and_document_defaults_agree(self, problem):
         parsed = config_from_dict({"problem": problem})
+        distribution = problem.startswith(("tvd", "classical"))
+        assert parsed.ansatz.type == ("born" if distribution else "purification")
         direct = ExperimentConfig(problem=problem, ansatz=parsed.ansatz, penalty=parsed.penalty,
                                   spsa=parsed.spsa, schedule=parsed.schedule)
         for name in ("n_system", "n_runs", "seed", "instance_seed", "output_dir", "workers"):
@@ -46,22 +48,33 @@ class TestConfig:
         direct = build_problem(tag, ansatz_type=ansatz_type)
         parsed = build_from_config(config_from_dict({"problem": tag, "ansatz": {"type": ansatz_type}}))
         assert direct.objective.n_params == parsed.objective.n_params
-        rng = np.random.default_rng(5)
-        # The barrier objective is defined only inside its feasible set.
-        for _ in range(100):
-            params = rng.uniform(0.1, 1.0, direct.objective.n_params)
-            try:
-                direct.objective.evaluate(params)
-                break
-            except BarrierViolationError:
-                continue
+        params = np.random.default_rng(5).uniform(0.1, 1.0, direct.objective.n_params)
         for est in (None, Estimator()):
             assert direct.objective.evaluate(params, est) == parsed.objective.evaluate(params, est)
 
-    @pytest.mark.parametrize("tag", ["trace_distance_dual", "cham_interior_point"])
+    @pytest.mark.parametrize("tag", ["trace_distance_dual"])
     def test_build_problem_rejects_nonpositive_penalty(self, tag):
         with pytest.raises(ValueError, match="penalty constant"):
             build_problem(tag, c=0.0)
+
+    def test_defaults_cover_every_problem(self):
+        assert sorted({tag for tag, _ in DEFAULTS}) == sorted(PROBLEM_TAGS)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"problem": "cham_primal", "instance": {"h": {"ZZ": 1.0}, "constriants": []}},
+         r"unknown instance keys: \['constriants'\]"),
+        ({"problem": "cham_primal", "instance": {"h": {"ZZ": 1.0}, "eta": 0.1}}, r"unknown instance keys: \['eta'\]"),
+        ({"problem": "classical_cham_dual",
+          "instance": {"h": {"11": 1.0}, "constraints": [{"coeffs": {"10": 0.5}, "b": 0.1, "sense": "<="}]}},
+         r"unknown constraint keys: \['sense'\]"),
+        ({"problem": "cham_dual", "instance": {"constraints": []}}, r"instance is missing keys: \['h'\]"),
+        ({"problem": "trace_distance_dual", "instance": {"h": {"ZZ": 1.0}}}, "trace_distance_dual takes no instance"),
+    ], ids=["typo", "eta", "constraint_key", "missing_h", "no_instance"])
+    def test_instance_keys_checked(self, doc, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(doc)
+        with pytest.raises(ValueError, match=message):
+            build_problem(doc["problem"], instance=doc["instance"])
 
     def test_minimal_tvd_defaults(self):
         cfg = config_from_dict({"problem": "tvd_dual"})

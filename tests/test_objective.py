@@ -2,7 +2,7 @@ import pickle
 
 import numpy as np
 import pytest
-from itertools import islice, product
+from itertools import product
 
 from qslack import PROBLEM_TAGS, build_problem, linalg, objective as obj
 from qslack.ansatz import ConvexCombinationState, layered_unitary_circuit, qcbm_circuit
@@ -315,31 +315,6 @@ class TestChamDual:
             dv, dp = obj.cham_dual_dense(omega, h.dense(), a_dense, b, y, mu, nu, 100.0)
             assert abs(tb.value - dv) < 1e-9
             assert abs(tb.penalty - dp) < 1e-9
-
-
-class TestInteriorPoint:
-    def test_no_constraints_is_energy(self, rng):
-        rho = random_density(4, rng)
-        h = paper_h()
-        tb = obj.interior_point_cham(rho, h, [], np.zeros(0), 0.5, EST)
-        assert abs(tb.value - np.trace(h.dense() @ rho).real) < 1e-10
-
-    def test_vanishing_barrier_parameter(self, rng):
-        h = PauliObservable.from_text(1, {"Z": 1.0})
-        a1 = PauliObservable.from_text(1, {"X": 1.0})
-        rho = (np.eye(2) + 0.5 * np.array([[0, 1], [1, 0]])) / 2
-        vals = []
-        for eta in (1e-1, 1e-3, 1e-6):
-            vals.append(obj.interior_point_cham(rho, h, [a1], np.array([0.1]), eta, EST).value)
-        energy = np.trace(h.dense() @ rho).real
-        assert abs(vals[-1] - energy) < 1e-4
-        assert abs(vals[0] - energy) > abs(vals[-1] - energy)
-
-    def test_infeasible_state_signals(self):
-        h = paper_h()
-        a_list = [PauliObservable.from_text(2, {"YI": 1.0}), PauliObservable.from_text(2, {"IZ": 1.0})]
-        with pytest.raises(obj.BarrierViolationError):
-            obj.interior_point_cham(np.eye(4) / 4, h, a_list, np.array([0.2, 0.1]), 0.1, EST)
 
 
 class TestTvd:
@@ -688,52 +663,18 @@ def test_built_problem_pickles(tag):
     problem = build_problem(tag)
     clone = pickle.loads(pickle.dumps(problem))
     assert clone.oracle == problem.oracle
-    rng = np.random.default_rng(11)
-    # The barrier objective is defined only inside its feasible set.
-    for _ in range(100):
-        params = rng.uniform(0.1, 1.0, problem.objective.n_params)
-        try:
-            problem.objective.evaluate(params)
-            break
-        except obj.BarrierViolationError:
-            continue
+    params = np.random.default_rng(11).uniform(0.1, 1.0, problem.objective.n_params)
     for est in (None, Estimator()):
         assert clone.objective.evaluate(params, est) == problem.objective.evaluate(params, est)
-
-
-def _inside(o, params) -> bool:
-    """Whether the objective is defined at ``params`` (always, unless it has a barrier)."""
-    try:
-        o.evaluate(params)
-    except obj.BarrierViolationError:
-        return False
-    return True
-
-
-def _rows_inside_the_barrier(o, count, rng):
-    candidates = (rng.uniform(0.1, 1.0, o.n_params) for _ in range(2000))
-    rows = list(islice((p for p in candidates if _inside(o, p)), count))
-    assert len(rows) == count, "too few parameter rows inside the barrier"
-    return np.array(rows)
 
 
 @pytest.mark.parametrize("tag, ansatz_type", sorted(DEFAULTS))
 def test_rows_evaluate_like_one_call_per_row(tag, ansatz_type):
     o = build_problem(tag, ansatz_type=ansatz_type).objective
-    rows = _rows_inside_the_barrier(o, 3, np.random.default_rng(3))
+    rows = np.random.default_rng(3).uniform(0.1, 1.0, (3, o.n_params))
     assert o.evaluate(rows) == [o.evaluate(row) for row in rows]
     # term mode: the rows draw the noise stream of sequential calls
     shots = ShotModel("shots", n=1000)
     batch = o.evaluate(rows, Estimator(shots, np.random.default_rng(5)))
     est = Estimator(shots, np.random.default_rng(5))
     assert batch == [o.evaluate(row, est) for row in rows]
-
-
-def test_barrier_violation_names_its_row():
-    o = build_problem("cham_interior_point").objective
-    rng = np.random.default_rng(4)
-    inside = _rows_inside_the_barrier(o, 1, rng)[0]
-    outside = next(p for p in (rng.uniform(0, 2 * np.pi, o.n_params) for _ in range(200)) if not _inside(o, p))
-    with pytest.raises(obj.BarrierViolationError) as info:
-        o.evaluate(np.stack((inside, inside, outside, inside)))
-    assert info.value.row == 2
