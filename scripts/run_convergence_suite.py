@@ -3,7 +3,9 @@
 For every (problem, ansatz) pair of the defaults table, runs a seeded
 multi-run campaign with the pair's defaults (exact expectations) and reports
 the median final value and the median of the runs' errors against the
-problem oracle, the statistic the acceptance criteria bound.  Outputs
+problem oracle, the statistic the acceptance criteria bound.  A pair is
+flagged above the bound its criterion sets: 2e-2 for the CSlack pairs of
+criterion 7, 5e-2 for every other pair.  Outputs
 (per-run CSVs, summary.csv, convergence.svg) land under --output-root.
 
 ``--set section.key=value`` (repeatable) lays a value over every pair's
@@ -31,6 +33,11 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from qslack.config import ConfigError, config_from_dict
 from qslack.problems import DEFAULTS
 from qslack.runner import run_experiment
+
+# The bound on the median error that flags a pair: acceptance criterion 7
+# sets it for three CSlack problems, criterion 3 for the quantum ones.
+TOLERANCE = 5e-2
+TIGHT_TOLERANCE = {"tvd_dual": 2e-2, "classical_cham_primal": 2e-2, "classical_cham_dual": 2e-2}
 
 
 def parse_override(text: str) -> tuple[list[str], object]:
@@ -98,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
         finals = [r.final_objective for r in result.records if not r.aborted]
         med = float(np.median(finals)) if finals else float("nan")
         err = float(np.median([abs(f - result.oracle.value) for f in finals])) if finals else float("nan")
-        status = "" if err <= 5e-2 else "  <-- above tolerance"
+        status = "" if err <= TIGHT_TOLERANCE.get(tag, TOLERANCE) else "  <-- above tolerance"
         failures += bool(status)
         print(f"{tag:26s} {ansatz:20s} {result.oracle.value:9.4f} {med:9.4f} {err:9.4f} "
               f"{time.time() - t0:6.0f}s{status}", flush=True)

@@ -14,8 +14,7 @@ Circuit engine.  Every gate is a basis permutation and a phase: (G psi)[r]
 = phase[r] * psi[perm[r]], an O(2^n) gather along the last axis with no
 2^n x 2^n matrix.  An X or Y label flips the qubit's bit; a Y label
 contributes -i where the bit of r is 0 and +i where it is 1 (the entries of
-sigma_y); a Z label contributes the sign (-1)^bit.  CNOT is a bare
-permutation.  A rotation applies cos(theta/2) psi - i sin(theta/2) (G psi),
+sigma_y); a Z label contributes the sign (-1)^bit.  A rotation applies cos(theta/2) psi - i sin(theta/2) (G psi),
 since G^2 = I.  Rzz instead applies (cos(theta/2) - i sin(theta/2) s) psi
 with the ZZ sign vector s: the two forms round differently, and Rzz keeps
 the form that earlier outputs were computed with, so they stay bit-identical.
@@ -38,11 +37,10 @@ from functools import cached_property
 
 import numpy as np
 
-# kind -> (qubit count, Pauli label per qubit of the generator; None for CNOT)
+# kind -> (qubit count, Pauli label per qubit of the generator)
 GATE_KINDS = {
     "rx": (1, "X"), "ry": (1, "Y"), "rz": (1, "Z"),
     "rxx": (2, "XX"), "ryy": (2, "YY"), "rzz": (2, "ZZ"),
-    "cnot": (2, None),
 }
 
 
@@ -50,7 +48,7 @@ GATE_KINDS = {
 class Gate:
     kind: str
     qubits: tuple[int, ...]
-    param_index: int | None
+    param_index: int
 
 
 @dataclass(frozen=True)
@@ -64,22 +62,19 @@ class ParamCircuit:
         for g in self.gates:
             if g.kind not in GATE_KINDS:
                 raise ValueError(f"gate {g} has unknown kind; expected one of {sorted(GATE_KINDS)}")
-            arity, labels = GATE_KINDS[g.kind]
+            arity = GATE_KINDS[g.kind][0]
             if len(g.qubits) != arity:
                 raise ValueError(f"gate {g} needs {arity} qubit(s)")
             if len(set(g.qubits)) != arity:
                 raise ValueError(f"gate {g} repeats a qubit")
             if any(q < 0 or q >= self.n_qubits for q in g.qubits):
                 raise ValueError(f"gate {g} targets an out-of-range qubit")
-            if (g.param_index is None) != (labels is None):
-                raise ValueError(f"gate {g}: rotations take a parameter index, cnot takes none")
-        indices = [g.param_index for g in self.gates if g.param_index is not None]
-        if sorted(indices) != list(range(len(indices))):
+        if sorted(g.param_index for g in self.gates) != list(range(len(self.gates))):
             raise ValueError("parameter indices must be contiguous 0..L-1")
 
-    @cached_property
+    @property
     def n_params(self) -> int:
-        return sum(1 for g in self.gates if g.param_index is not None)
+        return len(self.gates)
 
     @cached_property
     def ops(self) -> tuple[tuple, ...]:
@@ -92,9 +87,6 @@ class ParamCircuit:
         for g in self.gates:
             bits = [(r >> (n - 1 - q)) & 1 for q in g.qubits]
             labels = GATE_KINDS[g.kind][1]
-            if labels is None:  # CNOT: flip the target where the control is 1
-                ops.append((None, r ^ (bits[0] << (n - 1 - g.qubits[1])), None, False))
-                continue
             flip = 0
             phase = np.ones(2**n, dtype=complex)
             for q, a, b in zip(g.qubits, labels, bits):
@@ -141,7 +133,7 @@ def apply_circuit(circuit: ParamCircuit, theta: np.ndarray, psi: np.ndarray | No
         g = psi if perm is None else psi[..., perm]
         if phase is not None:
             g = phase * g
-        psi = g if idx is None else cos_h[idx] * psi + msin_h[idx] * g
+        psi = cos_h[idx] * psi + msin_h[idx] * g
     return np.swapaxes(psi, -1, -2) if columns else psi
 
 
@@ -263,27 +255,3 @@ class BornDistribution:
 
     def realize(self, phi: np.ndarray) -> np.ndarray:
         return qcbm_distribution(self.born_circuit, phi)
-
-
-def _shift_gates(circuit: ParamCircuit, qubit_offset: int, param_offset: int) -> list[Gate]:
-    out = []
-    for g in circuit.gates:
-        idx = None if g.param_index is None else g.param_index + param_offset
-        out.append(Gate(g.kind, tuple(q + qubit_offset for q in g.qubits), idx))
-    return out
-
-
-def born_cc_as_purification(state: ConvexCombinationState) -> PurificationState:
-    """Purification-form equivalent of a Born convex-combination state.
-
-    The Born machine runs on a reference register, a fan of CNOTs copies its
-    basis outcome onto the system register, and the basis unitary acts on the
-    system; tracing the reference reproduces the convex-combination state.
-    """
-    n = state.n_system
-    gates = _shift_gates(state.born_circuit, 0, 0)
-    for i in range(n):
-        gates.append(Gate("cnot", (i, n + i), None))
-    gates += _shift_gates(state.basis_circuit, n, state.born_circuit.n_params)
-    circuit = ParamCircuit(2 * n, tuple(gates))
-    return PurificationState(circuit, n_reference=n, n_system=n)

@@ -17,7 +17,7 @@ from typing import get_type_hints
 
 from .estimate import ShotModel
 from .optimizer import LrSchedule, SpsaConfig
-from .problems import DEFAULTS, INSTANCE_SEED, N_SYSTEM, PROBLEM_TAGS, check_instance, default_ansatz_type, problem_defaults
+from .problems import DEFAULTS, INSTANCE_SEED, N_SYSTEM, PROBLEM_TAGS, check_problem, default_ansatz_type, problem_defaults
 
 
 class ConfigError(ValueError):
@@ -57,17 +57,12 @@ class ExperimentConfig:
     instance: dict | None = None
 
     def __post_init__(self) -> None:
-        if self.problem not in PROBLEM_TAGS:
-            raise ConfigError(f"unknown problem tag {self.problem!r}")
-        if self.penalty <= 0:
-            raise ConfigError("penalty constant must be positive")
+        try:
+            check_problem(self.problem, self.n_system, self.penalty, self.instance)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.n_runs < 1 or self.workers < 1:
             raise ConfigError("n_runs and workers must be positive")
-        if self.n_system < 1:
-            raise ConfigError("n_system must be positive")
-        if self.problem.startswith("negativity") and self.n_system % 2 != 0:
-            raise ConfigError("negativity problems need an even qubit count")
-        check_instance(self.problem, self.n_system, self.instance)
 
 
 # Each sub-document of a config: its key, and the field and class it builds.

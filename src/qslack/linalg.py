@@ -89,15 +89,6 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr[a^dag b]."""
-    a = as_complex(a)
-    b = as_complex(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
-
-
 def hs_norm_sq(a: np.ndarray) -> float:
     """Squared Hilbert-Schmidt norm Tr[a^dag a] (real and non-negative)."""
     a = as_complex(a)

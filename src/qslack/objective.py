@@ -67,10 +67,11 @@ of triples (f_k, S_k, T_k); each operand is a ``Prepared`` state or a Pauli
 The term forms estimate Tr[S_k rho] once for each k and pass the weighted
 T_k to :func:`sq_norm`.
 
-``PenaltyObjective`` packages a problem instance with its parameter layout
-(circuit angles for each variational state followed by the scalar blocks)
-and evaluates either form from a flat parameter vector or from a 2-D array
-of parameter rows.
+``PenaltyObjective`` packages a problem instance with its parameter layout:
+it lays out one block of circuit angles per variational state, followed by
+the scalar blocks the problem names, and passes each scalar block to both
+forms under its own name.  It evaluates either form from a flat parameter
+vector or from a 2-D array of parameter rows.
 """
 
 from __future__ import annotations
@@ -109,38 +110,60 @@ class TermBreakdown:
 class ParamBlock:
     """One contiguous slice of the flat parameter vector.
 
-    ``kind`` is "angle" (circuit parameters of the state at ``state_index``,
+    ``kind`` is "angle" (the circuit parameters of one state template,
     initialized uniformly on [0, 2pi)), "scalar" (free) or "scalar_nonneg"
-    (clamped at zero after every optimizer step).  ``scale`` preconditions a
-    scalar block: the objective consumes scale * parameter, so one unit of
-    optimizer movement covers ``scale`` units of the quantity.  Initial
-    values are given in quantity units.
+    (clamped at zero after every optimizer step).  Both forms of the
+    objective receive a scalar block as the keyword argument ``name``, in
+    the form ``passed_as`` names: a "number" (the block's one entry), a real
+    "vector", or a "complex" vector whose real parts are the first half of
+    the block and whose imaginary parts are the second.  ``scale``
+    preconditions a scalar block: the objective consumes scale * parameter,
+    so one unit of optimizer movement covers ``scale`` units of the
+    quantity.  Initial values are given in quantity units.
     """
 
     name: str
     size: int
     kind: str
-    state_index: int | None = None
+    passed_as: str = "number"
     init: tuple[float, ...] | None = None
     scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.kind not in ("angle", "scalar", "scalar_nonneg"):
             raise ValueError(f"unknown block kind {self.kind}")
-        if self.kind != "angle" and self.init is not None and len(self.init) != self.size:
-            raise ValueError("init length does not match block size")
+        if self.passed_as not in ("number", "vector", "complex"):
+            raise ValueError(f"unknown argument form {self.passed_as}")
+        if self.kind != "angle":
+            if self.passed_as == "number" and self.size != 1:
+                raise ValueError("a number block has one entry")
+            if self.passed_as == "complex" and self.size % 2:
+                raise ValueError("a complex block has an even size")
+            if self.init is not None and len(self.init) != self.size:
+                raise ValueError("init length does not match block size")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 
+    def argument(self, values: np.ndarray):
+        """The scaled ``values`` of this scalar block, as the objective receives them."""
+        if self.passed_as == "number":
+            return values[0]
+        if self.passed_as == "complex":
+            half = self.size // 2
+            return values[:half] + 1j * values[half:]
+        return values
+
 
 class PenaltyObjective:
-    """A problem instance bound to ansatz templates.
+    """A problem instance bound to ansatz templates, and the owner of the
+    parameter layout: one angle block per template, in template order,
+    followed by ``scalar_blocks``.
 
-    ``dense`` and ``terms`` are the two forms of the objective with the fixed
-    problem inputs already bound.  Both take the realized states (dense
-    arrays for ``dense``, ``Prepared`` states for ``terms``) followed by the
-    keyword arguments that ``bind`` makes from the scalar blocks; ``terms``
-    also takes the Estimator as ``est``.
+    ``dense`` and ``terms`` are the two forms of the objective with the
+    fixed problem inputs, the penalty constant included, already bound.
+    Both take the realized states (dense arrays for ``dense``, ``Prepared``
+    states for ``terms``) followed by one keyword argument per scalar block;
+    ``terms`` also takes the Estimator as ``est``.
 
     Parameters come as one flat vector or as a 2-D array with one vector per
     row.  All rows are realized together: templates that compare equal (the
@@ -148,29 +171,24 @@ class PenaltyObjective:
     stacked angle rows.
     """
 
-    def __init__(self, direction, state_templates, blocks, dense, terms, bind):
+    def __init__(self, direction, state_templates, scalar_blocks, dense, terms):
         if direction not in ("max", "min"):
             raise ValueError(f"unknown direction {direction}")
         self.direction = direction
         self.state_templates = list(state_templates)
-        self.blocks = list(blocks)
+        self.blocks = [ParamBlock(f"theta_{i}", t.n_params, "angle") for i, t in enumerate(self.state_templates)]
+        self.blocks += scalar_blocks
         self._dense = dense
         self._terms = terms
-        self._bind = bind
         self._slices: dict[str, slice] = {}
         off = 0
         for b in self.blocks:
             self._slices[b.name] = slice(off, off + b.size)
             off += b.size
         self.n_params = off
-        angles = {b.state_index: b for b in self.blocks if b.kind == "angle"}
-        self._angle_slices: list[slice] = []
         # each distinct template -> the indices of the templates equal to it
         self._passes: dict[object, list[int]] = {}
         for i, t in enumerate(self.state_templates):
-            if angles[i].size != t.n_params:
-                raise ValueError(f"angle block {angles[i].name} does not match its template")
-            self._angle_slices.append(self._slices[angles[i].name])
             self._passes.setdefault(t, []).append(i)
 
     # -- parameter handling --------------------------------------------
@@ -202,13 +220,17 @@ class PenaltyObjective:
             if b.kind != "angle"
         }
 
+    def _arguments(self, scalars: dict[str, np.ndarray]) -> dict:
+        return {b.name: b.argument(scalars[b.name]) for b in self.blocks if b.kind != "angle"}
+
     def realize_states(self, params: np.ndarray) -> list[Prepared] | list[list[Prepared]]:
         """The state of every template, or one such list per row of a 2-D array."""
         params = np.asarray(params, dtype=float)
         rows = np.atleast_2d(params)
         out: list[list] = [[None] * len(self.state_templates) for _ in rows]
         for template, members in self._passes.items():
-            states = iter(prepare(template, np.concatenate([rows[:, self._angle_slices[i]] for i in members])))
+            angles = [rows[:, self._slices[self.blocks[i].name]] for i in members]
+            states = iter(prepare(template, np.concatenate(angles)))
             for i in members:
                 for row_states in out:
                     row_states[i] = next(states)
@@ -223,7 +245,7 @@ class PenaltyObjective:
         rows = np.atleast_2d(params)
         out = []
         for row, states in zip(rows, self.realize_states(rows)):
-            args = self._bind(self.scalars(row))
+            args = self._arguments(self.scalars(row))
             if estimator is None:
                 out.append(TermBreakdown(*self._dense(*[s.dense for s in states], **args)))
             else:
@@ -231,7 +253,7 @@ class PenaltyObjective:
         return out if params.ndim == 2 else out[0]
 
     def dense_value(self, dense_states: list[np.ndarray], scalars: dict[str, np.ndarray]) -> float:
-        return self._dense(*dense_states, **self._bind(scalars))[0]
+        return self._dense(*dense_states, **self._arguments(scalars))[0]
 
 
 # ======================================================================

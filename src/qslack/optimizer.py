@@ -193,20 +193,17 @@ def parameter_shift_gradient(problem: PenaltyObjective, params: np.ndarray, k: i
     exact for the same degree-two reason.
     """
     params = np.asarray(params, dtype=float)
-    block = None
-    for b in problem.blocks:
-        s = problem.block_slice(b.name)
+    for i, block in enumerate(problem.blocks):
+        s = problem.block_slice(block.name)
         if s.start <= k < s.stop:
-            block = b
             break
-    if block is None:
+    else:
         raise IndexError(f"parameter index {k} out of range")
     scalars = problem.scalars(params)
     dense_states = [st.dense for st in problem.realize_states(params)]
     if block.kind == "angle":
-        i = block.state_index
+        # the angle blocks come first, one per template in template order
         template = problem.state_templates[i]
-        s = problem.block_slice(block.name)
         local_plus = params[s].copy()
         local_minus = params[s].copy()
         local_plus[k - s.start] += np.pi / 2

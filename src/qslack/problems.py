@@ -1,9 +1,11 @@
 """Problem registry: builds ready-to-train objectives with frozen inputs.
 
 Each builder fixes the problem inputs (states drawn from a seeded input
-ansatz, or observables in text form), picks the optimization ansatz
-templates, lays out the parameter vector (angles first, scalars after, with
-the documented initial values), and attaches the matching oracle.
+ansatz, or observables in text form) and the penalty constant, picks the
+optimization ansatz templates and names the scalar blocks (with the
+documented initial values and the form in which the objective takes each),
+and attaches the matching oracle.  ``PenaltyObjective`` lays the angles of
+the templates out first and the scalar blocks after them.
 """
 
 from __future__ import annotations
@@ -89,18 +91,12 @@ def frozen_born_input(n: int, seed_key: list[int]) -> np.ndarray:
     return template.realize(phi)
 
 
-def _angle_blocks(templates: dict[str, object]) -> list[ParamBlock]:
-    return [
-        ParamBlock(f"theta_{name}", t.n_params, "angle", state_index=i)
-        for i, (name, t) in enumerate(templates.items())
-    ]
-
-
-def _scalar(name: str, size: int, init, nonneg: bool = True, scale: float = 1.0) -> ParamBlock:
+def _scalar(name: str, size: int, init, nonneg: bool = True, scale: float = 1.0,
+            passed_as: str = "number") -> ParamBlock:
     kind = "scalar_nonneg" if nonneg else "scalar"
     if np.isscalar(init):
         init = (float(init),) * size
-    return ParamBlock(name, size, kind, init=tuple(float(v) for v in init), scale=scale)
+    return ParamBlock(name, size, kind, passed_as, tuple(float(v) for v in init), scale)
 
 
 # -- observable parsing ---------------------------------------------------
@@ -128,17 +124,6 @@ def instance_from_dict(observable: type[PauliObservable] | type[WalshObservable]
     a_list = [observable.from_text(n, con["coeffs"]) for con in constraints]
     b = np.array([float(con["b"]) for con in constraints])
     return h, a_list, b
-
-
-def check_instance(tag: str, n: int, instance: dict | None) -> None:
-    """Raise ValueError unless ``instance`` is None or an instance document
-    that the problem ``tag`` reads: only the constrained-Hamiltonian
-    problems take one."""
-    if instance is None:
-        return
-    if "cham" not in tag:
-        raise ValueError(f"{tag} takes no instance")
-    instance_from_dict(WalshObservable if tag in CLASSICAL_TAGS else PauliObservable, n, instance)
 
 
 def default_cham_instance() -> dict:
@@ -236,34 +221,35 @@ def build_problem(tag: str, n_system: int = N_SYSTEM, ansatz_type: str | None = 
     """The problem ``tag`` with its oracle.  The ansatz type defaults to
     ``default_ansatz_type(tag)``, and the layer counts and the penalty constant
     ``c`` to the pair's ``DEFAULTS`` row: the problem ``qslack run`` trains."""
-    if tag not in PROBLEM_TAGS:
-        raise ValueError(f"unknown problem tag {tag!r}")
+    check_problem(tag, n_system, c, instance)
     if ansatz_type is None:
         ansatz_type = default_ansatz_type(tag)
     row = problem_defaults(tag, ansatz_type)
     layers = row["ansatz"]["layers"] if layers is None else layers
     born_layers = row["ansatz"]["born_layers"] if born_layers is None else born_layers
     c = row["penalty"] if c is None else c
-    if c <= 0:
-        raise ValueError("penalty constant must be positive")
-    check_instance(tag, n_system, instance)
     builder = _BUILDERS[tag]
     return builder(n_system, ansatz_type, layers, born_layers, c, instance_seed, instance)
 
 
-def _bind(scalars: dict[str, np.ndarray], c: float,
-          multipliers: tuple[str, ...] = (), vectors: tuple[str, ...] = ()) -> dict:
-    """Keyword arguments of both objective forms, made from the scalar blocks:
-    each one-element ``multipliers`` block as a number, each ``vectors`` block
-    whole (empty if the problem has none), and ``c``."""
-    args = {name: scalars[name][0] for name in multipliers}
-    args.update({name: scalars.get(name, np.zeros(0)) for name in vectors})
-    args["c"] = c
-    return args
-
-
-def _bind_fidelity_primal(scalars: dict[str, np.ndarray], c: float) -> dict:
-    return {"alpha": scalars["alpha_re"] + 1j * scalars["alpha_im"], **_bind(scalars, c, ("lam",))}
+def check_problem(tag: str, n_system: int, c: float | None, instance: dict | None) -> None:
+    """Raise ValueError unless the problem ``tag`` can be built on ``n_system``
+    qubits with the penalty constant ``c`` (None: the pair's default) and
+    ``instance``: None, or an instance document that the problem reads.
+    Only the constrained-Hamiltonian problems take one."""
+    if tag not in PROBLEM_TAGS:
+        raise ValueError(f"unknown problem tag {tag!r}")
+    if c is not None and c <= 0:
+        raise ValueError("penalty constant must be positive")
+    if n_system < 1:
+        raise ValueError("n_system must be positive")
+    if tag.startswith("negativity") and n_system % 2 != 0:
+        raise ValueError("negativity problems need an even qubit count for the A|B split")
+    if instance is None:
+        return
+    if "cham" not in tag:
+        raise ValueError(f"{tag} takes no instance")
+    instance_from_dict(WalshObservable if tag in CLASSICAL_TAGS else PauliObservable, n_system, instance)
 
 
 def _build_distance(side, classical, n, ansatz_type, layers, born_layers, c, instance_seed, instance) -> Problem:
@@ -273,78 +259,54 @@ def _build_distance(side, classical, n, ansatz_type, layers, born_layers, c, ins
         dense = obj.tvd_primal_dense if side == "primal" else obj.tvd_dual_dense
         rho, sigma = (as_prepared(frozen_born_input(n, [instance_seed, k])) for k in (1, 2))
         oracle = orc.OracleResult(orc.exact_tvd(rho.dist, sigma.dist), "half-l1")
-        names = ("r", "s")
     else:
         dense = obj.td_primal_dense if side == "primal" else obj.td_dual_dense
         rho, sigma = (frozen_quantum_input(ansatz_type, n, [instance_seed, k]) for k in (1, 2))
         oracle = orc.OracleResult(orc.exact_trace_distance(rho.rho, sigma.rho), "trace-norm")
-        names = ("omega", "tau")
     terms, direction = (obj.td_primal_objective, "max") if side == "primal" else (obj.td_dual_objective, "min")
-    templates = {name: make_opt_template(ansatz_type, n, layers, born_layers) for name in names}
-    blocks = _angle_blocks(templates) + [_scalar("lam", 1, 1.0), _scalar("mu", 1, 1.0)]
-    pen_obj = PenaltyObjective(direction, list(templates.values()), blocks, partial(dense, rho.dense, sigma.dense),
-                               partial(terms, rho, sigma), partial(_bind, c=c, multipliers=("lam", "mu")))
+    template = make_opt_template(ansatz_type, n, layers, born_layers)
+    pen_obj = PenaltyObjective(direction, [template, template], [_scalar("lam", 1, 1.0), _scalar("mu", 1, 1.0)],
+                               partial(dense, rho.dense, sigma.dense, c=c), partial(terms, rho, sigma, c=c))
     return Problem(pen_obj, oracle)
 
 
 def _build_fidelity(side, n, ansatz_type, layers, born_layers, c, instance_seed, instance) -> Problem:
     rho = frozen_quantum_input(ansatz_type, n, [instance_seed, 1])
     sigma = frozen_quantum_input(ansatz_type, n, [instance_seed, 2])
-    n_alpha = 4**n
+    wide = make_opt_template(ansatz_type, n + 1, layers, born_layers)
     if side == "primal":
-        templates = {"omega": make_opt_template(ansatz_type, n + 1, layers, born_layers)}
-        blocks = _angle_blocks(templates) + [
-            _scalar("alpha_re", n_alpha, 0.0, nonneg=False, scale=ALPHA_SCALE),
-            _scalar("alpha_im", n_alpha, 0.0, nonneg=False, scale=ALPHA_SCALE),
-            _scalar("lam", 1, 1.0),
-        ]
+        templates = [wide]
+        blocks = [_scalar("alpha", 2 * 4**n, 0.0, nonneg=False, scale=ALPHA_SCALE, passed_as="complex"),
+                  _scalar("lam", 1, 1.0)]
         dense, terms, direction = obj.fidelity_primal_dense, obj.fidelity_primal_objective, "max"
-        bind = partial(_bind_fidelity_primal, c=c)
     else:
-        templates = {
-            "omega": make_opt_template(ansatz_type, n, layers, born_layers),
-            "tau": make_opt_template(ansatz_type, n, layers, born_layers),
-            "xi": make_opt_template(ansatz_type, n + 1, layers, born_layers),
-        }
-        blocks = _angle_blocks(templates) + [
-            _scalar("lam", 1, 1.0, scale=FD_LM_SCALE),
-            _scalar("mu", 1, 1.0, scale=FD_LM_SCALE),
-            _scalar("nu", 1, 1.0, scale=FD_NU_SCALE),
-        ]
+        template = make_opt_template(ansatz_type, n, layers, born_layers)
+        templates = [template, template, wide]
+        blocks = [_scalar("lam", 1, 1.0, scale=FD_LM_SCALE), _scalar("mu", 1, 1.0, scale=FD_LM_SCALE),
+                  _scalar("nu", 1, 1.0, scale=FD_NU_SCALE)]
         dense, terms, direction = obj.fidelity_dual_dense, obj.fidelity_dual_objective, "min"
-        bind = partial(_bind, c=c, multipliers=("lam", "mu", "nu"))
-    pen_obj = PenaltyObjective(direction, list(templates.values()), blocks,
-                               partial(dense, rho.rho, sigma.rho), partial(terms, rho, sigma), bind)
+    pen_obj = PenaltyObjective(direction, templates, blocks,
+                               partial(dense, rho.rho, sigma.rho, c=c), partial(terms, rho, sigma, c=c))
     value = orc.exact_root_fidelity(rho.rho, sigma.rho)
     return Problem(pen_obj, orc.OracleResult(value, "root-fidelity"))
 
 
 def _build_negativity(side, n, ansatz_type, layers, born_layers, c, instance_seed, instance) -> Problem:
-    if n % 2 != 0:
-        raise ValueError("negativity needs an even total qubit count for the A|B split")
     n_a = n_b = n // 2
     rho = frozen_quantum_input(ansatz_type, n, [instance_seed, 1])
-    templates = {
-        "sigma": make_opt_template(ansatz_type, n, layers, born_layers),
-        "tau": make_opt_template(ansatz_type, n, layers, born_layers),
-    }
-    n_alpha = 4**n
+    template = make_opt_template(ansatz_type, n, layers, born_layers)
     alpha_scale = ALPHA_SCALE if side == "primal" else ALPHA_SCALE_STIFF
-    blocks = _angle_blocks(templates) + [_scalar("alpha", n_alpha, 0.0, nonneg=False, scale=alpha_scale)]
+    blocks = [_scalar("alpha", 4**n, 0.0, nonneg=False, scale=alpha_scale, passed_as="vector")]
     if side == "dual":
-        blocks.append(_scalar("beta", n_alpha, 0.0, nonneg=False, scale=alpha_scale))
-        blocks += [_scalar("lam", 1, 1.0), _scalar("mu", 1, 1.0)]
+        blocks += [_scalar("beta", 4**n, 0.0, nonneg=False, scale=alpha_scale, passed_as="vector"),
+                   _scalar("lam", 1, 1.0), _scalar("mu", 1, 1.0)]
         dense, terms, direction = obj.negativity_dual_dense, obj.negativity_dual_objective, "min"
-        vectors = ("alpha", "beta")
     else:
-        blocks += [_scalar("lam", 1, 1.0, scale=NEG_P_LAM_SCALE),
-                   _scalar("mu", 1, 1.0, scale=NEG_P_MU_SCALE)]
+        blocks += [_scalar("lam", 1, 1.0, scale=NEG_P_LAM_SCALE), _scalar("mu", 1, 1.0, scale=NEG_P_MU_SCALE)]
         dense, terms, direction = obj.negativity_primal_dense, obj.negativity_primal_objective, "max"
-        vectors = ("alpha",)
-    pen_obj = PenaltyObjective(direction, list(templates.values()), blocks,
-                               partial(dense, rho.rho, n_a=n_a, n_b=n_b),
-                               partial(terms, rho, n_a=n_a, n_b=n_b),
-                               partial(_bind, c=c, multipliers=("lam", "mu"), vectors=vectors))
+    pen_obj = PenaltyObjective(direction, [template, template], blocks,
+                               partial(dense, rho.rho, n_a=n_a, n_b=n_b, c=c),
+                               partial(terms, rho, n_a=n_a, n_b=n_b, c=c))
     value = orc.exact_negativity(rho.rho, 2**n_a, 2**n_b)
     return Problem(pen_obj, orc.OracleResult(value, "pt-trace-norm"))
 
@@ -363,25 +325,19 @@ def _build_cham(side, classical, n, ansatz_type, layers, born_layers, c, instanc
     ell = len(a_list)
     template = make_opt_template(ansatz_type, n, layers, born_layers)
     if side == "primal":
-        blocks = _angle_blocks({"p" if classical else "rho": template})
-        if ell:
-            blocks.append(_scalar("z", ell, 0.0 if classical else _slack_init(ell)))
+        blocks = [_scalar("z", ell, 0.0 if classical else _slack_init(ell), passed_as="vector")]
         terms, direction = obj.cham_primal_objective, "min"
-        bind = partial(_bind, c=c, vectors=("z",))
     else:
-        blocks = _angle_blocks({"w" if classical else "omega": template})
-        if ell:
-            blocks.append(_scalar("y", ell, 0.0 if classical else 0.001))
+        blocks = [_scalar("y", ell, 0.0 if classical else 0.001, passed_as="vector")]
         if classical:
             blocks += [_scalar("mu", 1, 0.0, nonneg=False), _scalar("nu", 1, 0.0)]
         else:
             blocks += [_scalar("mu", 1, -0.005, nonneg=False, scale=MU_SCALE),
                        _scalar("nu", 1, 0.001, scale=NU_SCALE)]
         terms, direction = obj.cham_dual_objective, "max"
-        bind = partial(_bind, c=c, multipliers=("mu", "nu"), vectors=("y",))
     pen_obj = PenaltyObjective(direction, [template], blocks,
-                               partial(dense, h_dense=h.dense(), a_dense=[a.dense() for a in a_list], b=b),
-                               partial(terms, h=h, a_list=a_list, b=b), bind)
+                               partial(dense, h_dense=h.dense(), a_dense=[a.dense() for a in a_list], b=b, c=c),
+                               partial(terms, h=h, a_list=a_list, b=b, c=c))
     value = (orc.lp_classical_cham_value if classical else orc.sdp_cham_value)(h, a_list, b)
     return Problem(pen_obj, value)
 

@@ -14,7 +14,6 @@ from qslack.ansatz import (
     ParamCircuit,
     PurificationState,
     apply_circuit,
-    born_cc_as_purification,
     circuit_unitary,
     layered_unitary_circuit,
     qcbm_circuit,
@@ -81,24 +80,19 @@ def _kron_on(n, factors):
 
 
 def _reference_gate(kind, qubits, theta, n):
-    if kind == "cnot":
-        c, t = qubits
-        return (_kron_on(n, {c: np.diag([1.0, 0.0])})
-                + _kron_on(n, {c: np.diag([0.0, 1.0]), t: _SIGMA["X"]}))
     g = _kron_on(n, {q: _SIGMA[a] for q, a in zip(qubits, _GENERATOR[kind])})
     return np.cos(theta / 2) * np.eye(2**n) - 1j * np.sin(theta / 2) * g
 
 
 _PLACEMENTS = ([(k, (q,)) for k in ("rx", "ry", "rz") for q in range(3)]
-               + [(k, pair) for k in ("rxx", "ryy", "rzz", "cnot") for pair in permutations(range(3), 2)])
+               + [(k, pair) for k in ("rxx", "ryy", "rzz") for pair in permutations(range(3), 2)])
 
 
 @pytest.mark.parametrize("kind,qubits", _PLACEMENTS)
 def test_gate_placement_matches_kron_reference(kind, qubits, rng):
     n, theta = 3, 0.73
-    gate = Gate(kind, qubits, None if kind == "cnot" else 0)
-    circuit = ParamCircuit(n, (gate,))
-    angles = np.array([] if kind == "cnot" else [theta])
+    circuit = ParamCircuit(n, (Gate(kind, qubits, 0),))
+    angles = np.array([theta])
     u = _reference_gate(kind, qubits, theta, n)
     batch = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
     kept = batch.copy()
@@ -118,12 +112,12 @@ def _every_gate_kind(n):
     interleaved with Ry layers so that the inputs of every gate are generic."""
     gates, k = [], 0
     for kind, qubits in [(k, (q,)) for k in ("rx", "ry", "rz") for q in range(n)] + [
-            (k, pair) for k in ("rxx", "ryy", "rzz", "cnot") for pair in permutations(range(n), 2)]:
+            (k, pair) for k in ("rxx", "ryy", "rzz") for pair in permutations(range(n), 2)]:
         for q in range(n):
             gates.append(Gate("ry", (q,), k))
             k += 1
-        gates.append(Gate(kind, qubits, None if kind == "cnot" else k))
-        k += kind != "cnot"
+        gates.append(Gate(kind, qubits, k))
+        k += 1
     return ParamCircuit(n, tuple(gates))
 
 
@@ -167,6 +161,7 @@ def test_empty_circuit_returns_a_copy(rng):
         assert np.array_equal(out, psi) and not np.shares_memory(out, psi)
 
 
+# cnot is not a gate kind: every gate is a rotation with a parameter
 @pytest.mark.parametrize("gate", [
     Gate("rzz", (1, 1), 0),
     Gate("rxx", (1, 1), 0),
@@ -270,24 +265,6 @@ class TestSampleCc:
 
 
 class TestBornCcAsPurification:
-    def test_zero_params_ground_state(self):
-        state = ConvexCombinationState(qcbm_circuit(2, 1), layered_unitary_circuit(2, 1))
-        pur = born_cc_as_purification(state)
-        rho = pur.realize(np.zeros(pur.n_params))
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0, 0] = 1.0
-        assert np.allclose(rho, expected)
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_matches_cc_realization(self, n, rng):
-        state = ConvexCombinationState(qcbm_circuit(n, 2), layered_unitary_circuit(n, 2))
-        pur = born_cc_as_purification(state)
-        for _ in range(8):
-            params = rng.uniform(0, 2 * np.pi, state.n_params)
-            direct = state.realize(params)
-            via_pur = pur.realize(params)
-            assert np.sqrt(linalg.hs_norm_sq(direct - via_pur)) < 1e-9
-
     def test_uniform_distribution_gives_maximally_mixed(self, rng):
         # a Born machine producing the uniform distribution erases the basis choice
         born = ParamCircuit(1, (Gate("ry", (0,), 0),))

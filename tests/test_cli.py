@@ -110,3 +110,18 @@ def test_convergence_suite_runs_every_defaults_pair(tmp_path, monkeypatch):
     monkeypatch.setattr(suite, "run_experiment", run_experiment)
     suite.main(["--output-root", str(tmp_path)])
     assert sorted(ran) == sorted(DEFAULTS)
+
+
+def test_convergence_suite_flags_the_cslack_pairs_at_their_bound(tmp_path, monkeypatch, capsys):
+    # every pair ends 0.03 from its oracle: inside criterion 3's 5e-2, above criterion 7's 2e-2
+    suite = _suite()
+
+    def run_experiment(cfg):
+        return SimpleNamespace(records=[SimpleNamespace(final_objective=1.03, aborted=False)],
+                               oracle=SimpleNamespace(value=1.0))
+
+    monkeypatch.setattr(suite, "run_experiment", run_experiment)
+    assert suite.main(["--problems", "trace_distance_dual,tvd_primal,tvd_dual,classical_cham_primal,"
+                       "classical_cham_dual", "--output-root", str(tmp_path)]) == 1
+    flagged = {line.split()[0] for line in capsys.readouterr().out.splitlines() if "above tolerance" in line}
+    assert flagged == {"tvd_dual", "classical_cham_primal", "classical_cham_dual"}

@@ -137,13 +137,21 @@ class TestConfig:
 GOLDEN_RUNS = os.path.join(os.path.dirname(__file__), "data", "golden_runs")
 
 # Short campaigns (30 iterations, 2 runs, seed 7) whose run CSVs in
-# GOLDEN_RUNS were recorded from a loop that evaluated each SPSA point in its
-# own call: evaluating the points together must not move a byte.
+# GOLDEN_RUNS were recorded from earlier designs: the td/tvd ones from a loop
+# that evaluated each SPSA point in its own call, the others from builders
+# that bound each scalar block by hand.  Between them they pass every kind
+# of scalar block: numbers, real vectors (alpha and beta, the slacks z and
+# the multipliers y) and fidelity's complex alpha.  Neither change may move
+# a byte.
 GOLDEN_CAMPAIGNS = {
     "td_dual_purification_exact": {"problem": "trace_distance_dual", "ansatz": {"type": "purification"}},
     "tvd_dual_born_exact": {"problem": "tvd_dual", "ansatz": {"type": "born"}},
     "td_dual_purification_shots": {"problem": "trace_distance_dual", "ansatz": {"type": "purification"},
                                    "shots": {"mode": "shots", "n": 1000}},
+    "fidelity_primal_purification_exact": {"problem": "fidelity_primal", "ansatz": {"type": "purification"}},
+    "negativity_dual_purification_exact": {"problem": "negativity_dual", "ansatz": {"type": "purification"}},
+    "cham_primal_purification_exact": {"problem": "cham_primal", "ansatz": {"type": "purification"}},
+    "classical_cham_dual_born_exact": {"problem": "classical_cham_dual", "ansatz": {"type": "born"}},
 }
 
 

@@ -122,21 +122,10 @@ class TestNorms:
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         assert np.isclose(linalg.trace_norm(m), np.sum(np.linalg.svd(m, compute_uv=False)))
 
-    def test_hs_inner(self):
-        assert np.isclose(linalg.hs_inner(SX, SX), 2.0)
-        assert np.isclose(linalg.hs_inner(SX, SZ), 0.0)
+    def test_hs_norm_sq(self):
+        assert np.isclose(linalg.hs_norm_sq(SX), 2.0)
+        assert np.isclose(linalg.hs_norm_sq(SX - SZ), 4.0)
         assert np.isclose(linalg.hs_norm_sq(np.eye(8)), 8.0)
-
-    def test_hs_inner_mismatch(self):
-        with pytest.raises(ValueError):
-            linalg.hs_inner(np.eye(2), np.eye(4))
-
-    def test_hs_self_inner_real_nonneg(self, rng):
-        for _ in range(20):
-            a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            val = linalg.hs_inner(a, a)
-            assert abs(val.imag) < 1e-12
-            assert val.real >= 0
 
 
 class TestSqrt:

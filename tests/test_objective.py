@@ -463,8 +463,8 @@ class TestGenericBuilders:
                 inst = make(1, rng)
                 x = random_hermitian(2, rng)
                 y = random_hermitian(2, rng)
-                lhs = linalg.hs_inner(y, inst.phi(x))
-                rhs = linalg.hs_inner(inst.phi_dag(y), x)
+                lhs = np.vdot(y, inst.phi(x))
+                rhs = np.vdot(inst.phi_dag(y), x)
                 assert abs(lhs - rhs) < 1e-10
 
     @pytest.mark.parametrize("kind", ["lcs", "pauli"])
@@ -678,3 +678,44 @@ def test_rows_evaluate_like_one_call_per_row(tag, ansatz_type):
     batch = o.evaluate(rows, Estimator(shots, np.random.default_rng(5)))
     est = Estimator(shots, np.random.default_rng(5))
     assert batch == [o.evaluate(row, est) for row in rows]
+
+
+# The cham tags with an instance of no constraints: the slack block z (primal)
+# and the multiplier block y (dual) are empty, and the dual keeps mu and nu.
+@pytest.mark.parametrize("tag, h, fixed", [
+    ("cham_primal", {"ZZ": 1.0, "XI": 0.5}, 0),
+    ("cham_dual", {"ZZ": 1.0, "XI": 0.5}, 2),
+    ("classical_cham_primal", {"11": 1.0, "10": -0.5}, 0),
+    ("classical_cham_dual", {"11": 1.0, "10": -0.5}, 2),
+])
+def test_cham_without_constraints(tag, h, fixed):
+    o = build_problem(tag, instance={"h": h, "constraints": []}).objective
+    assert o.n_params == sum(t.n_params for t in o.state_templates) + fixed
+    params = np.random.default_rng(9).uniform(0.1, 1.0, o.n_params)
+    assert o.scalars(params)["z" if tag.endswith("primal") else "y"].size == 0
+    dense = o.evaluate(params).value
+    assert abs(o.evaluate(params, Estimator()).value - dense) <= 1e-9 * max(1.0, abs(dense))
+
+
+def test_scalar_blocks_are_passed_in_their_form():
+    blocks = [obj.ParamBlock("a", 1, "scalar", "number", scale=2.0),
+              obj.ParamBlock("v", 2, "scalar", "vector"),
+              obj.ParamBlock("w", 4, "scalar", "complex", scale=0.5)]
+    seen = {}
+
+    def dense(**args):
+        seen.update(args)
+        return 0.0, 0.0
+
+    o = obj.PenaltyObjective("max", [], blocks, dense, None)
+    assert o.n_params == 7 and [b.name for b in o.blocks] == ["a", "v", "w"]
+    o.evaluate(np.arange(1.0, 8.0))
+    assert seen["a"] == 2.0
+    assert np.array_equal(seen["v"], [2.0, 3.0])
+    assert np.array_equal(seen["w"], [2.0 + 3.0j, 2.5 + 3.5j])
+
+
+@pytest.mark.parametrize("size, passed_as", [(2, "number"), (3, "complex"), (1, "matrix")])
+def test_scalar_block_form_checked(size, passed_as):
+    with pytest.raises(ValueError):
+        obj.ParamBlock("x", size, "scalar", passed_as)

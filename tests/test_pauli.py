@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from itertools import product
 
-from qslack import linalg
 from qslack.estimate import Estimator, Prepared
 from qslack.pauli import (
     PauliObservable,
@@ -41,14 +40,14 @@ class TestPauliString:
             PauliString.from_text("XQ")
 
     def test_orthogonality_all_pairs(self):
-        # hs_inner(dense(p), dense(q)) = 2^n [p == q], n <= 3
+        # Tr[dense(p)^dag dense(q)] = 2^n [p == q], n <= 3
         for n in (1, 2, 3):
             strings = [PauliString(l) for l in product(range(4), repeat=n)]
             dense = [s.dense() for s in strings]
             for i, di in enumerate(dense):
                 for j, dj in enumerate(dense):
                     expected = 2.0**n if i == j else 0.0
-                    assert np.isclose(linalg.hs_inner(di, dj), expected)
+                    assert np.isclose(np.vdot(di, dj), expected)
 
     def test_dense_unitary_hermitian(self):
         for labels in product(range(4), repeat=2):
