@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 from . import linalg
-from .config import ConfigError, load_config
+from .config import load_config
 from .estimate import Estimator, hoeffding_shots
 from .runner import build_from_config, run_experiment
 
@@ -17,12 +17,12 @@ from .runner import build_from_config, run_experiment
 def _cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
+        if args.output_dir:
+            cfg = dataclasses.replace(cfg, output_dir=args.output_dir)
+        result = run_experiment(cfg)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.output_dir:
-        cfg = dataclasses.replace(cfg, output_dir=args.output_dir)
-    result = run_experiment(cfg)
     print(f"problem: {cfg.problem}")
     print(f"oracle:  {result.oracle.value:.6f} ({result.oracle.method})")
     finals = [r.final_objective for r in result.records if not r.aborted]
@@ -39,7 +39,7 @@ def _cmd_oracle(args) -> int:
     try:
         cfg = load_config(args.config)
         problem = build_from_config(cfg)
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     res = problem.oracle

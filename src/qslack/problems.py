@@ -10,8 +10,9 @@ the templates out first and the scalar blocks after them.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -249,7 +250,10 @@ def check_problem(tag: str, n_system: int, c: float | None, instance: dict | Non
         return
     if "cham" not in tag:
         raise ValueError(f"{tag} takes no instance")
-    instance_from_dict(WalshObservable if tag in CLASSICAL_TAGS else PauliObservable, n_system, instance)
+    _, a_list, _ = instance_from_dict(WalshObservable if tag in CLASSICAL_TAGS else PauliObservable,
+                                      n_system, instance)
+    if len(a_list) > orc.MAX_CONSTRAINTS:
+        raise ValueError(f"only up to {orc.MAX_CONSTRAINTS} scalar constraints are supported")
 
 
 def _build_distance(side, classical, n, ansatz_type, layers, born_layers, c, instance_seed, instance) -> Problem:
@@ -338,8 +342,18 @@ def _build_cham(side, classical, n, ansatz_type, layers, born_layers, c, instanc
     pen_obj = PenaltyObjective(direction, [template], blocks,
                                partial(dense, h_dense=h.dense(), a_dense=[a.dense() for a in a_list], b=b, c=c),
                                partial(terms, h=h, a_list=a_list, b=b, c=c))
-    value = (orc.lp_classical_cham_value if classical else orc.sdp_cham_value)(h, a_list, b)
-    return Problem(pen_obj, value)
+    return Problem(pen_obj, _cham_oracle(classical, n, json.dumps(inst, sort_keys=True)))
+
+
+@lru_cache(maxsize=32)
+def _cham_oracle(classical: bool, n: int, instance_json: str) -> orc.OracleResult:
+    """The oracle of a constrained-Hamiltonian instance, given as canonical
+    JSON text.  It depends on the instance alone, not on the side or the
+    ansatz, so the pairs of one instance share one multiplier search per
+    process."""
+    observable = WalshObservable if classical else PauliObservable
+    h, a_list, b = instance_from_dict(observable, n, json.loads(instance_json))
+    return (orc.lp_classical_cham_value if classical else orc.sdp_cham_value)(h, a_list, b)
 
 
 _BUILDERS: dict[str, Callable[..., Problem]] = {

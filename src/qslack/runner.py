@@ -69,9 +69,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute the configured campaign and write run_<k>.csv, summary.csv,
     convergence.svg, and a manifest of run statuses.  The problem, oracle
     included, is built once and every run trains it."""
+    problem = build_from_config(cfg)
     out_dir = resolve_output_dir(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    problem = build_from_config(cfg)
     job = (cfg, problem)
 
     if cfg.workers > 1:

@@ -63,6 +63,22 @@ def test_oracle_bad_config(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["oracle", "run"])
+def test_oracle_at_its_box_edge_is_an_error(tmp_path, capsys, command):
+    # min <X> subject to <Z> >= 0.999 has the multiplier 22.3, beyond the
+    # oracle's search box [0, 10].
+    cfg = write_config(tmp_path, {
+        "problem": "cham_dual", "n_system": 1, "output_dir": str(tmp_path / "out"),
+        "instance": {"h": {"X": 1.0}, "constraints": [{"coeffs": {"Z": 1.0}, "b": 0.999}]},
+    })
+    rc = main([command, cfg])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: the multiplier search stopped at the edge of its box")
+    assert "residual" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
 def test_selftest(capsys):
     rc = main(["selftest"])
     out = capsys.readouterr().out

@@ -69,7 +69,9 @@ class TestConfig:
          r"unknown constraint keys: \['sense'\]"),
         ({"problem": "cham_dual", "instance": {"constraints": []}}, r"instance is missing keys: \['h'\]"),
         ({"problem": "trace_distance_dual", "instance": {"h": {"ZZ": 1.0}}}, "trace_distance_dual takes no instance"),
-    ], ids=["typo", "eta", "constraint_key", "missing_h", "no_instance"])
+        ({"problem": "cham_primal", "instance": {"h": {"ZZ": 1.0}, "constraints": [{"coeffs": {"ZI": 1.0}, "b": 0.1}] * 4}},
+         "only up to 3 scalar constraints are supported"),
+    ], ids=["typo", "eta", "constraint_key", "missing_h", "no_instance", "four_constraints"])
     def test_instance_keys_checked(self, doc, message):
         with pytest.raises(ConfigError, match=message):
             config_from_dict(doc)
