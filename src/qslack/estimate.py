@@ -63,10 +63,15 @@ class Prepared:
     def is_cc(self) -> bool:
         return self.dist is not None and self.basis is not None
 
+    def __getitem__(self, index) -> "Prepared":
+        """One row (or a run of rows) of a stack of states: each field indexed alike."""
+        return Prepared(*(None if f is None else f[index] for f in (self.rho, self.dist, self.basis)))
 
-def prepare(template, params: np.ndarray) -> Prepared | list[Prepared]:
+
+def prepare(template, params: np.ndarray) -> Prepared:
     """Realize an ansatz template at a parameter vector, or at every row of a
-    2-D array of parameter rows: one circuit pass, one ``Prepared`` per row."""
+    2-D array of parameter rows in one circuit pass.  The fields of a stack
+    carry the row axis first, and ``stack[k]`` is the state at row k."""
     params = np.asarray(params, dtype=float)
     if isinstance(template, ConvexCombinationState):
         p = template.distribution(params)
@@ -78,9 +83,7 @@ def prepare(template, params: np.ndarray) -> Prepared | list[Prepared]:
             raise TypeError(f"cannot prepare object of type {type(template)!r}")
         out = realize(params)
         fields = {"dist" if out.ndim == params.ndim else "rho": out}
-    if params.ndim == 1:
-        return Prepared(**fields)
-    return [Prepared(**dict(zip(fields, row))) for row in zip(*fields.values())]
+    return Prepared(**fields)
 
 
 def as_prepared(x) -> Prepared:

@@ -58,13 +58,14 @@ def kron_all(*factors: np.ndarray) -> np.ndarray:
 
 
 def partial_transpose_b(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
-    """Transpose the second tensor factor of a (dim_a * dim_b)-dimensional matrix."""
+    """Transpose the second tensor factor of a (dim_a * dim_b)-dimensional
+    matrix, or of each matrix of a stack."""
     m = as_complex(m)
     d = dim_a * dim_b
-    if m.shape != (d, d):
+    if m.shape[-2:] != (d, d):
         raise ValueError(f"matrix shape {m.shape} does not match dims ({dim_a}, {dim_b})")
-    t = m.reshape(dim_a, dim_b, dim_a, dim_b)
-    return np.transpose(t, (0, 3, 2, 1)).reshape(d, d)
+    t = m.reshape(m.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
+    return np.swapaxes(t, -1, -3).reshape(m.shape)
 
 
 def eig_hermitian(m: np.ndarray, atol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
@@ -89,10 +90,12 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
-def hs_norm_sq(a: np.ndarray) -> float:
-    """Squared Hilbert-Schmidt norm Tr[a^dag a] (real and non-negative)."""
-    a = as_complex(a)
-    return float(np.vdot(a, a).real)
+def hs_norm_sq(a: np.ndarray) -> float | np.ndarray:
+    """Squared Hilbert-Schmidt norm Tr[a^dag a] (real and non-negative) of a
+    matrix, or of each matrix of a stack.  Each is one BLAS dot of the
+    flattened matrix with its conjugate, the sum ``np.vdot(a, a)`` takes."""
+    flat = as_complex(a).reshape(np.shape(a)[:-2] + (1, -1))
+    return (flat.conj() @ np.swapaxes(flat, -1, -2))[..., 0, 0].real
 
 
 def mat_sqrt_psd(m: np.ndarray, neg_atol: float = 1e-8) -> np.ndarray:

@@ -67,11 +67,22 @@ of triples (f_k, S_k, T_k); each operand is a ``Prepared`` state or a Pauli
 The term forms estimate Tr[S_k rho] once for each k and pass the weighted
 T_k to :func:`sq_norm`.
 
+Every dense form also takes stacks: each state and each scalar argument
+may carry leading axes (rows first), and the form then returns one value
+and one penalty per row, each bit-identical to the call on that row alone.
+The forms are written with the contractions that keep this identity: a
+trace is ``einsum("...ij,...ji->...")``, a dot product or a vector-matrix
+product is ``x[..., None, :] @ M`` (one BLAS call per row, as ``np.dot``
+and ``np.tensordot`` make on one vector), a squared Hilbert-Schmidt norm is
+such a dot of the flattened matrix with its conjugate, and a sum of squares
+is ``np.sum`` over the last axis.
+
 ``PenaltyObjective`` packages a problem instance with its parameter layout:
 it lays out one block of circuit angles per variational state, followed by
 the scalar blocks the problem names, and passes each scalar block to both
 forms under its own name.  It evaluates either form from a flat parameter
-vector or from a 2-D array of parameter rows.
+vector or from a 2-D array of parameter rows; in exact mode one call of the
+dense form takes all the rows.
 """
 
 from __future__ import annotations
@@ -145,12 +156,13 @@ class ParamBlock:
             raise ValueError("scale must be positive")
 
     def argument(self, values: np.ndarray):
-        """The scaled ``values`` of this scalar block, as the objective receives them."""
+        """The scaled ``values`` of this scalar block, as the objective receives
+        them; rows of values along leading axes give one argument per row."""
         if self.passed_as == "number":
-            return values[0]
+            return np.take(values, 0, axis=-1)
         if self.passed_as == "complex":
             half = self.size // 2
-            return values[:half] + 1j * values[half:]
+            return values[..., :half] + 1j * values[..., half:]
         return values
 
 
@@ -168,7 +180,7 @@ class PenaltyObjective:
     Parameters come as one flat vector or as a 2-D array with one vector per
     row.  All rows are realized together: templates that compare equal (the
     two states of a trace distance, say) share one circuit pass over their
-    stacked angle rows.
+    stacked angle rows.  ``dense`` then takes all rows in one call.
     """
 
     def __init__(self, direction, state_templates, scalar_blocks, dense, terms):
@@ -214,8 +226,9 @@ class PenaltyObjective:
         return params
 
     def scalars(self, params: np.ndarray) -> dict[str, np.ndarray]:
+        """The scaled values of every scalar block, with the leading axes of ``params``."""
         return {
-            b.name: np.asarray(params[self._slices[b.name]], dtype=float) * b.scale
+            b.name: np.asarray(params[..., self._slices[b.name]], dtype=float) * b.scale
             for b in self.blocks
             if b.kind != "angle"
         }
@@ -223,33 +236,42 @@ class PenaltyObjective:
     def _arguments(self, scalars: dict[str, np.ndarray]) -> dict:
         return {b.name: b.argument(scalars[b.name]) for b in self.blocks if b.kind != "angle"}
 
-    def realize_states(self, params: np.ndarray) -> list[Prepared] | list[list[Prepared]]:
-        """The state of every template, or one such list per row of a 2-D array."""
-        params = np.asarray(params, dtype=float)
-        rows = np.atleast_2d(params)
-        out: list[list] = [[None] * len(self.state_templates) for _ in rows]
+    def _realize(self, rows: np.ndarray) -> list[Prepared]:
+        """The state of every template at every row of a 2-D array: one
+        stacked ``Prepared`` per template, rows first."""
+        out: list = [None] * len(self.state_templates)
+        m = len(rows)
         for template, members in self._passes.items():
-            angles = [rows[:, self._slices[self.blocks[i].name]] for i in members]
-            states = iter(prepare(template, np.concatenate(angles)))
-            for i in members:
-                for row_states in out:
-                    row_states[i] = next(states)
-        return out if params.ndim == 2 else out[0]
+            batch = prepare(template, np.concatenate([rows[:, self._slices[self.blocks[i].name]] for i in members]))
+            for j, i in enumerate(members):
+                out[i] = batch[j * m:(j + 1) * m]
+        return out
+
+    def realize_states(self, params: np.ndarray) -> list[Prepared]:
+        """The state of every template at a parameter vector."""
+        return [st[0] for st in self._realize(np.atleast_2d(np.asarray(params, dtype=float)))]
 
     # -- evaluation -----------------------------------------------------
-    def evaluate(self, params: np.ndarray, estimator: Estimator | None = None) -> TermBreakdown | list[TermBreakdown]:
+    def evaluate(self, params: np.ndarray, estimator: Estimator | list[Estimator] | None = None
+                 ) -> TermBreakdown | list[TermBreakdown]:
         """The objective at a parameter vector, or one breakdown per row of a
-        2-D array.  The rows are evaluated in order, so the Estimator draws
-        the same stream as one call per row."""
+        2-D array.  Without an ``estimator`` one call of the dense form takes
+        every row: the states of each template stacked, and each scalar block
+        with the row axis first.  Otherwise ``estimator`` is one Estimator for
+        every row or a list of one per row, and the rows are evaluated in
+        order, so each Estimator draws the same stream as one call per row."""
         params = np.asarray(params, dtype=float)
         rows = np.atleast_2d(params)
-        out = []
-        for row, states in zip(rows, self.realize_states(rows)):
-            args = self._arguments(self.scalars(row))
-            if estimator is None:
-                out.append(TermBreakdown(*self._dense(*[s.dense for s in states], **args)))
-            else:
-                out.append(self._terms(*states, **args, est=estimator))
+        stacked = self._realize(rows)
+        if estimator is None:
+            states = [st.dense if params.ndim == 2 else st.dense[0] for st in stacked]
+            value, penalty = self._dense(*states, **self._arguments(self.scalars(params)))
+            if params.ndim == 1:
+                return TermBreakdown(float(value), float(penalty))
+            return [TermBreakdown(v, p) for v, p in zip(value.tolist(), penalty.tolist())]
+        estimators = estimator if isinstance(estimator, list) else [estimator] * len(rows)
+        out = [self._terms(*[st[r] for st in stacked], **self._arguments(self.scalars(row)), est=est)
+               for r, (row, est) in enumerate(zip(rows, estimators))]
         return out if params.ndim == 2 else out[0]
 
     def dense_value(self, dense_states: list[np.ndarray], scalars: dict[str, np.ndarray]) -> float:
@@ -378,11 +400,49 @@ def sq_norm(terms: list[tuple[float, object]], d: float, est: Estimator) -> floa
 
 
 # ======================================================================
+# Broadcasting helpers of the dense forms
+# ======================================================================
+
+def _m(x) -> np.ndarray:
+    """A number, or one per row, shaped to scale a matrix (or a stack)."""
+    return np.asarray(x)[..., None, None]
+
+
+def _v(x) -> np.ndarray:
+    """A number, or one per row, shaped to scale a vector (or a stack)."""
+    return np.asarray(x)[..., None]
+
+
+def _tr(a: np.ndarray, b: np.ndarray):
+    """Tr[a b] of two matrices, or of each pair of two stacks: the
+    ``einsum`` of one pair, row by row."""
+    return np.einsum("...ij,...ji->...", a, b)
+
+
+def _dot(x, y):
+    """x . y along the last axis, or of each pair of two stacks: one BLAS dot
+    per row, the one ``np.dot`` makes of two vectors."""
+    return (np.asarray(x)[..., None, :] @ np.asarray(y)[..., :, None])[..., 0, 0]
+
+
+def _blocks(top_left, top_right, bottom_left, bottom_right) -> np.ndarray:
+    """The block matrix [[top_left, top_right], [bottom_left, bottom_right]]
+    of four d x d blocks, or of each row of stacks of them."""
+    parts = (top_left, top_right, bottom_left, bottom_right)
+    d = np.shape(top_left)[-1]
+    lead = np.broadcast_shapes(*(np.shape(p)[:-2] for p in parts))
+    out = np.empty(lead + (2 * d, 2 * d), dtype=complex)
+    out[..., :d, :d], out[..., :d, d:] = top_left, top_right
+    out[..., d:, :d], out[..., d:, d:] = bottom_left, bottom_right
+    return out
+
+
+# ======================================================================
 # Normalized trace distance, and total variation distance
 # ======================================================================
 
 def td_dual_dense(rho, sigma, omega, tau, lam, mu, c):
-    arg = lam * omega - rho + sigma - mu * tau
+    arg = _m(lam) * omega - rho + sigma - _m(mu) * tau
     pen = linalg.hs_norm_sq(arg)
     return lam + c * pen, pen
 
@@ -396,11 +456,10 @@ def td_dual_objective(rho, sigma, omega, tau, lam, mu, c, est: Estimator) -> Ter
 
 
 def td_primal_dense(rho, sigma, tau, omega, lam, mu, c):
-    n = int(round(math.log2(rho.shape[0])))
-    eye = np.eye(2**n)
-    pen = linalg.hs_norm_sq(eye - lam * tau - mu * omega)
-    val = lam * np.einsum("ij,ji->", tau, rho).real - lam * np.einsum("ij,ji->", tau, sigma).real
-    return float(val) - c * pen, pen
+    eye = np.eye(rho.shape[-1])
+    pen = linalg.hs_norm_sq(eye - _m(lam) * tau - _m(mu) * omega)
+    val = lam * _tr(tau, rho).real - lam * _tr(tau, sigma).real
+    return val - c * pen, pen
 
 
 def td_primal_objective(rho, sigma, tau, omega, lam, mu, c, est: Estimator) -> TermBreakdown:
@@ -414,15 +473,15 @@ def td_primal_objective(rho, sigma, tau, omega, lam, mu, c, est: Estimator) -> T
 
 
 def tvd_dual_dense(p, q, r, s, lam, mu, c):
-    arg = lam * r - p + q - mu * s
-    pen = float(np.sum(arg**2))
+    arg = _v(lam) * r - p + q - _v(mu) * s
+    pen = np.sum(arg**2, axis=-1)
     return lam + c * pen, pen
 
 
 def tvd_primal_dense(p, q, r, s, lam, mu, c):
     ones = np.ones_like(p)
-    pen = float(np.sum((ones - lam * r - mu * s) ** 2))
-    return lam * float(r @ p - r @ q) - c * pen, pen
+    pen = np.sum((ones - _v(lam) * r - _v(mu) * s) ** 2, axis=-1)
+    return lam * (_dot(r, p) - _dot(r, q)) - c * pen, pen
 
 
 # ======================================================================
@@ -430,20 +489,20 @@ def tvd_primal_dense(p, q, r, s, lam, mu, c):
 # ======================================================================
 
 def coeffs_to_matrix(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """sum_x c_x sigma_x over the canonical string order."""
-    return np.tensordot(coeffs, dense_string_basis(n), axes=1)
-
-
-def fidelity_block_matrix(rho: np.ndarray, sigma: np.ndarray, x_mat: np.ndarray) -> np.ndarray:
-    return np.block([[rho, x_mat.conj().T], [x_mat, sigma]])
+    """sum_x c_x sigma_x over the canonical string order, for one coefficient
+    vector or for each of a stack: one BLAS vector-matrix product per vector,
+    the product ``np.tensordot(coeffs, basis, axes=1)`` makes."""
+    coeffs = np.ascontiguousarray(coeffs)
+    basis = dense_string_basis(n)
+    flat = coeffs[..., None, :] @ basis.reshape(len(basis), -1)
+    return flat.reshape(coeffs.shape[:-1] + basis.shape[1:])
 
 
 def fidelity_primal_dense(rho, sigma, omega, alpha: np.ndarray, lam, c):
-    n = int(round(math.log2(rho.shape[0])))
+    n = int(round(math.log2(rho.shape[-1])))
     x_mat = coeffs_to_matrix(alpha, n)
-    pen = linalg.hs_norm_sq(fidelity_block_matrix(rho, sigma, x_mat) - lam * omega)
-    val = 2.0**n * alpha[0].real - c * pen
-    return float(val), pen
+    pen = linalg.hs_norm_sq(_blocks(rho, np.swapaxes(x_mat.conj(), -1, -2), x_mat, sigma) - _m(lam) * omega)
+    return 2.0**n * np.asarray(alpha)[..., 0].real - c * pen, pen
 
 
 def fidelity_primal_objective(rho, sigma, omega, alpha: np.ndarray, lam, c, est: Estimator) -> TermBreakdown:
@@ -462,11 +521,11 @@ def fidelity_primal_objective(rho, sigma, omega, alpha: np.ndarray, lam, c, est:
 
 
 def fidelity_dual_dense(rho, sigma, omega, tau, xi, lam, mu, nu, c):
-    eye = np.eye(rho.shape[0])
-    arg = np.block([[lam * omega, eye], [eye, mu * tau]]) - nu * xi
+    eye = np.eye(rho.shape[-1])
+    arg = _blocks(_m(lam) * omega, eye, eye, _m(mu) * tau) - _m(nu) * xi
     pen = linalg.hs_norm_sq(arg)
-    val = 0.5 * lam * np.einsum("ij,ji->", omega, rho).real + 0.5 * mu * np.einsum("ij,ji->", tau, sigma).real
-    return float(val) + c * pen, pen
+    val = 0.5 * lam * _tr(omega, rho).real + 0.5 * mu * _tr(tau, sigma).real
+    return val + c * pen, pen
 
 
 def fidelity_dual_objective(rho, sigma, omega, tau, xi, lam, mu, nu, c, est: Estimator) -> TermBreakdown:
@@ -497,10 +556,9 @@ def negativity_primal_dense(rho_ab, sigma_ab, tau_ab, alpha: np.ndarray, lam, mu
     n = n_a + n_b
     h = coeffs_to_matrix(alpha, n)
     eye = np.eye(2**n)
-    pen = linalg.hs_norm_sq(eye - h - lam * sigma_ab) + linalg.hs_norm_sq(eye + h - mu * tau_ab)
+    pen = linalg.hs_norm_sq(eye - h - _m(lam) * sigma_ab) + linalg.hs_norm_sq(eye + h - _m(mu) * tau_ab)
     pt_h = linalg.partial_transpose_b(h, 2**n_a, 2**n_b)
-    val = np.einsum("ij,ji->", pt_h, rho_ab).real - c * pen
-    return float(val), pen
+    return _tr(pt_h, rho_ab).real - c * pen, pen
 
 
 def negativity_primal_objective(rho_ab, sigma_ab, tau_ab, alpha: np.ndarray, lam, mu, c,
@@ -526,11 +584,10 @@ def negativity_dual_dense(rho_ab, sigma_ab, tau_ab, alpha: np.ndarray, beta: np.
     pt = linalg.partial_transpose_b(k_mat - l_mat, 2**n_a, 2**n_b)
     pen = (
         linalg.hs_norm_sq(pt - rho_ab)
-        + linalg.hs_norm_sq(k_mat - lam * sigma_ab)
-        + linalg.hs_norm_sq(l_mat - mu * tau_ab)
+        + linalg.hs_norm_sq(k_mat - _m(lam) * sigma_ab)
+        + linalg.hs_norm_sq(l_mat - _m(mu) * tau_ab)
     )
-    val = 2.0**n * (alpha[0] + beta[0]) + c * pen
-    return float(val), pen
+    return 2.0**n * (np.asarray(alpha)[..., 0] + np.asarray(beta)[..., 0]) + c * pen, pen
 
 
 def negativity_dual_objective(rho_ab, sigma_ab, tau_ab, alpha: np.ndarray, beta: np.ndarray,
@@ -554,15 +611,26 @@ def negativity_dual_objective(rho_ab, sigma_ab, tau_ab, alpha: np.ndarray, beta:
 # ======================================================================
 
 def cham_primal_dense(rho, h_dense, a_dense: list[np.ndarray], b: np.ndarray, z: np.ndarray, c):
-    viol = np.array([np.einsum("ij,ji->", a, rho).real - bi - zi for a, bi, zi in zip(a_dense, b, z)])
-    pen = float(np.sum(viol**2))
-    return float(np.einsum("ij,ji->", h_dense, rho).real) + c * pen, pen
+    viol = _residuals([_tr(a, rho).real for a in a_dense], b, z)
+    pen = np.sum(viol**2, axis=-1)
+    return _tr(h_dense, rho).real + c * pen, pen
 
 
 def classical_cham_primal_dense(p, h_dense, a_dense: list[np.ndarray], b: np.ndarray, z: np.ndarray, c):
-    viol = np.array([float(a @ p) - bi - zi for a, bi, zi in zip(a_dense, b, z)])
-    pen = float(np.sum(viol**2))
-    return float(h_dense @ p) + c * pen, pen
+    viol = _residuals([_dot(a, p) for a in a_dense], b, z)
+    pen = np.sum(viol**2, axis=-1)
+    return _dot(h_dense, p) + c * pen, pen
+
+
+def _residuals(expectations: list, b: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The residuals <A_i> - b_i - z_i along the last axis, from the <A_i>
+    (each a number or one per row) and the slacks z (a vector or one per row)."""
+    z = np.asarray(z)
+    lead = np.broadcast_shapes(z.shape[:-1], *(np.shape(e) for e in expectations))
+    out = np.empty(lead + (len(expectations),))
+    for i, e in enumerate(expectations):
+        out[..., i] = e - b[i] - z[..., i]
+    return out
 
 
 def cham_primal_objective(rho, h: PauliObservable | WalshObservable, a_list: list, b: np.ndarray,
@@ -578,18 +646,21 @@ def cham_primal_objective(rho, h: PauliObservable | WalshObservable, a_list: lis
 
 def cham_dual_dense(omega, h_dense, a_dense: list[np.ndarray], b: np.ndarray,
                     y: np.ndarray, mu, nu, c):
+    y = np.asarray(y)
     n_dim = h_dense.shape[0]
-    arg = h_dense - sum(yi * a for yi, a in zip(y, a_dense)) - mu * np.eye(n_dim) - nu * omega
+    arg = (h_dense - sum(_m(y[..., i]) * a for i, a in enumerate(a_dense))
+           - _m(mu) * np.eye(n_dim) - _m(nu) * omega)
     pen = linalg.hs_norm_sq(arg)
-    return float(np.dot(b, y) + mu) - c * pen, pen
+    return (_dot(b, y) + mu) - c * pen, pen
 
 
 def classical_cham_dual_dense(w, h_dense, a_dense: list[np.ndarray], b: np.ndarray,
                               y: np.ndarray, mu, nu, c):
+    y = np.asarray(y)
     ones = np.ones_like(w)
-    arg = h_dense - sum(yi * a for yi, a in zip(y, a_dense)) - mu * ones - nu * w
-    pen = float(np.sum(arg**2))
-    return float(np.dot(b, y) + mu) - c * pen, pen
+    arg = h_dense - sum(_v(y[..., i]) * a for i, a in enumerate(a_dense)) - _v(mu) * ones - _v(nu) * w
+    pen = np.sum(arg**2, axis=-1)
+    return (_dot(b, y) + mu) - c * pen, pen
 
 
 def cham_dual_objective(omega, h: PauliObservable | WalshObservable, a_list: list, b: np.ndarray,
@@ -627,12 +698,10 @@ class SdpInstance:
         return _combination(self.b_terms, self.n_out)
 
     def phi(self, x: np.ndarray) -> np.ndarray:
-        return _combination([(f * np.einsum("ij,ji->", _matrix(s), x), t) for f, s, t in self.phi_terms],
-                            self.n_out)
+        return _combination([(f * _tr(_matrix(s), x), t) for f, s, t in self.phi_terms], self.n_out)
 
     def phi_dag(self, y: np.ndarray) -> np.ndarray:
-        return _combination([(f * np.einsum("ij,ji->", _matrix(t), y), s) for f, s, t in self.phi_terms],
-                            self.n_in)
+        return _combination([(f * _tr(_matrix(t), y), s) for f, s, t in self.phi_terms], self.n_in)
 
 
 def _matrix(x) -> np.ndarray:
@@ -643,8 +712,9 @@ def _matrix(x) -> np.ndarray:
 
 
 def _combination(terms, n: int) -> np.ndarray:
-    """sum of c X over (c, X) pairs, as a 2^n x 2^n matrix."""
-    return sum((c * _matrix(x) for c, x in terms), np.zeros((2**n,) * 2, dtype=complex))
+    """sum of c X over (c, X) pairs, as a 2^n x 2^n matrix; each c is a
+    number or one per row, and so is the result."""
+    return sum((_m(c) * _matrix(x) for c, x in terms), np.zeros((2**n,) * 2, dtype=complex))
 
 
 def LcsInstance(n_in: int, n_out: int, a_terms, b_terms, phi_terms) -> SdpInstance:
@@ -665,17 +735,15 @@ def PauliMapInstance(a_obs: PauliObservable, b_obs: PauliObservable,
 
 
 def generic_primal_dense(inst: SdpInstance, rho, sigma, lam, mu, c):
-    arg = inst.b_dense() - lam * inst.phi(rho) - mu * sigma
+    arg = inst.b_dense() - _m(lam) * inst.phi(rho) - _m(mu) * sigma
     pen = linalg.hs_norm_sq(arg)
-    val = lam * np.einsum("ij,ji->", inst.a_dense(), rho).real - c * pen
-    return float(val), pen
+    return lam * _tr(inst.a_dense(), rho).real - c * pen, pen
 
 
 def generic_dual_dense(inst: SdpInstance, tau, omega, kappa, nu, c):
-    arg = kappa * inst.phi_dag(tau) - inst.a_dense() - nu * omega
+    arg = _m(kappa) * inst.phi_dag(tau) - inst.a_dense() - _m(nu) * omega
     pen = linalg.hs_norm_sq(arg)
-    val = kappa * np.einsum("ij,ji->", inst.b_dense(), tau).real + c * pen
-    return float(val), pen
+    return kappa * _tr(inst.b_dense(), tau).real + c * pen, pen
 
 
 def generic_primal_objective(inst: SdpInstance, rho, sigma, lam, mu, c, est: Estimator) -> TermBreakdown:

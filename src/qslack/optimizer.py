@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimate import Estimator, ShotModel, prepare
-from .objective import PenaltyObjective
+from .objective import PenaltyObjective, TermBreakdown
 
 
 @dataclass(frozen=True)
@@ -122,64 +122,105 @@ def lr_step(schedule: LrSchedule, history: Sequence[float], direction: str,
     return current_lr
 
 
-def run_optimization(problem: PenaltyObjective, spsa: SpsaConfig, schedule: LrSchedule,
-                     rng, shots: ShotModel | None = None,
-                     oracle: float | None = None) -> RunRecord:
-    """Train the objective and record one row per iteration.
+class _Run:
+    """One run of the lockstep loop: its generator, Estimator, parameters,
+    learning rate, objective history and record."""
 
-    Each iteration evaluates the objective at the record point and at the
-    SPSA pair theta +- c Delta, then takes a step (ascent for maximization
-    problems); sign-constrained scalars are clamped at zero afterwards.  In
-    exact mode, which draws nothing from the generator, Delta is drawn first
-    and all three points go through one ``evaluate`` call.  In shot mode the
-    record point's shots precede Delta in the stream, so it is evaluated
-    alone and the pair in a second call.  A non-finite objective (NaN or
-    +-inf) at the record point aborts the run with a diagnostic.  The final
-    evaluation of the trained parameters is iteration ``max_iters``, checked
-    the same way.
-    ``rng`` is a Generator or anything ``np.random.default_rng`` accepts.
+    def __init__(self, problem: PenaltyObjective, seed, shots: ShotModel, lr: float):
+        self.rng = np.random.default_rng(seed)
+        # exact expectations carry no sampling noise, so the dense form
+        # (numerically identical to the exact term expansion) serves
+        self.est = None if shots.exact else Estimator(shots, self.rng)
+        self.record = RunRecord()
+        self.params = problem.initial_params(self.rng)
+        self.lr = lr
+        self.history: list[float] = []
+        self.delta: np.ndarray | None = None
+        self.pair: list[TermBreakdown] = []
+
+    def draw_delta(self) -> None:
+        self.delta = rademacher(self.rng, len(self.params))
+
+
+def run_optimization(problem: PenaltyObjective, spsa: SpsaConfig, schedule: LrSchedule,
+                     seeds: Sequence, shots: ShotModel | None = None,
+                     oracle: float | None = None) -> list[RunRecord]:
+    """Train the objective once from each of ``seeds``, all runs in lockstep,
+    and return one record per run, with one row per iteration.
+
+    Run k draws its initial parameters, its SPSA directions and, in shot
+    mode, its shots from one generator seeded by ``seeds[k]`` (a Generator
+    or anything ``np.random.default_rng`` accepts).  Each iteration evaluates
+    every live run's record point and its SPSA pair theta +- c Delta, then
+    takes each run's step (ascent for maximization problems);
+    sign-constrained scalars are clamped at zero afterwards.  In exact mode,
+    which draws nothing from the generators, each run's Delta is drawn
+    first and the three points of every run go through one ``evaluate``
+    call.  In shot mode a run's record point draws its shots before Delta,
+    so the record points of all runs share one call, then each run draws
+    its Delta, and the pairs share a second call; each row draws from its
+    own run's Estimator, so every run consumes its stream in the order of a
+    run trained alone.  A non-finite objective (NaN or +-inf) at a run's
+    record point aborts that run with a diagnostic; it leaves the stack and
+    the other runs go on unchanged.  The final evaluation of the trained
+    parameters is iteration ``max_iters``, checked the same way.
     """
-    rng = np.random.default_rng(rng)
     shots = shots if shots is not None else ShotModel()
-    # exact expectations carry no sampling noise, so the dense evaluation mode
-    # (numerically identical to the exact term expansion) is used for speed
-    est = None if shots.exact else Estimator(shots, rng)
-    record = RunRecord()
-    params = problem.initial_params(rng)
-    lr = spsa.learning_rate
+    runs = [_Run(problem, seed, shots, spsa.learning_rate) for seed in seeds]
     c = spsa.perturbation
     sign = 1.0 if problem.direction == "max" else -1.0
-    history: list[float] = []
+    live = runs
 
     for k in range(spsa.max_iters + 1):
-        if est is None and k < spsa.max_iters:
-            delta = rademacher(rng, len(params))
-            tb, *pair = problem.evaluate(np.stack((params, params + c * delta, params - c * delta)))
+        final = k == spsa.max_iters
+        if shots.exact and not final:
+            for run in live:
+                run.draw_delta()
+            points = problem.evaluate(np.concatenate(
+                [(run.params, run.params + c * run.delta, run.params - c * run.delta) for run in live]))
+            at_records = points[::3]
         else:
-            tb = problem.evaluate(params, est)
-        if not math.isfinite(tb.value):
-            record.aborted = True
-            record.abort_reason = f"non-finite objective ({tb.value}) at iteration {k}"
+            at_records = problem.evaluate(np.stack([run.params for run in live]),
+                                          None if shots.exact else [run.est for run in live])
+        stepping = []
+        for j, (run, tb) in enumerate(zip(live, at_records)):
+            rec = run.record
+            if not math.isfinite(tb.value):
+                rec.aborted = True
+                rec.abort_reason = f"non-finite objective ({tb.value}) at iteration {k}"
+                continue
+            err = abs(tb.value - oracle) if oracle is not None else math.nan
+            if final:
+                rec.final_objective, rec.final_penalty, rec.final_error = tb.value, tb.penalty, err
+                continue
+            if k > 0 and k % CHECK_EVERY == 0:
+                run.lr = lr_step(schedule, run.history, problem.direction, run.lr, k)
+            rec.rows.append(IterationRow(k, tb.value, tb.penalty, err, run.lr))
+            run.history.append(tb.value)
+            if shots.exact:
+                run.pair = points[3 * j + 1:3 * j + 3]
+            stepping.append(run)
+        live = stepping
+        if not live:
             break
-        err = abs(tb.value - oracle) if oracle is not None else math.nan
-        if k == spsa.max_iters:
-            record.final_objective, record.final_penalty, record.final_error = tb.value, tb.penalty, err
-            break
-        if k > 0 and k % CHECK_EVERY == 0:
-            lr = lr_step(schedule, history, problem.direction, lr, k)
-        record.rows.append(IterationRow(k, tb.value, tb.penalty, err, lr))
-        history.append(tb.value)
-        if est is not None:
-            delta = rademacher(rng, len(params))
-            pair = problem.evaluate(np.stack((params + c * delta, params - c * delta)), est)
-        grad = spsa_gradient(pair[0].value, pair[1].value, delta, c)
-        if spsa.normalize:
-            grad = normalize_gradient(grad)
-        params = params + sign * lr * grad
-        problem.clamp(params)
+        if not shots.exact:
+            for run in live:
+                run.draw_delta()
+            pairs = problem.evaluate(np.concatenate([(run.params + c * run.delta, run.params - c * run.delta)
+                                                     for run in live]),
+                                     [run.est for run in live for _ in (0, 1)])
+            for j, run in enumerate(live):
+                run.pair = pairs[2 * j:2 * j + 2]
+        for run in live:
+            grad = spsa_gradient(run.pair[0].value, run.pair[1].value, run.delta, c)
+            if spsa.normalize:
+                grad = normalize_gradient(grad)
+            run.params = run.params + sign * run.lr * grad
+            problem.clamp(run.params)
 
-    record.final_params = params
-    return record
+    for run in runs:
+        run.record.final_params = run.params
+    return [run.record for run in runs]
 
 
 def parameter_shift_gradient(problem: PenaltyObjective, params: np.ndarray, k: int) -> float:
@@ -235,9 +276,6 @@ def aggregate_runs(records: Sequence[RunRecord]) -> list[tuple[int, float, float
     if not records:
         raise ValueError("no records to aggregate")
     n = min(len(r.rows) for r in records)
-    out = []
-    for i in range(n):
-        vals = np.array([r.rows[i].objective for r in records])
-        q1, med, q3 = np.percentile(vals, [25.0, 50.0, 75.0])
-        out.append((records[0].rows[i].iteration, float(med), float(q1), float(q3)))
-    return out
+    vals = np.array([[row.objective for row in r.rows[:n]] for r in records])
+    q1, med, q3 = np.percentile(vals, [25.0, 50.0, 75.0], axis=0)
+    return list(zip([row.iteration for row in records[0].rows[:n]], med.tolist(), q1.tolist(), q3.tolist()))

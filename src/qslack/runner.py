@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .config import ExperimentConfig, resolve_output_dir
 from .optimizer import RunRecord, aggregate_runs, run_optimization
@@ -25,12 +26,20 @@ def build_from_config(cfg: ExperimentConfig) -> Problem:
     )
 
 
-def _run_single(job: tuple[ExperimentConfig, Problem], run_index: int) -> RunRecord:
-    """One run of a campaign: trains the campaign's built problem from the
-    generator seeded by (config seed, run index)."""
+class RunRecords(list):
+    """The records of a chunk of runs, in run order; unlike a bare list it
+    takes attributes, which travel to the chunk's first record."""
+
+
+def _run_single(job: tuple[ExperimentConfig, Problem], runs: int | Sequence[int]) -> RunRecord | RunRecords:
+    """Runs of a campaign, trained in lockstep on the campaign's built
+    problem, run k from the generator seeded by (config seed, k).  One run
+    index gives that run's record, a sequence of them a ``RunRecords``."""
     cfg, problem = job
-    return run_optimization(problem.objective, cfg.spsa, cfg.schedule, [cfg.seed, run_index],
-                            shots=cfg.shots, oracle=problem.oracle.value)
+    indices = [runs] if isinstance(runs, int) else list(runs)
+    records = run_optimization(problem.objective, cfg.spsa, cfg.schedule, [[cfg.seed, k] for k in indices],
+                               shots=cfg.shots, oracle=problem.oracle.value)
+    return records[0] if isinstance(runs, int) else RunRecords(records)
 
 
 @dataclass
@@ -68,17 +77,28 @@ def write_summary_csv(path: str, agg: list[tuple[int, float, float, float]]) -> 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute the configured campaign and write run_<k>.csv, summary.csv,
     convergence.svg, and a manifest of run statuses.  The problem, oracle
-    included, is built once and every run trains it."""
+    included, is built once and every run trains it.  The runs are split
+    into min(workers, n_runs) chunks of consecutive indices, each trained in
+    lockstep by one call of ``_run_single``; with more than one chunk, each
+    goes to a worker of a process pool."""
     problem = build_from_config(cfg)
     out_dir = resolve_output_dir(cfg)
     os.makedirs(out_dir, exist_ok=True)
     job = (cfg, problem)
 
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(_run_single, [job] * cfg.n_runs, range(cfg.n_runs)))
+    n_chunks = min(cfg.workers, cfg.n_runs)
+    chunks = [range(i * cfg.n_runs // n_chunks, (i + 1) * cfg.n_runs // n_chunks) for i in range(n_chunks)]
+    if n_chunks > 1:
+        with ProcessPoolExecutor(max_workers=n_chunks) as pool:
+            done = list(pool.map(_run_single, [job] * n_chunks, chunks))
     else:
-        records = [_run_single(job, k) for k in range(cfg.n_runs)]
+        done = [_run_single(job, chunks[0])]
+    records: list[RunRecord] = []
+    for chunk in done:
+        # attributes a caller's wrapper set on the chunk (a profiler's, say)
+        # travel on the chunk's first record
+        vars(chunk[0]).update(vars(chunk))
+        records += chunk
 
     result = ExperimentResult(output_dir=out_dir, oracle=problem.oracle, records=records)
     for k, rec in enumerate(records):

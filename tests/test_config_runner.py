@@ -213,6 +213,18 @@ class TestRunner:
         for pa, pb in zip(serial.run_csvs, par.run_csvs):
             assert open(pa).read() == open(pb).read()
 
+    @pytest.mark.parametrize("shots", [{"mode": "exact"}, {"mode": "shots", "n": 1000}])
+    def test_lockstep_chunks_match_runs_alone(self, tmp_path, shots):
+        # one chunk of three runs in lockstep, uneven chunks of one and two
+        # runs, and every run alone in its own worker write the same bytes
+        outputs = []
+        for workers in (1, 2, 3):
+            res = run_experiment(config_from_dict(tiny_config(n_runs=3, workers=workers, shots=shots,
+                                                              output_dir=str(tmp_path / str(workers)))))
+            outputs.append([open(path, "rb").read() for path in res.run_csvs + [res.summary_csv]])
+        assert len(outputs[0]) == 4
+        assert outputs[0] == outputs[1] == outputs[2]
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_campaign_builds_its_problem_once(self, tmp_path, monkeypatch, workers):
         # A file counts the calls, so that calls made in pool workers count too.

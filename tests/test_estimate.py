@@ -176,9 +176,9 @@ class TestPrepared:
         t = make_opt_template(kind, 2, 2, 2)
         rows = rng.uniform(0, 2 * np.pi, (4, t.n_params))
         batch = prepare(t, rows)
-        assert len(batch) == len(rows)
-        for got, row in zip(batch, rows):
-            want = prepare(t, row)
+        assert len(batch.dense) == len(rows)
+        for k, row in enumerate(rows):
+            got, want = batch[k], prepare(t, row)
             for field in ("rho", "dist", "basis"):
                 a, b = getattr(got, field), getattr(want, field)
                 assert (a is None and b is None) or np.array_equal(a, b), field

@@ -719,3 +719,101 @@ def test_scalar_blocks_are_passed_in_their_form():
 def test_scalar_block_form_checked(size, passed_as):
     with pytest.raises(ValueError):
         obj.ParamBlock("x", size, "scalar", passed_as)
+
+
+def _stacking_cases():
+    """Each dense form with its fixed arguments (drawn once) and a draw of the
+    arguments that ``PenaltyObjective`` passes row by row: the states of its
+    templates and its scalar blocks.  Two qubits; the negativity forms split
+    them 1|1."""
+    dens = lambda rng, dim=4: random_density(dim, rng)
+    num = lambda rng: rng.uniform(0.0, 2.0)
+    vec = lambda size: lambda rng: rng.standard_normal(size) * 0.4
+    cvec = lambda size: lambda rng: (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * 0.4
+    dist = lambda rng: random_dist(4, rng)
+    h = PauliObservable.from_text(2, {"ZZ": 1.0, "XI": 0.7})
+    a_list = [PauliObservable.from_text(2, {"YI": 1.0}), PauliObservable.from_text(2, {"IZ": 0.5, "XX": 0.2})]
+    hw = WalshObservable.from_text(2, {"11": 1.0, "00": 0.4})
+    aw = [WalshObservable.from_text(2, {"10": 0.5}), WalshObservable.from_text(2, {"01": 0.7})]
+    cham = {"h_dense": h.dense(), "a_dense": [a.dense() for a in a_list], "b": np.array([0.15, -0.1])}
+    ccham = {"h_dense": hw.dense(), "a_dense": [a.dense() for a in aw], "b": np.array([0.1, 0.3])}
+    rng = np.random.default_rng(41)
+    lcs = obj.LcsInstance(2, 2, [(0.7, dens(rng)), (-0.4, dens(rng))], [(0.9, dens(rng))],
+                          [(0.6, dens(rng), dens(rng)), (-0.3, dens(rng), dens(rng))])
+    pmi = obj.PauliMapInstance(h, PauliObservable.from_text(2, {"ZI": 1.0, "IY": -0.3}),
+                               {((3, 3), (3, 0)): 1.0, ((1, 0), (0, 2)): 0.5})
+    fixed_states = {"rho": dens(rng), "sigma": dens(rng)}
+    return {
+        "td_dual": (obj.td_dual_dense, fixed_states,
+                    {"omega": dens, "tau": dens, "lam": num, "mu": num}),
+        "td_primal": (obj.td_primal_dense, fixed_states,
+                      {"tau": dens, "omega": dens, "lam": num, "mu": num}),
+        "tvd_dual": (obj.tvd_dual_dense, {"p": random_dist(4, rng), "q": random_dist(4, rng)},
+                     {"r": dist, "s": dist, "lam": num, "mu": num}),
+        "tvd_primal": (obj.tvd_primal_dense, {"p": random_dist(4, rng), "q": random_dist(4, rng)},
+                       {"r": dist, "s": dist, "lam": num, "mu": num}),
+        "fidelity_primal": (obj.fidelity_primal_dense, fixed_states,
+                            {"omega": lambda g: dens(g, 8), "alpha": cvec(16), "lam": num}),
+        "fidelity_dual": (obj.fidelity_dual_dense, fixed_states,
+                          {"omega": dens, "tau": dens, "xi": lambda g: dens(g, 8), "lam": num, "mu": num,
+                           "nu": num}),
+        "negativity_primal": (obj.negativity_primal_dense, {"rho_ab": dens(rng), "n_a": 1, "n_b": 1},
+                              {"sigma_ab": dens, "tau_ab": dens, "alpha": vec(16), "lam": num, "mu": num}),
+        "negativity_dual": (obj.negativity_dual_dense, {"rho_ab": dens(rng), "n_a": 1, "n_b": 1},
+                            {"sigma_ab": dens, "tau_ab": dens, "alpha": vec(16), "beta": vec(16),
+                             "lam": num, "mu": num}),
+        "cham_primal": (obj.cham_primal_dense, cham, {"rho": dens, "z": lambda g: g.uniform(0.0, 1.0, 2)}),
+        "cham_dual": (obj.cham_dual_dense, cham,
+                      {"omega": dens, "y": lambda g: g.uniform(0.0, 1.0, 2), "mu": lambda g: g.uniform(-1.0, 1.0),
+                       "nu": num}),
+        "classical_cham_primal": (obj.classical_cham_primal_dense, ccham,
+                                  {"p": dist, "z": lambda g: g.uniform(0.0, 1.0, 2)}),
+        "classical_cham_dual": (obj.classical_cham_dual_dense, ccham,
+                                {"w": dist, "y": lambda g: g.uniform(0.0, 1.0, 2),
+                                 "mu": lambda g: g.uniform(-1.0, 1.0), "nu": num}),
+        "generic_primal_lcs": (obj.generic_primal_dense, {"inst": lcs}, {"rho": dens, "sigma": dens, "lam": num,
+                                                                         "mu": num}),
+        "generic_dual_lcs": (obj.generic_dual_dense, {"inst": lcs}, {"tau": dens, "omega": dens, "kappa": num,
+                                                                     "nu": num}),
+        "generic_primal_pauli": (obj.generic_primal_dense, {"inst": pmi}, {"rho": dens, "sigma": dens, "lam": num,
+                                                                           "mu": num}),
+        "generic_dual_pauli": (obj.generic_dual_dense, {"inst": pmi}, {"tau": dens, "omega": dens, "kappa": num,
+                                                                       "nu": num}),
+    }
+
+
+@pytest.mark.parametrize("m", [1, 5])
+@pytest.mark.parametrize("name", sorted(_stacking_cases()))
+def test_dense_form_rows_equal_unstacked_calls(name, m):
+    # a stack of m rows gives, row by row, the bits of the call on that row alone
+    dense, fixed, draws = _stacking_cases()[name]
+    rng = np.random.default_rng(17)
+    rows = [{key: draw(rng) for key, draw in draws.items()} for _ in range(m)]
+    stacked = {key: np.stack([row[key] for row in rows]) for key in draws}
+    values, penalties = dense(**fixed, **stacked, c=7.5)
+    assert np.shape(values) == np.shape(penalties) == (m,)
+    for k, row in enumerate(rows):
+        value, penalty = dense(**fixed, **row, c=7.5)
+        assert values[k] == value and penalties[k] == penalty
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_stacked_contractions_match_single_vector_calls(m):
+    # the contractions of the dense forms give, row by row, the bits of the
+    # numpy call on one vector that each replaces
+    from qslack.pauli import dense_string_basis
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3):
+        d = 2**n
+        a, b = (rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d)) for _ in range(2))
+        x, y = rng.standard_normal((2, m, 4**n))
+        coeffs = x + 1j * y
+        traces, norms = obj._tr(a, b), linalg.hs_norm_sq(a)
+        dots, fixed_dots = obj._dot(x, y), obj._dot(x[0], y)
+        mats, real_mats = obj.coeffs_to_matrix(coeffs, n), obj.coeffs_to_matrix(x, n)
+        for k in range(m):
+            assert traces[k] == np.einsum("ij,ji->", a[k], b[k])
+            assert norms[k] == np.vdot(a[k], a[k]).real
+            assert dots[k] == np.dot(x[k], y[k]) and fixed_dots[k] == np.dot(x[0], y[k])
+            assert np.array_equal(mats[k], np.tensordot(coeffs[k], dense_string_basis(n), axes=1))
+            assert np.array_equal(real_mats[k], np.tensordot(x[k], dense_string_basis(n), axes=1))

@@ -109,7 +109,7 @@ def vqe_problem():
 class TestRunOptimization:
     def test_zero_iterations_only_initial_evaluation(self, vqe_problem):
         spsa = SpsaConfig(max_iters=0)
-        rec = run_optimization(vqe_problem.objective, spsa, LrSchedule(), 3,
+        [rec] = run_optimization(vqe_problem.objective, spsa, LrSchedule(), [3],
                                oracle=vqe_problem.oracle.value)
         assert rec.rows == []
         assert np.isfinite(rec.final_objective)
@@ -117,15 +117,15 @@ class TestRunOptimization:
     def test_vqe_reduction_converges(self, vqe_problem):
         spsa = SpsaConfig(learning_rate=0.1, perturbation=0.02, normalize=True, max_iters=2000)
         sched = LrSchedule(kind="regression_window", window=300, min_lr=1e-4)
-        rec = run_optimization(vqe_problem.objective, spsa, sched, 5,
+        [rec] = run_optimization(vqe_problem.objective, spsa, sched, [5],
                                oracle=vqe_problem.oracle.value)
         assert abs(vqe_problem.oracle.value - (-1.0)) < 1e-9
         assert rec.final_error < 1e-3
 
     def test_determinism(self, vqe_problem):
         spsa = SpsaConfig(max_iters=50)
-        a = run_optimization(vqe_problem.objective, spsa, LrSchedule(), 11, oracle=None)
-        b = run_optimization(vqe_problem.objective, spsa, LrSchedule(), 11, oracle=None)
+        [a] = run_optimization(vqe_problem.objective, spsa, LrSchedule(), [11], oracle=None)
+        [b] = run_optimization(vqe_problem.objective, spsa, LrSchedule(), [11], oracle=None)
         assert [r.objective for r in a.rows] == [r.objective for r in b.rows]
         assert np.array_equal(a.final_params, b.final_params)
 
@@ -139,7 +139,7 @@ class TestRunOptimization:
             return evaluate(params, est)
 
         problem.objective.evaluate = evaluate_recording
-        run_optimization(problem.objective, spsa, LrSchedule(), 2, oracle=None)
+        run_optimization(problem.objective, spsa, LrSchedule(), [2], oracle=None)
         assert len(points) == spsa.max_iters + 1
         return [problem.objective.scalars(row) for row in points]
 
@@ -158,7 +158,7 @@ class TestRunOptimization:
     def test_lr_changes_only_at_check_boundaries(self, vqe_problem):
         spsa = SpsaConfig(learning_rate=0.5, perturbation=0.1, max_iters=350)
         sched = LrSchedule(kind="regression_window", window=100, min_lr=1e-4)
-        rec = run_optimization(vqe_problem.objective, spsa, sched, 4, oracle=None)
+        [rec] = run_optimization(vqe_problem.objective, spsa, sched, [4], oracle=None)
         for row in rec.rows:
             if row.iteration % 100 != 0:
                 prev = rec.rows[row.iteration - 1]
@@ -167,7 +167,7 @@ class TestRunOptimization:
 
     def test_shot_mode_runs(self, vqe_problem):
         spsa = SpsaConfig(max_iters=20)
-        rec = run_optimization(vqe_problem.objective, spsa, LrSchedule(), 7,
+        [rec] = run_optimization(vqe_problem.objective, spsa, LrSchedule(), [7],
                                shots=ShotModel("shots", n=1000), oracle=None)
         assert len(rec.rows) == 20
 
@@ -195,19 +195,69 @@ class _StubObjective:
         return params
 
 
+class _TaggedStub:
+    """Parameter 0 tags the run: a whole number, the first draw of the run's
+    generator, which ``clamp`` restores after every step, so the rows of the
+    SPSA pair lie within c of it.  Every row gives a finite quadratic in the
+    other two parameters, except the ``bad_record``-th record point of the
+    run tagged ``bad_tag``, which gives ``bad_value``."""
+
+    direction = "min"
+
+    def __init__(self, bad_tag: float, bad_record: int, bad_value: float):
+        self.bad_tag, self.bad_record, self.bad_value = bad_tag, bad_record, bad_value
+        self.records: dict[float, int] = {}
+
+    def initial_params(self, rng):
+        return np.array([float(rng.integers(1, 2**30)), *rng.uniform(-1.0, 1.0, 2)])
+
+    def evaluate(self, params, est=None):
+        out = []
+        for row in np.atleast_2d(params):
+            value = float((row[1] - 0.3) ** 2 + 2.0 * row[2] ** 2)
+            if row[0] == round(row[0]):
+                self.records[row[0]] = self.records.get(row[0], 0) + 1
+                if row[0] == self.bad_tag and self.records[row[0]] == self.bad_record:
+                    value = self.bad_value
+            out.append(TermBreakdown(value, 0.0))
+        return out if np.ndim(params) == 2 else out[0]
+
+    def clamp(self, params):
+        params[0] = round(params[0])
+        return params
+
+
 @pytest.mark.parametrize("bad_value", [np.inf, -np.inf, np.nan])
 def test_non_finite_objective_aborts(bad_value):
     # each iteration evaluates the record point, then the SPSA pair: row 4 is
     # iteration 1's record, and row 7 the final evaluation after 2 iterations
     spsa = SpsaConfig(max_iters=2)
-    rec = run_optimization(_StubObjective(4, bad_value), spsa, LrSchedule(), 0)
+    [rec] = run_optimization(_StubObjective(4, bad_value), spsa, LrSchedule(), [0])
     assert rec.aborted and len(rec.rows) == 1
     assert rec.abort_reason == f"non-finite objective ({bad_value}) at iteration 1"
 
-    rec = run_optimization(_StubObjective(7, bad_value), spsa, LrSchedule(), 0)
+    [rec] = run_optimization(_StubObjective(7, bad_value), spsa, LrSchedule(), [0])
     assert rec.aborted and len(rec.rows) == 2
     assert rec.abort_reason == f"non-finite objective ({bad_value}) at iteration 2"
     assert np.isnan(rec.final_objective)
+
+    # in lockstep, the run that aborts leaves the stack: every run's record
+    # equals the one it gets when trained alone
+    seeds = [0, 1, 2]
+    bad_tag = float(np.random.default_rng(seeds[1]).integers(1, 2**30))
+    spsa = SpsaConfig(max_iters=6)
+    together = run_optimization(_TaggedStub(bad_tag, 4, bad_value), spsa, LrSchedule(), seeds, oracle=0.0)
+    alone = [run_optimization(_TaggedStub(bad_tag, 4, bad_value), spsa, LrSchedule(), [seed], oracle=0.0)[0]
+             for seed in seeds]
+    assert [r.aborted for r in together] == [False, True, False]
+    assert together[1].abort_reason == f"non-finite objective ({bad_value}) at iteration 3"
+    assert len(together[1].rows) == 3 and len(together[0].rows) == 6
+    for got, want in zip(together, alone):
+        assert got.rows == want.rows
+        assert (got.aborted, got.abort_reason) == (want.aborted, want.abort_reason)
+        assert np.array_equal([got.final_objective, got.final_error], [want.final_objective, want.final_error],
+                              equal_nan=True)
+        assert np.array_equal(got.final_params, want.final_params)
 
 
 class TestParameterShift:
