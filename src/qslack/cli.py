@@ -9,8 +9,9 @@ import sys
 import numpy as np
 
 from . import linalg
-from .config import load_config
+from .config import config_from_dict, load_config
 from .estimate import Estimator, hoeffding_shots
+from .optimizer import run_optimization
 from .runner import build_from_config, run_experiment
 
 
@@ -102,6 +103,19 @@ def _cmd_selftest(_args) -> int:
     hw = WalshObservable.from_text(2, {"11": 1.0})
     lp = orc.lp_classical_cham_value(hw, [WalshObservable.from_text(2, {"10": 0.5})], [0.1])
     ok &= _check("classical oracle cross-check", lp.residual < 1e-6, f"residual {lp.residual}")
+
+    # 150 iterations cross a block of Delta draws and end inside the next
+    cfg = config_from_dict({"problem": "tvd_dual", "ansatz": {"type": "born"}, "optimizer": {"max_iters": 150}})
+    problem = build_from_config(cfg)
+    seeds = [[cfg.seed, k] for k in range(3)]
+
+    def train(seeds):
+        return run_optimization(problem.objective, cfg.spsa, cfg.schedule, seeds, oracle=problem.oracle.value)
+
+    together, alone = train(seeds), [train([seed])[0] for seed in seeds]
+    ok &= _check("runs in lockstep match runs trained alone",
+                 all(a.rows == b.rows and np.array_equal(a.final_params, b.final_params)
+                     for a, b in zip(together, alone)))
 
     print("selftest:", "all checks passed" if ok else "FAILURES above")
     return 0 if ok else 1

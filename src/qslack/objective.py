@@ -219,10 +219,12 @@ class PenaltyObjective:
         return out
 
     def clamp(self, params: np.ndarray) -> np.ndarray:
+        """Clamp the sign-constrained scalars of a parameter vector, or of
+        every row of a stack, at zero, in place."""
         for b in self.blocks:
             if b.kind == "scalar_nonneg":
-                s = self._slices[b.name]
-                np.maximum(params[s], 0.0, out=params[s])
+                s = params[..., self._slices[b.name]]
+                np.maximum(s, 0.0, out=s)
         return params
 
     def scalars(self, params: np.ndarray) -> dict[str, np.ndarray]:
@@ -253,13 +255,14 @@ class PenaltyObjective:
 
     # -- evaluation -----------------------------------------------------
     def evaluate(self, params: np.ndarray, estimator: Estimator | list[Estimator] | None = None
-                 ) -> TermBreakdown | list[TermBreakdown]:
-        """The objective at a parameter vector, or one breakdown per row of a
-        2-D array.  Without an ``estimator`` one call of the dense form takes
-        every row: the states of each template stacked, and each scalar block
-        with the row axis first.  Otherwise ``estimator`` is one Estimator for
-        every row or a list of one per row, and the rows are evaluated in
-        order, so each Estimator draws the same stream as one call per row."""
+                 ) -> TermBreakdown | tuple[np.ndarray, np.ndarray]:
+        """The objective at a parameter vector, or, for the rows of a 2-D
+        array, the values and the penalties as two arrays, one entry per row.
+        Without an ``estimator`` one call of the dense form takes every row:
+        the states of each template stacked, and each scalar block with the
+        row axis first.  Otherwise ``estimator`` is one Estimator for every
+        row or a list of one per row, and the rows are evaluated in order, so
+        each Estimator draws the same stream as one call per row."""
         params = np.asarray(params, dtype=float)
         rows = np.atleast_2d(params)
         stacked = self._realize(rows)
@@ -268,11 +271,13 @@ class PenaltyObjective:
             value, penalty = self._dense(*states, **self._arguments(self.scalars(params)))
             if params.ndim == 1:
                 return TermBreakdown(float(value), float(penalty))
-            return [TermBreakdown(v, p) for v, p in zip(value.tolist(), penalty.tolist())]
+            return np.asarray(value, dtype=float), np.asarray(penalty, dtype=float)
         estimators = estimator if isinstance(estimator, list) else [estimator] * len(rows)
         out = [self._terms(*[st[r] for st in stacked], **self._arguments(self.scalars(row)), est=est)
                for r, (row, est) in enumerate(zip(rows, estimators))]
-        return out if params.ndim == 2 else out[0]
+        if params.ndim == 1:
+            return out[0]
+        return np.array([tb.value for tb in out], dtype=float), np.array([tb.penalty for tb in out], dtype=float)
 
     def dense_value(self, dense_states: list[np.ndarray], scalars: dict[str, np.ndarray]) -> float:
         return self._dense(*dense_states, **self._arguments(scalars))[0]

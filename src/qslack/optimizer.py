@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimate import Estimator, ShotModel, prepare
-from .objective import PenaltyObjective, TermBreakdown
+from .objective import PenaltyObjective
 
 
 @dataclass(frozen=True)
@@ -80,22 +80,25 @@ def rademacher(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.integers(0, 2, size=n) * 2.0 - 1.0
 
 
-def spsa_gradient(f_plus: float, f_minus: float, delta: np.ndarray, c_pert: float) -> np.ndarray:
+def spsa_gradient(f_plus, f_minus, delta: np.ndarray, c_pert: float) -> np.ndarray:
     """Single-direction simultaneous-perturbation gradient estimate.
 
     From f_plus = f(theta + c Delta) and f_minus = f(theta - c Delta) with a
     Rademacher Delta, returns [f_plus - f_minus] / (2 c Delta_k) per
-    component (1 / Delta_k = Delta_k).
+    component (1 / Delta_k = Delta_k).  With one value per row and one Delta
+    per row, each row is the estimate of that row.
     """
-    return (f_plus - f_minus) / (2.0 * c_pert) * delta
+    return np.asarray((f_plus - f_minus) / (2.0 * c_pert))[..., None] * delta
 
 
 def normalize_gradient(g: np.ndarray) -> np.ndarray:
+    """g / |g| for a vector or for each row of a stack, and zero where the
+    norm is below 1e-15.  The norm of each row is sqrt(g . g) with the dot
+    product ``np.linalg.norm`` takes of one vector, so every row is bit for
+    bit that of its own call (an ``axis=`` reduction rounds differently)."""
     g = np.asarray(g, dtype=float)
-    norm = float(np.linalg.norm(g))
-    if norm < 1e-15:
-        return np.zeros_like(g)
-    return g / norm
+    norm = np.sqrt(g[..., None, :] @ g[..., :, None])[..., 0]
+    return np.divide(g, norm, out=np.zeros_like(g), where=~(norm < 1e-15))
 
 
 def lr_step(schedule: LrSchedule, history: Sequence[float], direction: str,
@@ -122,26 +125,6 @@ def lr_step(schedule: LrSchedule, history: Sequence[float], direction: str,
     return current_lr
 
 
-class _Run:
-    """One run of the lockstep loop: its generator, Estimator, parameters,
-    learning rate, objective history and record."""
-
-    def __init__(self, problem: PenaltyObjective, seed, shots: ShotModel, lr: float):
-        self.rng = np.random.default_rng(seed)
-        # exact expectations carry no sampling noise, so the dense form
-        # (numerically identical to the exact term expansion) serves
-        self.est = None if shots.exact else Estimator(shots, self.rng)
-        self.record = RunRecord()
-        self.params = problem.initial_params(self.rng)
-        self.lr = lr
-        self.history: list[float] = []
-        self.delta: np.ndarray | None = None
-        self.pair: list[TermBreakdown] = []
-
-    def draw_delta(self) -> None:
-        self.delta = rademacher(self.rng, len(self.params))
-
-
 def run_optimization(problem: PenaltyObjective, spsa: SpsaConfig, schedule: LrSchedule,
                      seeds: Sequence, shots: ShotModel | None = None,
                      oracle: float | None = None) -> list[RunRecord]:
@@ -150,77 +133,107 @@ def run_optimization(problem: PenaltyObjective, spsa: SpsaConfig, schedule: LrSc
 
     Run k draws its initial parameters, its SPSA directions and, in shot
     mode, its shots from one generator seeded by ``seeds[k]`` (a Generator
-    or anything ``np.random.default_rng`` accepts).  Each iteration evaluates
-    every live run's record point and its SPSA pair theta +- c Delta, then
-    takes each run's step (ascent for maximization problems);
-    sign-constrained scalars are clamped at zero afterwards.  In exact mode,
-    which draws nothing from the generators, each run's Delta is drawn
-    first and the three points of every run go through one ``evaluate``
-    call.  In shot mode a run's record point draws its shots before Delta,
-    so the record points of all runs share one call, then each run draws
-    its Delta, and the pairs share a second call; each row draws from its
-    own run's Estimator, so every run consumes its stream in the order of a
-    run trained alone.  A non-finite objective (NaN or +-inf) at a run's
-    record point aborts that run with a diagnostic; it leaves the stack and
-    the other runs go on unchanged.  The final evaluation of the trained
+    or anything ``np.random.default_rng`` accepts).  The live runs'
+    parameters, learning rates, directions and gradients are arrays with
+    one row per run: each iteration evaluates every run's record point and
+    its SPSA pair theta +- c Delta, then steps the whole stack (ascent for
+    maximization problems) and clamps its sign-constrained scalars at zero.
+    Every row is bit for bit the run trained alone.
+
+    In exact mode, which draws nothing else from the generators, each run
+    draws its Deltas for the next ``CHECK_EVERY`` iterations in one call,
+    the same stream as one draw per iteration, and the three points of
+    every run go through one ``evaluate`` call.  In shot mode a run's
+    record point draws its shots before its Delta, so no draw can be
+    brought forward: the record points of all runs share one call, then
+    each run draws its Delta, and the pairs share a second call; each row
+    draws from its own run's Estimator, so every run consumes its stream in
+    the order of a run trained alone.  A non-finite objective (NaN or
+    +-inf) at a run's record point aborts that run with a diagnostic and
+    keeps that point as its final parameters; it leaves the stack and the
+    other runs go on unchanged.  The final evaluation of the trained
     parameters is iteration ``max_iters``, checked the same way.
     """
     shots = shots if shots is not None else ShotModel()
-    runs = [_Run(problem, seed, shots, spsa.learning_rate) for seed in seeds]
-    c = spsa.perturbation
+    records = [RunRecord() for _ in seeds]
+    if not records:
+        return records
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    # exact expectations carry no sampling noise, so the dense form
+    # (numerically identical to the exact term expansion) serves
+    ests = None if shots.exact else [Estimator(shots, rng) for rng in rngs]
+    start = np.array([problem.initial_params(rng) for rng in rngs])
+    n = start.shape[1]
+    # each run's record point theta, then its SPSA pair theta +- c Delta
+    points = np.empty((len(rngs), 3, n))
+    points[:, 0] = start
+    params = points[:, 0]
+    c, iters = spsa.perturbation, spsa.max_iters
     sign = 1.0 if problem.direction == "max" else -1.0
-    live = runs
+    lr = np.full(len(rngs), spsa.learning_rate)
+    live = np.arange(len(rngs))  # the run of each row of the stack
+    ends = np.full(len(rngs), iters)  # each run's number of rows
+    # the rows of every run, one column per iteration
+    objective, penalty, error, lrs = np.empty((4, len(rngs), iters))
 
-    for k in range(spsa.max_iters + 1):
-        final = k == spsa.max_iters
-        if shots.exact and not final:
-            for run in live:
-                run.draw_delta()
-            points = problem.evaluate(np.concatenate(
-                [(run.params, run.params + c * run.delta, run.params - c * run.delta) for run in live]))
-            at_records = points[::3]
+    for k in range(iters + 1):
+        if shots.exact and k < iters:
+            if k % CHECK_EVERY == 0:
+                size = (min(CHECK_EVERY, iters - k), n)
+                deltas = np.stack([rngs[i].integers(0, 2, size=size) for i in live]) * 2.0 - 1.0
+            delta = deltas[:, k % CHECK_EVERY]
+            step = c * delta
+            np.add(params, step, out=points[:, 1])
+            np.subtract(params, step, out=points[:, 2])
+            values, penalties = problem.evaluate(points.reshape(-1, n))
+            values, penalties, plus, minus = values[::3], penalties[::3], values[1::3], values[2::3]
         else:
-            at_records = problem.evaluate(np.stack([run.params for run in live]),
-                                          None if shots.exact else [run.est for run in live])
-        stepping = []
-        for j, (run, tb) in enumerate(zip(live, at_records)):
-            rec = run.record
-            if not math.isfinite(tb.value):
+            values, penalties = problem.evaluate(params, None if shots.exact else [ests[i] for i in live])
+        bad = ~np.isfinite(values)
+        if bad.any():
+            for j in np.flatnonzero(bad):
+                rec = records[live[j]]
                 rec.aborted = True
-                rec.abort_reason = f"non-finite objective ({tb.value}) at iteration {k}"
-                continue
-            err = abs(tb.value - oracle) if oracle is not None else math.nan
-            if final:
-                rec.final_objective, rec.final_penalty, rec.final_error = tb.value, tb.penalty, err
-                continue
-            if k > 0 and k % CHECK_EVERY == 0:
-                run.lr = lr_step(schedule, run.history, problem.direction, run.lr, k)
-            rec.rows.append(IterationRow(k, tb.value, tb.penalty, err, run.lr))
-            run.history.append(tb.value)
-            if shots.exact:
-                run.pair = points[3 * j + 1:3 * j + 3]
-            stepping.append(run)
-        live = stepping
-        if not live:
+                rec.abort_reason = f"non-finite objective ({float(values[j])}) at iteration {k}"
+                rec.final_params = params[j].copy()
+                ends[live[j]] = k
+            keep = ~bad
+            live, points, lr, values, penalties = live[keep], points[keep], lr[keep], values[keep], penalties[keep]
+            params = points[:, 0]
+            if shots.exact and k < iters:
+                deltas, delta, plus, minus = deltas[keep], delta[keep], plus[keep], minus[keep]
+            if not len(live):
+                break
+        err = np.abs(values - (math.nan if oracle is None else oracle))
+        if k == iters:
+            for j, i in enumerate(live):
+                rec = records[i]
+                rec.final_objective, rec.final_penalty, rec.final_error = map(float, (values[j], penalties[j], err[j]))
             break
+        if k > 0 and k % CHECK_EVERY == 0:
+            for j, i in enumerate(live):
+                lr[j] = lr_step(schedule, objective[i, :k], problem.direction, float(lr[j]), k)
+        objective[live, k], penalty[live, k], error[live, k], lrs[live, k] = values, penalties, err, lr
         if not shots.exact:
-            for run in live:
-                run.draw_delta()
-            pairs = problem.evaluate(np.concatenate([(run.params + c * run.delta, run.params - c * run.delta)
-                                                     for run in live]),
-                                     [run.est for run in live for _ in (0, 1)])
-            for j, run in enumerate(live):
-                run.pair = pairs[2 * j:2 * j + 2]
-        for run in live:
-            grad = spsa_gradient(run.pair[0].value, run.pair[1].value, run.delta, c)
-            if spsa.normalize:
-                grad = normalize_gradient(grad)
-            run.params = run.params + sign * run.lr * grad
-            problem.clamp(run.params)
+            delta = np.stack([rademacher(rngs[i], n) for i in live])
+            step = c * delta
+            np.add(params, step, out=points[:, 1])
+            np.subtract(params, step, out=points[:, 2])
+            pair, _ = problem.evaluate(points[:, 1:].reshape(-1, n), [ests[i] for i in live for _ in (0, 1)])
+            plus, minus = pair[::2], pair[1::2]
+        grad = spsa_gradient(plus, minus, delta, c)
+        if spsa.normalize:
+            grad = normalize_gradient(grad)
+        np.add(params, (sign * lr)[:, None] * grad, out=params)
+        problem.clamp(params)
 
-    for run in runs:
-        run.record.final_params = run.params
-    return [run.record for run in runs]
+    for j, i in enumerate(live):
+        records[i].final_params = params[j].copy()
+    for i, rec in enumerate(records):
+        m = ends[i]
+        rec.rows = list(map(IterationRow, range(m), objective[i, :m].tolist(), penalty[i, :m].tolist(),
+                            error[i, :m].tolist(), lrs[i, :m].tolist()))
+    return records
 
 
 def parameter_shift_gradient(problem: PenaltyObjective, params: np.ndarray, k: int) -> float:

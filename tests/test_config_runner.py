@@ -138,13 +138,18 @@ class TestConfig:
 
 GOLDEN_RUNS = os.path.join(os.path.dirname(__file__), "data", "golden_runs")
 
-# Short campaigns (30 iterations, 2 runs, seed 7) whose run CSVs in
-# GOLDEN_RUNS were recorded from earlier designs: the td/tvd ones from a loop
-# that evaluated each SPSA point in its own call, the others from builders
-# that bound each scalar block by hand.  Between them they pass every kind
-# of scalar block: numbers, real vectors (alpha and beta, the slacks z and
-# the multipliers y) and fidelity's complex alpha.  Neither change may move
-# a byte.
+# Campaigns (seed 7; 30 iterations and 2 runs unless the entry says
+# otherwise) whose run CSVs in GOLDEN_RUNS were recorded from earlier
+# designs: the td/tvd ones from a loop that evaluated each SPSA point in its
+# own call, the 30-iteration others from builders that bound each scalar
+# block by hand, and the 350-iteration one from a loop that stepped each run
+# on its own and drew each SPSA direction in its own call.  Between them
+# they pass every kind of scalar block: numbers, real vectors (alpha and
+# beta, the slacks z and the multipliers y) and fidelity's complex alpha.
+# The 350-iteration campaign crosses the learning-rate checks and the
+# exact-mode blocks of SPSA directions at 100, 200 and 300, ends inside a
+# block, halves its runs' rates to different values and clamps its
+# non-negative slacks.  No change may move a byte.
 GOLDEN_CAMPAIGNS = {
     "td_dual_purification_exact": {"problem": "trace_distance_dual", "ansatz": {"type": "purification"}},
     "tvd_dual_born_exact": {"problem": "tvd_dual", "ansatz": {"type": "born"}},
@@ -154,15 +159,18 @@ GOLDEN_CAMPAIGNS = {
     "negativity_dual_purification_exact": {"problem": "negativity_dual", "ansatz": {"type": "purification"}},
     "cham_primal_purification_exact": {"problem": "cham_primal", "ansatz": {"type": "purification"}},
     "classical_cham_dual_born_exact": {"problem": "classical_cham_dual", "ansatz": {"type": "born"}},
+    "classical_cham_primal_born_schedule": {"problem": "classical_cham_primal", "ansatz": {"type": "born"},
+                                            "optimizer": {"max_iters": 350}, "n_runs": 3, "workers": 1,
+                                            "schedule": {"kind": "regression_window", "window": 100}},
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CAMPAIGNS))
 def test_run_csvs_match_the_recorded_text(name, tmp_path):
-    cfg = config_from_dict({**GOLDEN_CAMPAIGNS[name], "optimizer": {"max_iters": 30}, "n_runs": 2,
+    cfg = config_from_dict({"optimizer": {"max_iters": 30}, "n_runs": 2, **GOLDEN_CAMPAIGNS[name],
                             "seed": 7, "output_dir": str(tmp_path)})
     result = run_experiment(cfg)
-    assert len(result.run_csvs) == 2
+    assert len(result.run_csvs) == cfg.n_runs
     for k, path in enumerate(result.run_csvs):
         with open(path) as got, open(os.path.join(GOLDEN_RUNS, f"{name}_run_{k}.csv")) as want:
             assert got.read() == want.read()

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from qslack import build_problem
+from qslack import build_problem, optimizer
 from qslack.estimate import ShotModel
-from qslack.objective import TermBreakdown
 from qslack.optimizer import (
+    CHECK_EVERY,
     LrSchedule,
     SpsaConfig,
     aggregate_runs,
@@ -55,6 +55,32 @@ class TestNormalize:
         for _ in range(100):
             g = normalize_gradient(rng.standard_normal(7))
             assert np.isclose(np.linalg.norm(g), 1.0)
+
+    def test_stack_rows_match_single_vector_calls(self, rng):
+        # every row bit for bit its own call, and that call g / |g| with the
+        # norm np.linalg.norm takes of one vector; rows of norm below 1e-15
+        # give zeros
+        for n in (1, 2, 17, 74, 129):
+            g = rng.standard_normal((6, n)) * rng.uniform(1e-3, 1e3, (6, 1))
+            g[2] = 0.0
+            g[4] = 1e-17
+            stacked = normalize_gradient(g)
+            for row, got in zip(g, stacked):
+                assert got.tobytes() == normalize_gradient(row).tobytes()
+                norm = float(np.linalg.norm(row))
+                want = np.zeros(n) if norm < 1e-15 else row / norm
+                assert got.tobytes() == want.tobytes()
+
+
+def test_block_draw_matches_one_draw_per_iteration():
+    # exact mode draws CHECK_EVERY directions in one call: the same stream,
+    # and the same generator state after it, as one rademacher call each
+    for n in (1, 17, 22, 129):
+        for block in (1, 37, CHECK_EVERY):
+            a, b = np.random.default_rng([5, n]), np.random.default_rng([5, n])
+            drawn = a.integers(0, 2, size=(block, n)) * 2.0 - 1.0
+            assert np.array_equal(drawn, [rademacher(b, n) for _ in range(block)])
+            assert a.random() == b.random()
 
 
 class TestLrStep:
@@ -165,16 +191,48 @@ class TestRunOptimization:
                 assert row.lr == prev.lr
             assert row.lr >= sched.min_lr
 
+    def test_lr_step_sees_every_earlier_row(self, vqe_problem, monkeypatch):
+        seen = []
+
+        def recording(schedule, history, direction, current_lr, iteration):
+            seen.append((iteration, list(history)))
+            return current_lr
+
+        monkeypatch.setattr(optimizer, "lr_step", recording)
+        [rec] = run_optimization(vqe_problem.objective, SpsaConfig(max_iters=201), LrSchedule(), [3])
+        assert [k for k, _ in seen] == [100, 200]
+        for k, history in seen:
+            assert history == [row.objective for row in rec.rows[:k]]
+
     def test_shot_mode_runs(self, vqe_problem):
         spsa = SpsaConfig(max_iters=20)
         [rec] = run_optimization(vqe_problem.objective, spsa, LrSchedule(), [7],
                                shots=ShotModel("shots", n=1000), oracle=None)
         assert len(rec.rows) == 20
 
+    def test_no_seeds_no_records(self, vqe_problem):
+        assert run_optimization(vqe_problem.objective, SpsaConfig(max_iters=5), LrSchedule(), []) == []
+
+    def test_final_params_are_each_runs_own(self, vqe_problem):
+        records = run_optimization(vqe_problem.objective, SpsaConfig(max_iters=5), LrSchedule(), [1, 2, 3])
+        for i, a in enumerate(records):
+            for b in records[i + 1:]:
+                assert not np.may_share_memory(a.final_params, b.final_params)
+
+    def test_clamp_acts_on_each_row_of_a_stack(self, rng):
+        for tag in ("trace_distance_dual", "cham_primal", "tvd_dual"):
+            o = build_problem(tag).objective
+            stack = rng.uniform(-1.0, 1.0, (5, o.n_params))
+            want = [o.clamp(row.copy()) for row in stack]
+            assert o.clamp(stack) is stack
+            assert np.array_equal(stack, want)
+            assert (stack < 0).any()  # the free coordinates keep their sign
+
 
 class _StubObjective:
-    """Two free parameters; every evaluated row gives 1.0 except row number
-    ``bad_call``, which gives ``bad_value``."""
+    """Two free parameters; every evaluated row of the stacks ``evaluate``
+    receives gives 1.0, except row number ``bad_call``, which gives
+    ``bad_value``."""
 
     direction = "min"
 
@@ -185,11 +243,11 @@ class _StubObjective:
         return np.zeros(2)
 
     def evaluate(self, params, est=None):
-        out = []
-        for _ in range(len(np.atleast_2d(params))):
+        values = []
+        for _ in params:
             self.calls += 1
-            out.append(TermBreakdown(self.bad_value if self.calls == self.bad_call else 1.0, 0.0))
-        return out if np.ndim(params) == 2 else out[0]
+            values.append(self.bad_value if self.calls == self.bad_call else 1.0)
+        return np.array(values), np.zeros(len(values))
 
     def clamp(self, params):
         return params
@@ -197,10 +255,11 @@ class _StubObjective:
 
 class _TaggedStub:
     """Parameter 0 tags the run: a whole number, the first draw of the run's
-    generator, which ``clamp`` restores after every step, so the rows of the
-    SPSA pair lie within c of it.  Every row gives a finite quadratic in the
-    other two parameters, except the ``bad_record``-th record point of the
-    run tagged ``bad_tag``, which gives ``bad_value``."""
+    generator, which ``clamp`` restores in every row of the stack after every
+    step, so the rows of the SPSA pair lie within c of it.  Every row gives a
+    finite quadratic in the other two parameters, except the
+    ``bad_record``-th record point of the run tagged ``bad_tag``, which gives
+    ``bad_value``."""
 
     direction = "min"
 
@@ -212,18 +271,18 @@ class _TaggedStub:
         return np.array([float(rng.integers(1, 2**30)), *rng.uniform(-1.0, 1.0, 2)])
 
     def evaluate(self, params, est=None):
-        out = []
-        for row in np.atleast_2d(params):
+        values = []
+        for row in params:
             value = float((row[1] - 0.3) ** 2 + 2.0 * row[2] ** 2)
             if row[0] == round(row[0]):
                 self.records[row[0]] = self.records.get(row[0], 0) + 1
                 if row[0] == self.bad_tag and self.records[row[0]] == self.bad_record:
                     value = self.bad_value
-            out.append(TermBreakdown(value, 0.0))
-        return out if np.ndim(params) == 2 else out[0]
+            values.append(value)
+        return np.array(values), np.zeros(len(values))
 
     def clamp(self, params):
-        params[0] = round(params[0])
+        params[:, 0] = np.round(params[:, 0])
         return params
 
 
@@ -258,6 +317,23 @@ def test_non_finite_objective_aborts(bad_value):
         assert np.array_equal([got.final_objective, got.final_error], [want.final_objective, want.final_error],
                               equal_nan=True)
         assert np.array_equal(got.final_params, want.final_params)
+
+
+def test_aborted_run_keeps_its_record_point():
+    # the run's 4th record point (iteration 3) is non-finite
+    stub = _TaggedStub(float(np.random.default_rng(4).integers(1, 2**30)), 4, np.nan)
+    stacks, evaluate = [], stub.evaluate
+
+    def evaluate_recording(params, est=None):
+        stacks.append(params.copy())
+        return evaluate(params, est)
+
+    stub.evaluate = evaluate_recording
+    [rec] = run_optimization(stub, SpsaConfig(max_iters=6), LrSchedule(), [4])
+    assert rec.aborted and len(rec.rows) == 3
+    # row 0 of each exact-mode stack is the record point, which the steps move
+    assert np.array_equal(rec.final_params, stacks[3][0])
+    assert not np.array_equal(rec.final_params, stacks[2][0])
 
 
 class TestParameterShift:
