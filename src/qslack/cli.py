@@ -114,7 +114,7 @@ def _cmd_selftest(_args) -> int:
 
     together, alone = train(seeds), [train([seed])[0] for seed in seeds]
     ok &= _check("runs in lockstep match runs trained alone",
-                 all(a.rows == b.rows and np.array_equal(a.final_params, b.final_params)
+                 all(np.array_equal(a.rows, b.rows) and np.array_equal(a.final_params, b.final_params)
                      for a, b in zip(together, alone)))
 
     print("selftest:", "all checks passed" if ok else "FAILURES above")

@@ -55,18 +55,16 @@ class LrSchedule:
             raise ValueError("halving period must be a multiple of the check period")
 
 
-@dataclass
-class IterationRow:
-    iteration: int
-    objective: float
-    penalty: float
-    error: float
-    lr: float
+# A run's trace at one iteration: the columns of run_<k>.csv after ``iter``.
+ROW = np.dtype([("objective", float), ("penalty", float), ("error", float), ("lr", float)])
 
 
 @dataclass
 class RunRecord:
-    rows: list[IterationRow] = field(default_factory=list)
+    """One run's outcome.  ``rows`` is its trace: one ``ROW`` per recorded
+    iteration, element k iteration k, up to an abort."""
+
+    rows: np.ndarray = field(default_factory=lambda: np.empty(0, ROW))
     final_objective: float = math.nan
     final_penalty: float = math.nan
     final_error: float = math.nan
@@ -75,9 +73,10 @@ class RunRecord:
     abort_reason: str = ""
 
 
-def rademacher(rng: np.random.Generator, n: int) -> np.ndarray:
-    """A perturbation direction of n independent +-1 entries."""
-    return rng.integers(0, 2, size=n) * 2.0 - 1.0
+def rademacher(rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
+    """Independent +-1 entries: one direction of ``size`` entries, or an
+    array of shape ``size`` whose rows are the directions of as many calls."""
+    return rng.integers(0, 2, size=size) * 2.0 - 1.0
 
 
 def spsa_gradient(f_plus, f_minus, delta: np.ndarray, c_pert: float) -> np.ndarray:
@@ -129,7 +128,7 @@ def run_optimization(problem: PenaltyObjective, spsa: SpsaConfig, schedule: LrSc
                      seeds: Sequence, shots: ShotModel | None = None,
                      oracle: float | None = None) -> list[RunRecord]:
     """Train the objective once from each of ``seeds``, all runs in lockstep,
-    and return one record per run, with one row per iteration.
+    and return one record per run, with one ``ROW`` per iteration.
 
     Run k draws its initial parameters, its SPSA directions and, in shot
     mode, its shots from one generator seeded by ``seeds[k]`` (a Generator
@@ -173,14 +172,15 @@ def run_optimization(problem: PenaltyObjective, spsa: SpsaConfig, schedule: LrSc
     lr = np.full(len(rngs), spsa.learning_rate)
     live = np.arange(len(rngs))  # the run of each row of the stack
     ends = np.full(len(rngs), iters)  # each run's number of rows
-    # the rows of every run, one column per iteration
-    objective, penalty, error, lrs = np.empty((4, len(rngs), iters))
+    # the rows of every run, one column per iteration, and a view per field
+    table = np.empty((len(rngs), iters), ROW)
+    objective, penalty, error, lrs = (table[name] for name in ROW.names)
 
     for k in range(iters + 1):
         if shots.exact and k < iters:
             if k % CHECK_EVERY == 0:
                 size = (min(CHECK_EVERY, iters - k), n)
-                deltas = np.stack([rngs[i].integers(0, 2, size=size) for i in live]) * 2.0 - 1.0
+                deltas = np.stack([rademacher(rngs[i], size) for i in live])
             delta = deltas[:, k % CHECK_EVERY]
             step = c * delta
             np.add(params, step, out=points[:, 1])
@@ -230,9 +230,7 @@ def run_optimization(problem: PenaltyObjective, spsa: SpsaConfig, schedule: LrSc
     for j, i in enumerate(live):
         records[i].final_params = params[j].copy()
     for i, rec in enumerate(records):
-        m = ends[i]
-        rec.rows = list(map(IterationRow, range(m), objective[i, :m].tolist(), penalty[i, :m].tolist(),
-                            error[i, :m].tolist(), lrs[i, :m].tolist()))
+        rec.rows = table[i, :ends[i]].copy()
     return records
 
 
@@ -284,11 +282,10 @@ def parameter_shift_gradient_vector(problem: PenaltyObjective, params: np.ndarra
 
 
 def aggregate_runs(records: Sequence[RunRecord]) -> list[tuple[int, float, float, float]]:
-    """Per-iteration (iteration, median, q1, q3) across runs, over the common
-    iteration range."""
+    """Per-iteration (iteration, median, q1, q3) of the runs' ``objective``
+    columns, over the iterations every run recorded."""
     if not records:
         raise ValueError("no records to aggregate")
     n = min(len(r.rows) for r in records)
-    vals = np.array([[row.objective for row in r.rows[:n]] for r in records])
-    q1, med, q3 = np.percentile(vals, [25.0, 50.0, 75.0], axis=0)
-    return list(zip([row.iteration for row in records[0].rows[:n]], med.tolist(), q1.tolist(), q3.tolist()))
+    q1, med, q3 = np.percentile([r.rows["objective"][:n] for r in records], [25.0, 50.0, 75.0], axis=0)
+    return list(zip(range(n), med.tolist(), q1.tolist(), q3.tolist()))

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .config import ExperimentConfig, resolve_output_dir
-from .optimizer import RunRecord, aggregate_runs, run_optimization
+from .optimizer import ROW, RunRecord, aggregate_runs, run_optimization
 from .oracle import OracleResult
 from .problems import Problem, build_problem
 
@@ -31,15 +31,13 @@ class RunRecords(list):
     takes attributes, which travel to the chunk's first record."""
 
 
-def _run_single(job: tuple[ExperimentConfig, Problem], runs: int | Sequence[int]) -> RunRecord | RunRecords:
-    """Runs of a campaign, trained in lockstep on the campaign's built
-    problem, run k from the generator seeded by (config seed, k).  One run
-    index gives that run's record, a sequence of them a ``RunRecords``."""
+def _run_single(job: tuple[ExperimentConfig, Problem], runs: Sequence[int]) -> RunRecords:
+    """The records of runs ``runs`` of a campaign, trained in lockstep on the
+    campaign's built problem, run k from the generator seeded by
+    (config seed, k)."""
     cfg, problem = job
-    indices = [runs] if isinstance(runs, int) else list(runs)
-    records = run_optimization(problem.objective, cfg.spsa, cfg.schedule, [[cfg.seed, k] for k in indices],
-                               shots=cfg.shots, oracle=problem.oracle.value)
-    return records[0] if isinstance(runs, int) else RunRecords(records)
+    return RunRecords(run_optimization(problem.objective, cfg.spsa, cfg.schedule, [[cfg.seed, k] for k in runs],
+                                       shots=cfg.shots, oracle=problem.oracle.value))
 
 
 @dataclass
@@ -58,10 +56,10 @@ def _fmt(x: float) -> str:
 
 
 def write_run_csv(path: str, record: RunRecord) -> None:
-    lines = ["iter,objective,penalty,error,lr"]
-    for row in record.rows:
-        lines.append(",".join([str(row.iteration), _fmt(row.objective), _fmt(row.penalty),
-                               _fmt(row.error), _fmt(row.lr)]))
+    """One line per row of the record: the iteration, then the ``ROW``
+    fields, under a header of their names."""
+    lines = [",".join(("iter", *ROW.names))]
+    lines += [",".join([str(k), *map(repr, row)]) for k, row in enumerate(record.rows.tolist())]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -106,7 +104,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         write_run_csv(path, rec)
         result.run_csvs.append(path)
 
-    completed = [r for r in records if r.rows]
+    completed = [r for r in records if len(r.rows)]
     if completed:
         agg = aggregate_runs(completed)
         result.summary_csv = os.path.join(out_dir, "summary.csv")

@@ -16,6 +16,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ def _rand_dist(size, rng):
 
 def _run_job(args):
     cfg_dict, seed = args
-    rec = _run_single(cfg_dict, seed)
+    rec = _run_single(cfg_dict, [seed])[0]
     return rec.final_objective, rec.final_error, rec.aborted
 
 
@@ -433,6 +434,6 @@ def test_criterion_8_determinism(tmp_path):
     ra = run_experiment(config_from_dict({**base, "output_dir": str(tmp_path / "a")}))
     rb = run_experiment(config_from_dict({**base, "output_dir": str(tmp_path / "b")}))
     for pa, pb in zip(ra.run_csvs, rb.run_csvs):
-        assert open(pa, "rb").read() == open(pb, "rb").read()
-    assert open(ra.summary_csv, "rb").read() == open(rb.summary_csv, "rb").read()
+        assert Path(pa).read_bytes() == Path(pb).read_bytes()
+    assert Path(ra.summary_csv).read_bytes() == Path(rb.summary_csv).read_bytes()
     print("\ncriterion 8: PASS - byte-identical CSV outputs across invocations")

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ import pytest
 from qslack.config import ConfigError, ExperimentConfig, config_from_dict, load_config, resolve_output_dir
 from qslack import runner
 from qslack.estimate import Estimator
+from qslack.objective import PenaltyObjective
+from qslack.optimizer import aggregate_runs
 from qslack.problems import DEFAULTS, PROBLEM_TAGS, build_problem
-from qslack.runner import build_from_config, emit_plot, run_experiment
+from qslack.runner import build_from_config, emit_plot, run_experiment, write_summary_csv
 
 
 def tiny_config(**over):
@@ -183,7 +186,7 @@ class TestRunner:
         assert result.ok
         assert len(result.run_csvs) == 2
         for path in result.run_csvs:
-            lines = open(path).read().strip().split("\n")
+            lines = Path(path).read_text().strip().split("\n")
             assert lines[0] == "iter,objective,penalty,error,lr"
             assert len(lines) == 1 + 10
             for line in lines[1:]:
@@ -197,9 +200,9 @@ class TestRunner:
         result = run_experiment(cfg)
         per_run = []
         for path in result.run_csvs:
-            rows = [line.split(",") for line in open(path).read().strip().split("\n")[1:]]
+            rows = [line.split(",") for line in Path(path).read_text().strip().split("\n")[1:]]
             per_run.append([float(r[1]) for r in rows])
-        summary = [line.split(",") for line in open(result.summary_csv).read().strip().split("\n")[1:]]
+        summary = [line.split(",") for line in Path(result.summary_csv).read_text().strip().split("\n")[1:]]
         for i, row in enumerate(summary):
             vals = [run[i] for run in per_run]
             assert float(row[1]) == float(np.median(vals))
@@ -212,14 +215,14 @@ class TestRunner:
         ra = run_experiment(cfg_a)
         rb = run_experiment(cfg_b)
         for pa, pb in zip(ra.run_csvs, rb.run_csvs):
-            assert open(pa, "rb").read() == open(pb, "rb").read()
-        assert open(ra.summary_csv, "rb").read() == open(rb.summary_csv, "rb").read()
+            assert Path(pa).read_bytes() == Path(pb).read_bytes()
+        assert Path(ra.summary_csv).read_bytes() == Path(rb.summary_csv).read_bytes()
 
     def test_parallel_workers_match_serial(self, tmp_path):
         serial = run_experiment(config_from_dict(tiny_config(output_dir=str(tmp_path / "s"))))
         par = run_experiment(config_from_dict(tiny_config(output_dir=str(tmp_path / "p"), workers=2)))
         for pa, pb in zip(serial.run_csvs, par.run_csvs):
-            assert open(pa).read() == open(pb).read()
+            assert Path(pa).read_text() == Path(pb).read_text()
 
     @pytest.mark.parametrize("shots", [{"mode": "exact"}, {"mode": "shots", "n": 1000}])
     def test_lockstep_chunks_match_runs_alone(self, tmp_path, shots):
@@ -229,7 +232,7 @@ class TestRunner:
         for workers in (1, 2, 3):
             res = run_experiment(config_from_dict(tiny_config(n_runs=3, workers=workers, shots=shots,
                                                               output_dir=str(tmp_path / str(workers)))))
-            outputs.append([open(path, "rb").read() for path in res.run_csvs + [res.summary_csv]])
+            outputs.append([Path(path).read_bytes() for path in res.run_csvs + [res.summary_csv]])
         assert len(outputs[0]) == 4
         assert outputs[0] == outputs[1] == outputs[2]
 
@@ -248,6 +251,36 @@ class TestRunner:
         run_experiment(config_from_dict(tiny_config(n_runs=3, workers=workers, output_dir=str(tmp_path / "exp"))))
         assert calls.read_text().count("build") == 1
 
+    def test_run_without_rows(self, tmp_path, monkeypatch):
+        # run 0 goes non-finite at its first record point and records no
+        # row; the other runs complete, as they do beside a sound run 0
+        doc = tiny_config(n_runs=3, workers=1)
+        sound = run_experiment(config_from_dict({**doc, "output_dir": str(tmp_path / "sound")}))
+        evaluate, calls = PenaltyObjective.evaluate, []
+
+        def run_0_diverges_at_once(self, params, estimator=None):
+            values, penalties = evaluate(self, params, estimator)
+            if not calls:
+                values = values.copy()
+                values[0] = np.nan  # row 0 of the first stack: run 0's record point
+            calls.append(params)
+            return values, penalties
+
+        monkeypatch.setattr(PenaltyObjective, "evaluate", run_0_diverges_at_once)
+        cfg = config_from_dict({**doc, "output_dir": str(tmp_path / "exp")})
+        result = run_experiment(cfg)
+        assert not result.ok and len(result.records[0].rows) == 0
+        assert Path(result.run_csvs[0]).read_text() == "iter,objective,penalty,error,lr\n"
+        for got, want in zip(result.run_csvs[1:], sound.run_csvs[1:]):
+            assert Path(got).read_bytes() == Path(want).read_bytes()
+
+        agg = aggregate_runs(result.records[1:])
+        assert len(agg) == 10
+        write_summary_csv(str(tmp_path / "want.csv"), agg)
+        assert Path(result.summary_csv).read_text() == (tmp_path / "want.csv").read_text()
+        assert Path(result.plot_svg).read_text() == emit_plot(agg, result.oracle.value, title=cfg.problem)
+        assert Path(result.output_dir, "manifest.txt").read_text().splitlines()[1] == "aborted: [0]"
+
     def test_build_from_config_oracle(self):
         cfg = config_from_dict({"problem": "classical_cham_primal"})
         problem = build_from_config(cfg)
@@ -256,7 +289,7 @@ class TestRunner:
     def test_plot_file_written(self, tmp_path):
         cfg = config_from_dict(tiny_config(output_dir=str(tmp_path / "exp")))
         result = run_experiment(cfg)
-        svg = open(result.plot_svg).read()
+        svg = Path(result.plot_svg).read_text()
         assert svg.startswith("<svg")
         assert "stroke-dasharray" in svg
         assert "polyline" in svg
@@ -269,7 +302,7 @@ class TestRunner:
         ))
         result = run_experiment(cfg)
         assert result.ok
-        rows = open(result.run_csvs[0]).read().strip().split("\n")[1:]
+        rows = Path(result.run_csvs[0]).read_text().strip().split("\n")[1:]
         assert len(rows) == 10
 
 
