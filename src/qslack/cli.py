@@ -59,7 +59,7 @@ def _check(name: str, ok: bool, detail: str = "") -> bool:
 def _cmd_selftest(_args) -> int:
     from . import objective as obj
     from . import oracle as orc
-    from .pauli import PauliObservable, WalshObservable
+    from .pauli import Expansion
 
     ok = True
     ket0 = np.array([1, 0], dtype=complex)
@@ -72,9 +72,9 @@ def _cmd_selftest(_args) -> int:
     neg = orc.exact_negativity(np.outer(bell, bell.conj()), 2, 2)
     ok &= _check("Bell negativity", abs(neg - 2.0) < 1e-9, f"{neg}")
 
-    h = PauliObservable.from_text(2, {"ZZ": 1.0, "XI": 1.0, "IX": 1.0})
-    a1 = PauliObservable.from_text(2, {"YI": 1.0})
-    a2 = PauliObservable.from_text(2, {"IZ": 1.0})
+    h = Expansion.from_text(2, {"ZZ": 1.0, "XI": 1.0, "IX": 1.0})
+    a1 = Expansion.from_text(2, {"YI": 1.0})
+    a2 = Expansion.from_text(2, {"IZ": 1.0})
     res = orc.sdp_cham_value(h, [a1, a2], [0.2, 0.1])
     ok &= _check("constrained Hamiltonian optimum", abs(res.value - (-2.2097)) < 1e-3, f"{res.value}")
     res0 = orc.sdp_cham_value(h, [], [])
@@ -100,8 +100,8 @@ def _cmd_selftest(_args) -> int:
     dense, _ = obj.tvd_dual_dense(p, q, r, s, 0.5, 0.5, 10.0)
     ok &= _check("collision expansion matches dense evaluation", abs(tb.value - dense) < 1e-9)
 
-    hw = WalshObservable.from_text(2, {"11": 1.0})
-    lp = orc.lp_classical_cham_value(hw, [WalshObservable.from_text(2, {"10": 0.5})], [0.1])
+    hw = Expansion.from_text(2, {"11": 1.0}, walsh=True)
+    lp = orc.lp_classical_cham_value(hw, [Expansion.from_text(2, {"10": 0.5}, walsh=True)], [0.1])
     ok &= _check("classical oracle cross-check", lp.residual < 1e-6, f"residual {lp.residual}")
 
     # 150 iterations cross a block of Delta draws and end inside the next

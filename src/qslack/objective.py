@@ -20,8 +20,9 @@ the estimate of each scalar constraint.)  An operand X_i is one of
 
 * a :class:`~qslack.estimate.Prepared` state, or a distribution (no ``rho``);
 * ``IDENTITY``: the identity matrix, or the all-ones vector;
-* an :class:`Expansion` sum_k a_k B_k with real coefficients over Pauli
-  strings or Walsh vectors;
+* a :class:`~qslack.pauli.Expansion` sum_k a_k B_k with real coefficients
+  over Pauli strings or Walsh vectors: the observable type of the package,
+  which the problem instances are read into;
 * a :class:`Block` P_k (x) rho: a state on diagonal block k of a leading
   qubit, or the :class:`OffDiagonal` block |0><1| (x) X^dag + |1><0| (x) X.
 
@@ -63,7 +64,7 @@ lambda Phi(rho) <= B, is one :class:`SdpInstance`.  A and B are lists of
 (coefficient, operand) pairs, and Phi(X) = sum_k f_k Tr[S_k X] T_k is a list
 of triples (f_k, S_k, T_k); each operand is a ``Prepared`` state or a Pauli
 ``Expansion``.  :func:`LcsInstance` builds one from density matrices and
-:func:`PauliMapInstance` from Pauli observables and a map between strings.
+:func:`PauliMapInstance` from Pauli expansions and a map between strings.
 The term forms estimate Tr[S_k rho] once for each k and pass the weighted
 T_k to :func:`sq_norm`.
 
@@ -96,14 +97,7 @@ import numpy as np
 
 from . import linalg
 from .estimate import Estimator, Prepared, as_prepared, prepare
-from .pauli import (
-    PauliObservable,
-    PauliString,
-    WalshObservable,
-    WalshVector,
-    dense_string_basis,
-    string_order,
-)
+from .pauli import Expansion, PauliString, WalshVector, dense_string_basis, string_order
 
 PROJ0 = np.array([[1, 0], [0, 0]], dtype=complex)
 PROJ1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -294,20 +288,6 @@ class Identity:
 IDENTITY = Identity()
 
 
-class Expansion(NamedTuple):
-    """sum_k coeffs[k] B_k, with B_k the Pauli string (or, if ``walsh``, the
-    Walsh vector) labelled labels[k]."""
-
-    labels: tuple[tuple[int, ...], ...]
-    coeffs: np.ndarray
-    walsh: bool = False
-
-    @classmethod
-    def of(cls, obs: PauliObservable | WalshObservable) -> "Expansion":
-        return cls(tuple(obs.terms), np.array([c.real for c in obs.terms.values()]),
-                   isinstance(obs, WalshObservable))
-
-
 class Block(NamedTuple):
     """P_k (x) state: ``state`` placed on diagonal block ``k`` (0 or 1) of a
     leading qubit."""
@@ -325,7 +305,7 @@ class OffDiagonal(NamedTuple):
 
     def expansion(self) -> Expansion:
         n = (len(self.alpha).bit_length() - 1) // 2
-        return Expansion(tuple((q,) + x for x in string_order(n) for q in (1, 2)),
+        return Expansion(n + 1, tuple((q,) + x for x in string_order(n) for q in (1, 2)),
                          np.column_stack((self.alpha.real, self.alpha.imag)).ravel())
 
 
@@ -539,7 +519,8 @@ def fidelity_dual_objective(rho, sigma, omega, tau, xi, lam, mu, nu, c, est: Est
     rho, sigma, omega, tau, xi = map(as_prepared, (rho, sigma, omega, tau, xi))
     d = _dim(rho)
     gain = 0.5 * lam * _inner(omega, rho, d, est) + 0.5 * mu * _inner(tau, sigma, d, est)
-    x_eye = Expansion(((1,) + (0,) * int(round(math.log2(d))),), np.ones(1))
+    n = int(round(math.log2(d)))
+    x_eye = Expansion(n + 1, ((1,) + (0,) * n,), np.ones(1))
     pen = sq_norm([(lam, Block(0, omega)), (mu, Block(1, tau)), (1.0, x_eye), (-nu, xi)], 2 * d, est)
     return TermBreakdown(gain + c * pen, pen)
 
@@ -572,10 +553,11 @@ def negativity_primal_objective(rho_ab, sigma_ab, tau_ab, alpha: np.ndarray, lam
     for H = sum_x alpha_x sigma_x; the partial transpose acts on the
     coefficients as a sign flip per Y label on B."""
     rho_ab, sigma_ab, tau_ab = map(as_prepared, (rho_ab, sigma_ab, tau_ab))
-    strings = string_order(n_a + n_b)
-    d = 2.0 ** (n_a + n_b)
-    h = Expansion(strings, alpha)
-    gain = _expect(Expansion(strings, _pt_signs(n_a, n_b) * alpha), rho_ab, est)
+    n = n_a + n_b
+    strings = string_order(n)
+    d = 2.0**n
+    h = Expansion(n, strings, alpha)
+    gain = _expect(Expansion(n, strings, _pt_signs(n_a, n_b) * alpha), rho_ab, est)
     pen = (sq_norm([(1.0, IDENTITY), (-1.0, h), (-lam, sigma_ab)], d, est)
            + sq_norm([(1.0, IDENTITY), (1.0, h), (-mu, tau_ab)], d, est))
     return TermBreakdown(float(gain) - c * pen, pen)
@@ -600,12 +582,13 @@ def negativity_dual_objective(rho_ab, sigma_ab, tau_ab, alpha: np.ndarray, beta:
     """2^n (alpha_0 + beta_0) + c * (||(K - L)^T_B - rho||^2 + ||K - lambda sigma||^2
     + ||L - mu tau||^2) for K, L with Pauli coefficients alpha, beta."""
     rho_ab, sigma_ab, tau_ab = map(as_prepared, (rho_ab, sigma_ab, tau_ab))
-    strings = string_order(n_a + n_b)
-    d = 2.0 ** (n_a + n_b)
-    pt = Expansion(strings, _pt_signs(n_a, n_b) * (alpha - beta))
+    n = n_a + n_b
+    strings = string_order(n)
+    d = 2.0**n
+    pt = Expansion(n, strings, _pt_signs(n_a, n_b) * (alpha - beta))
     pen = (sq_norm([(1.0, pt), (-1.0, rho_ab)], d, est)
-           + sq_norm([(1.0, Expansion(strings, alpha)), (-lam, sigma_ab)], d, est)
-           + sq_norm([(1.0, Expansion(strings, beta)), (-mu, tau_ab)], d, est))
+           + sq_norm([(1.0, Expansion(n, strings, alpha)), (-lam, sigma_ab)], d, est)
+           + sq_norm([(1.0, Expansion(n, strings, beta)), (-mu, tau_ab)], d, est))
     val = d * (alpha[0] + beta[0]) + c * pen
     return TermBreakdown(float(val), pen)
 
@@ -638,14 +621,14 @@ def _residuals(expectations: list, b: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def cham_primal_objective(rho, h: PauliObservable | WalshObservable, a_list: list, b: np.ndarray,
+def cham_primal_objective(rho, h: Expansion, a_list: list[Expansion], b: np.ndarray,
                           z: np.ndarray, c, est: Estimator) -> TermBreakdown:
     """<H> + c sum_i (<A_i> - b_i - z_i)^2 from per-string estimates."""
     rho = as_prepared(rho)
-    energy = _expect(Expansion.of(h), rho, est)
+    energy = _expect(h, rho, est)
     pen = 0.0
     for a_obs, bi, zi in zip(a_list, b, z):
-        pen += (_expect(Expansion.of(a_obs), rho, est) - bi - zi) ** 2
+        pen += (_expect(a_obs, rho, est) - bi - zi) ** 2
     return TermBreakdown(energy + c * pen, pen)
 
 
@@ -668,11 +651,11 @@ def classical_cham_dual_dense(w, h_dense, a_dense: list[np.ndarray], b: np.ndarr
     return (_dot(b, y) + mu) - c * pen, pen
 
 
-def cham_dual_objective(omega, h: PauliObservable | WalshObservable, a_list: list, b: np.ndarray,
+def cham_dual_objective(omega, h: Expansion, a_list: list[Expansion], b: np.ndarray,
                         y: np.ndarray, mu, nu, c, est: Estimator) -> TermBreakdown:
     """sum_i b_i y_i + mu - c * ||H - sum_i y_i A_i - mu I - nu omega||_2^2."""
     omega = as_prepared(omega)
-    terms = ([(1.0, Expansion.of(h))] + [(-yi, Expansion.of(a)) for yi, a in zip(y, a_list)]
+    terms = ([(1.0, h)] + [(-yi, a) for yi, a in zip(y, a_list)]
              + [(-mu, IDENTITY), (-nu, omega)])
     pen = sq_norm(terms, _dim(omega), est)
     return TermBreakdown(float(np.dot(b, y) + mu) - c * pen, pen)
@@ -711,9 +694,7 @@ class SdpInstance:
 
 def _matrix(x) -> np.ndarray:
     """The dense matrix of a ``Prepared`` state or a Pauli ``Expansion``."""
-    if type(x) is Expansion:
-        return sum(c * PauliString(l).dense() for l, c in zip(x.labels, x.coeffs))
-    return x.dense
+    return x.dense() if type(x) is Expansion else x.dense
 
 
 def _combination(terms, n: int) -> np.ndarray:
@@ -730,13 +711,14 @@ def LcsInstance(n_in: int, n_out: int, a_terms, b_terms, phi_terms) -> SdpInstan
                        [(f, as_prepared(s), as_prepared(t)) for f, s, t in phi_terms])
 
 
-def PauliMapInstance(a_obs: PauliObservable, b_obs: PauliObservable,
+def PauliMapInstance(a_obs: Expansion, b_obs: Expansion,
                      phi_map: dict[tuple[tuple[int, ...], tuple[int, ...]], float]) -> SdpInstance:
     """An instance over sparse Pauli expansions; ``phi_map`` maps an (input,
     output) string pair to its coefficient."""
-    one = np.ones(1)
-    return SdpInstance(a_obs.n_qubits, b_obs.n_qubits, [(1.0, Expansion.of(a_obs))], [(1.0, Expansion.of(b_obs))],
-                       [(f, Expansion((lx,), one), Expansion((ly,), one)) for (lx, ly), f in phi_map.items()])
+    n_in, n_out, one = a_obs.n_qubits, b_obs.n_qubits, np.ones(1)
+    return SdpInstance(n_in, n_out, [(1.0, a_obs)], [(1.0, b_obs)],
+                       [(f, Expansion(n_in, (lx,), one), Expansion(n_out, (ly,), one))
+                        for (lx, ly), f in phi_map.items()])
 
 
 def generic_primal_dense(inst: SdpInstance, rho, sigma, lam, mu, c):

@@ -10,7 +10,7 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
-from .pauli import PauliObservable, WalshObservable
+from .pauli import Expansion
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def _row_dots(y: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([np.dot(b, row) for row in y])
 
 
-def sdp_cham_value(h: PauliObservable, a_list: list[PauliObservable], b,
+def sdp_cham_value(h: Expansion, a_list: list[Expansion], b,
                    y_max: float = 10.0) -> OracleResult:
     """Optimal value of the constrained Hamiltonian problem via its
     multiplier form: max over y >= 0 of sum_i b_i y_i + lambda_min(H - sum_i y_i A_i),
@@ -144,7 +144,7 @@ def sdp_cham_value(h: PauliObservable, a_list: list[PauliObservable], b,
     return OracleResult(float(val), "eigenvalue-dual-search")
 
 
-def lp_classical_cham_value(h: WalshObservable, a_list: list[WalshObservable], b,
+def lp_classical_cham_value(h: Expansion, a_list: list[Expansion], b,
                             y_max: float = 10.0) -> OracleResult:
     """Classical analogue, by vertex enumeration of the primal polytope.
 

@@ -1,17 +1,21 @@
 """Pauli-string and Walsh-Hadamard operator bases.
 
-Observables are sparse coefficient maps over tensor-product basis elements:
-Pauli strings sigma_x1 (x) ... (x) sigma_xn with labels in {0,1,2,3}
-(0=I, 1=X, 2=Y, 3=Z), and their diagonal restriction, the Walsh vectors
-s_x1 (x) ... (x) s_xn with labels in {0,1} and entries +-1.
+Observables are sparse real expansions, :class:`Expansion`, over
+tensor-product basis elements: Pauli strings sigma_x1 (x) ... (x) sigma_xn
+with labels in {0,1,2,3} (0=I, 1=X, 2=Y, 3=Z), and their diagonal
+restriction, the Walsh vectors s_x1 (x) ... (x) s_xn with labels in {0,1}
+and entries +-1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from collections.abc import Mapping
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Mapping
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,46 +79,6 @@ def dense_string_basis(n: int) -> np.ndarray:
     return np.stack([_dense_string(l) for l in string_order(n)])
 
 
-@dataclass
-class PauliObservable:
-    """Sparse coefficient expansion sum_x c_x sigma_x.
-
-    Coefficients are real for Hermitian observables; complex coefficients are
-    allowed (the expansion of a general matrix).  At most
-    ``default_term_cap(n_qubits)`` terms are accepted, a guard on instances
-    read from JSON.
-    """
-
-    n_qubits: int
-    terms: dict[tuple[int, ...], complex] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        clean: dict[tuple[int, ...], complex] = {}
-        for labels, coeff in self.terms.items():
-            labels = tuple(labels)
-            if len(labels) != self.n_qubits:
-                raise ValueError(f"term {labels} has wrong length for {self.n_qubits} qubits")
-            PauliString(labels)
-            coeff = complex(coeff)
-            if coeff != 0:
-                clean[labels] = coeff
-        cap = default_term_cap(self.n_qubits)
-        if len(clean) > cap:
-            raise ValueError(f"{len(clean)} terms exceeds cap {cap}")
-        self.terms = dict(sorted(clean.items()))
-
-    @classmethod
-    def from_text(cls, n_qubits: int, coeffs: Mapping[str, complex]) -> "PauliObservable":
-        return cls(n_qubits, {PauliString.from_text(t).labels: c for t, c in coeffs.items()})
-
-    def dense(self) -> np.ndarray:
-        d = 2**self.n_qubits
-        out = np.zeros((d, d), dtype=complex)
-        for labels, coeff in self.terms.items():
-            out += coeff * PauliString(labels).dense()
-        return out
-
-
 @dataclass(frozen=True)
 class WalshVector:
     """A tensor product of s_0 = (1,1) and s_1 = (1,-1); entries are +-1."""
@@ -138,30 +102,66 @@ class WalshVector:
         return out
 
 
-@dataclass
-class WalshObservable:
-    """Sparse real coefficient expansion sum_x c_x s_x."""
+def is_finite_real(x) -> bool:
+    """Whether ``x`` is a finite real number; a bool is not one."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
-    n_bits: int
-    terms: dict[tuple[int, ...], float] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        clean: dict[tuple[int, ...], float] = {}
-        for labels, coeff in self.terms.items():
-            labels = tuple(labels)
-            if len(labels) != self.n_bits:
-                raise ValueError(f"term {labels} has wrong length for {self.n_bits} bits")
-            WalshVector(labels)
-            if coeff != 0:
-                clean[labels] = float(coeff)
-        self.terms = dict(sorted(clean.items()))
+class Expansion(NamedTuple):
+    """The observable sum_k coeffs[k] B_k on ``n_qubits`` qubits (or bits),
+    with B_k the Pauli string (or, if ``walsh``, the Walsh vector) labelled
+    labels[k] and real coefficients.
+
+    Built directly it is taken as given: the term forms build these on every
+    evaluation.  Input is read through ``from_terms`` or ``from_text``, which
+    check it."""
+
+    n_qubits: int
+    labels: tuple[tuple[int, ...], ...]
+    coeffs: np.ndarray
+    walsh: bool = False
 
     @classmethod
-    def from_text(cls, n_bits: int, coeffs: Mapping[str, float]) -> "WalshObservable":
-        return cls(n_bits, {WalshVector.from_text(t).labels: c for t, c in coeffs.items()})
+    def from_terms(cls, n: int, terms: Mapping[tuple[int, ...], float], walsh: bool = False) -> "Expansion":
+        """The expansion of a {labels: coefficient} map.  Every label must
+        have length n and every coefficient must be a finite real number.
+        Zero terms are dropped, and the rest are sorted by label.  A Pauli
+        expansion keeps at most ``default_term_cap(n)`` terms, a guard on
+        instances read from JSON."""
+        basis = WalshVector if walsh else PauliString
+        clean: dict[tuple[int, ...], float] = {}
+        for labels, coeff in terms.items():
+            labels = tuple(labels)
+            if len(labels) != n:
+                raise ValueError(f"term {labels} has wrong length for {n} {'bits' if walsh else 'qubits'}")
+            basis(labels)
+            if not is_finite_real(coeff):
+                text = "".join(("01" if walsh else PAULI_CHARS)[l] for l in labels)
+                raise ValueError(f"term {text!r} has coefficient {coeff!r}, not a finite real number")
+            if coeff != 0:
+                clean[labels] = float(coeff)
+        cap = default_term_cap(n)
+        if not walsh and len(clean) > cap:
+            raise ValueError(f"{len(clean)} terms exceeds cap {cap}")
+        ordered = sorted(clean.items())
+        return cls(n, tuple(l for l, _ in ordered), np.array([c for _, c in ordered]), walsh)
+
+    @classmethod
+    def from_text(cls, n: int, terms: Mapping[str, float], walsh: bool = False) -> "Expansion":
+        """``from_terms`` of a {text: coefficient} map, such as {"ZZ": 1.0}
+        (or, if ``walsh``, {"11": 1.0})."""
+        if not isinstance(terms, Mapping):
+            raise ValueError(f"an observable maps label text to coefficients, not {terms!r}")
+        basis = WalshVector if walsh else PauliString
+        return cls.from_terms(n, {basis.from_text(t).labels: c for t, c in terms.items()}, walsh)
 
     def dense(self) -> np.ndarray:
-        out = np.zeros(2**self.n_bits)
-        for labels, coeff in self.terms.items():
-            out += coeff * WalshVector(labels).dense()
+        """The 2^n x 2^n matrix (or, if ``walsh``, the length-2^n vector)."""
+        d = 2**self.n_qubits
+        if self.walsh:
+            out, basis = np.zeros(d), WalshVector
+        else:
+            out, basis = np.zeros((d, d), dtype=complex), PauliString
+        for labels, coeff in zip(self.labels, self.coeffs):
+            out += coeff * basis(labels).dense()
         return out

@@ -28,7 +28,7 @@ from .ansatz import (
 )
 from .estimate import Prepared, as_prepared, prepare
 from .objective import ParamBlock, PenaltyObjective
-from .pauli import PauliObservable, WalshObservable
+from .pauli import Expansion, is_finite_real
 
 INPUT_LAYERS = 2
 
@@ -111,18 +111,22 @@ def _check_keys(doc: dict, name: str, required: tuple[str, ...], optional: tuple
         raise ValueError(f"unknown {name} keys: {unknown}")
 
 
-def instance_from_dict(observable: type[PauliObservable] | type[WalshObservable], n: int,
-                       instance: dict) -> tuple[object, list, np.ndarray]:
+def instance_from_dict(walsh: bool, n: int, instance: dict) -> tuple[Expansion, list[Expansion], np.ndarray]:
     """The objective ``h``, the constraint observables A_i and the bounds b_i
-    of a constrained-Hamiltonian instance document.  It holds ``h`` and
-    optionally ``constraints``, and each constraint ``coeffs`` and ``b``; any
-    other key is an error."""
+    of a constrained-Hamiltonian instance document, over Pauli strings or,
+    if ``walsh``, over Walsh vectors.  It holds ``h`` and optionally
+    ``constraints``, and each constraint ``coeffs`` and ``b``; any other key
+    is an error.  ``h`` and each ``coeffs`` map label text to a coefficient
+    (``Expansion.from_text`` checks them), and every coefficient and bound
+    must be a finite real number."""
     _check_keys(instance, "instance", ("h",), ("constraints",))
     constraints = instance.get("constraints", [])
     for con in constraints:
         _check_keys(con, "constraint", ("coeffs", "b"))
-    h = observable.from_text(n, instance["h"])
-    a_list = [observable.from_text(n, con["coeffs"]) for con in constraints]
+        if not is_finite_real(con["b"]):
+            raise ValueError(f"constraint bound b = {con['b']!r} is not a finite real number")
+    h = Expansion.from_text(n, instance["h"], walsh)
+    a_list = [Expansion.from_text(n, con["coeffs"], walsh) for con in constraints]
     b = np.array([float(con["b"]) for con in constraints])
     return h, a_list, b
 
@@ -250,8 +254,7 @@ def check_problem(tag: str, n_system: int, c: float | None, instance: dict | Non
         return
     if "cham" not in tag:
         raise ValueError(f"{tag} takes no instance")
-    _, a_list, _ = instance_from_dict(WalshObservable if tag in CLASSICAL_TAGS else PauliObservable,
-                                      n_system, instance)
+    _, a_list, _ = instance_from_dict(tag in CLASSICAL_TAGS, n_system, instance)
     if len(a_list) > orc.MAX_CONSTRAINTS:
         raise ValueError(f"only up to {orc.MAX_CONSTRAINTS} scalar constraints are supported")
 
@@ -319,13 +322,13 @@ def _build_cham(side, classical, n, ansatz_type, layers, born_layers, c, instanc
     """The constrained Hamiltonian problem over Pauli observables and states,
     or over Walsh observables and distributions (``classical``)."""
     if classical:
-        default_instance, observable = default_classical_cham_instance, WalshObservable
+        default_instance = default_classical_cham_instance
         dense = obj.classical_cham_primal_dense if side == "primal" else obj.classical_cham_dual_dense
     else:
-        default_instance, observable = default_cham_instance, PauliObservable
+        default_instance = default_cham_instance
         dense = obj.cham_primal_dense if side == "primal" else obj.cham_dual_dense
     inst = instance if instance is not None else default_instance()
-    h, a_list, b = instance_from_dict(observable, n, inst)
+    h, a_list, b = instance_from_dict(classical, n, inst)
     ell = len(a_list)
     template = make_opt_template(ansatz_type, n, layers, born_layers)
     if side == "primal":
@@ -351,8 +354,7 @@ def _cham_oracle(classical: bool, n: int, instance_json: str) -> orc.OracleResul
     JSON text.  It depends on the instance alone, not on the side or the
     ansatz, so the pairs of one instance share one multiplier search per
     process."""
-    observable = WalshObservable if classical else PauliObservable
-    h, a_list, b = instance_from_dict(observable, n, json.loads(instance_json))
+    h, a_list, b = instance_from_dict(classical, n, json.loads(instance_json))
     return (orc.lp_classical_cham_value if classical else orc.sdp_cham_value)(h, a_list, b)
 
 

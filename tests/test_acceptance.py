@@ -27,7 +27,7 @@ from qslack import oracle as orc
 from qslack.config import config_from_dict
 from qslack.estimate import Estimator, ShotModel, hoeffding_shots, prepare
 from qslack.optimizer import parameter_shift_gradient_vector, rademacher, spsa_gradient
-from qslack.pauli import PauliObservable, PauliString, WalshObservable
+from qslack.pauli import Expansion, PauliString
 from qslack.runner import _run_single, build_from_config, run_experiment
 from qslack.ansatz import ConvexCombinationState, layered_unitary_circuit, qcbm_circuit
 
@@ -106,14 +106,14 @@ def _builder_cases(rng, n):
     alpha_c = rng.standard_normal(4**n) * 0.4 + 1j * rng.standard_normal(4**n) * 0.4
     alpha = rng.standard_normal(4**n) * 0.4
     beta = rng.standard_normal(4**n) * 0.4
-    h = PauliObservable.from_text(n, {"Z" * n: 1.0, "X" + "I" * (n - 1): 0.7})
-    a_list = [PauliObservable.from_text(n, {"Y" + "I" * (n - 1): 1.0})]
+    h = Expansion.from_text(n, {"Z" * n: 1.0, "X" + "I" * (n - 1): 0.7})
+    a_list = [Expansion.from_text(n, {"Y" + "I" * (n - 1): 1.0})]
     b = np.array([0.15])
     z = rng.uniform(0, 1, 1)
     y = rng.uniform(0, 1, 1)
     mu_f = rng.uniform(-1, 1)
-    hw = WalshObservable.from_text(n, {"1" * n: 1.0, "0" * n: 0.4})
-    aw = [WalshObservable.from_text(n, {"1" + "0" * (n - 1): 0.5})]
+    hw = Expansion.from_text(n, {"1" * n: 1.0, "0" * n: 0.4}, walsh=True)
+    aw = [Expansion.from_text(n, {"1" + "0" * (n - 1): 0.5}, walsh=True)]
     lcs = obj.LcsInstance(
         n, n,
         [(rng.uniform(-1, 1), _rand_density(d, rng)) for _ in range(2)],
@@ -125,8 +125,8 @@ def _builder_cases(rng, n):
     for _ in range(3):
         phi_map[(labels[rng.integers(len(labels))], labels[rng.integers(len(labels))])] = rng.uniform(-1, 1)
     pmi = obj.PauliMapInstance(
-        PauliObservable(n, {labels[rng.integers(len(labels))]: rng.uniform(-1, 1)}),
-        PauliObservable(n, {labels[rng.integers(len(labels))]: rng.uniform(-1, 1)}),
+        Expansion.from_terms(n, {labels[rng.integers(len(labels))]: rng.uniform(-1, 1)}),
+        Expansion.from_terms(n, {labels[rng.integers(len(labels))]: rng.uniform(-1, 1)}),
         phi_map,
     )
 
@@ -227,8 +227,8 @@ def test_criterion_2_oracle_golden_values():
     neg = orc.exact_negativity(np.outer(bell, bell.conj()), 2, 2)
     assert abs(neg - 2.0) < 1e-9
 
-    h = PauliObservable.from_text(2, {"ZZ": 1.0, "XI": 1.0, "IX": 1.0})
-    a = [PauliObservable.from_text(2, {"YI": 1.0}), PauliObservable.from_text(2, {"IZ": 1.0})]
+    h = Expansion.from_text(2, {"ZZ": 1.0, "XI": 1.0, "IX": 1.0})
+    a = [Expansion.from_text(2, {"YI": 1.0}), Expansion.from_text(2, {"IZ": 1.0})]
     res = orc.sdp_cham_value(h, a, [0.2, 0.1])
     assert abs(res.value - (-2.2097)) < 1e-3
 

@@ -63,6 +63,13 @@ def test_oracle_bad_config(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_oracle_rejects_a_complex_coefficient(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"problem": "cham_primal", "instance": {"h": {"ZZ": "1j"}}})
+    rc = main(["oracle", cfg])
+    assert rc == 2
+    assert "term 'ZZ' has coefficient '1j', not a finite real number" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["oracle", "run"])
 def test_oracle_at_its_box_edge_is_an_error(tmp_path, capsys, command):
     # min <X> subject to <Z> >= 0.999 has the multiplier 22.3, beyond the

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,28 @@ def tiny_config(**over):
     }
     base.update(over)
     return base
+
+
+# Values that an instance must not hold, each with the text of the error
+# that names it: bad numbers as a coefficient of h, as a coefficient of a
+# constraint or as a constraint bound b, and observables that are not maps.
+BAD_NUMBERS = {"complex_text": "1j", "text": "0.5", "bool": True, "nan": float("nan"), "inf": float("inf")}
+BAD_INSTANCE_VALUES = {
+    **{f"h_{k}": ({"problem": "cham_primal", "instance": {"h": {"ZZ": v}}},
+                  re.escape(f"term 'ZZ' has coefficient {v!r}, not a finite real number"))
+       for k, v in BAD_NUMBERS.items()},
+    **{f"coeffs_{k}": ({"problem": "classical_cham_dual",
+                        "instance": {"h": {"11": 1.0}, "constraints": [{"coeffs": {"10": v}, "b": 0.1}]}},
+                       re.escape(f"term '10' has coefficient {v!r}, not a finite real number"))
+       for k, v in BAD_NUMBERS.items()},
+    **{f"b_{k}": ({"problem": "cham_dual", "instance": {"h": {"ZZ": 1.0}, "constraints": [{"coeffs": {"YI": 1.0}, "b": v}]}},
+                  re.escape(f"constraint bound b = {v!r} is not a finite real number"))
+       for k, v in BAD_NUMBERS.items()},
+    "h_list": ({"problem": "cham_primal", "instance": {"h": ["ZZ"]}},
+               re.escape("an observable maps label text to coefficients, not ['ZZ']")),
+    "coeffs_number": ({"problem": "classical_cham_primal", "instance": {"h": {"11": 1.0}, "constraints": [{"coeffs": 0.5, "b": 0.1}]}},
+                      "an observable maps label text to coefficients, not 0.5"),
+}
 
 
 class TestConfig:
@@ -74,7 +97,8 @@ class TestConfig:
         ({"problem": "trace_distance_dual", "instance": {"h": {"ZZ": 1.0}}}, "trace_distance_dual takes no instance"),
         ({"problem": "cham_primal", "instance": {"h": {"ZZ": 1.0}, "constraints": [{"coeffs": {"ZI": 1.0}, "b": 0.1}] * 4}},
          "only up to 3 scalar constraints are supported"),
-    ], ids=["typo", "eta", "constraint_key", "missing_h", "no_instance", "four_constraints"])
+    ] + list(BAD_INSTANCE_VALUES.values()),
+        ids=["typo", "eta", "constraint_key", "missing_h", "no_instance", "four_constraints", *BAD_INSTANCE_VALUES])
     def test_instance_keys_checked(self, doc, message):
         with pytest.raises(ConfigError, match=message):
             config_from_dict(doc)
@@ -152,7 +176,10 @@ GOLDEN_RUNS = os.path.join(os.path.dirname(__file__), "data", "golden_runs")
 # The 350-iteration campaign crosses the learning-rate checks and the
 # exact-mode blocks of SPSA directions at 100, 200 and 300, ends inside a
 # block, halves its runs' rates to different values and clamps its
-# non-negative slacks.  No change may move a byte.
+# non-negative slacks.  The cham_dual and the two shot-mode cham campaigns
+# were recorded from the observable classes that parsed instances before
+# ``pauli.Expansion`` did; they pin the cham term forms and their Estimator
+# call order.  No change may move a byte.
 GOLDEN_CAMPAIGNS = {
     "td_dual_purification_exact": {"problem": "trace_distance_dual", "ansatz": {"type": "purification"}},
     "tvd_dual_born_exact": {"problem": "tvd_dual", "ansatz": {"type": "born"}},
@@ -161,6 +188,11 @@ GOLDEN_CAMPAIGNS = {
     "fidelity_primal_purification_exact": {"problem": "fidelity_primal", "ansatz": {"type": "purification"}},
     "negativity_dual_purification_exact": {"problem": "negativity_dual", "ansatz": {"type": "purification"}},
     "cham_primal_purification_exact": {"problem": "cham_primal", "ansatz": {"type": "purification"}},
+    "cham_dual_purification_exact": {"problem": "cham_dual", "ansatz": {"type": "purification"}},
+    "cham_primal_purification_shots": {"problem": "cham_primal", "ansatz": {"type": "purification"},
+                                       "shots": {"mode": "shots", "n": 1000}},
+    "classical_cham_dual_born_shots": {"problem": "classical_cham_dual", "ansatz": {"type": "born"},
+                                       "shots": {"mode": "shots", "n": 1000}},
     "classical_cham_dual_born_exact": {"problem": "classical_cham_dual", "ansatz": {"type": "born"}},
     "classical_cham_primal_born_schedule": {"problem": "classical_cham_primal", "ansatz": {"type": "born"},
                                             "optimizer": {"max_iters": 350}, "n_runs": 3, "workers": 1,

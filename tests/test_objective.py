@@ -7,7 +7,7 @@ from itertools import product
 from qslack import PROBLEM_TAGS, build_problem, linalg, objective as obj
 from qslack.ansatz import ConvexCombinationState, layered_unitary_circuit, qcbm_circuit
 from qslack.estimate import Estimator, Prepared, ShotModel, as_prepared, prepare
-from qslack.pauli import PauliObservable, PauliString, WalshObservable, WalshVector
+from qslack.pauli import Expansion, PauliString, WalshVector
 from qslack.oracle import exact_negativity, exact_root_fidelity, exact_trace_distance, exact_tvd
 from qslack.problems import DEFAULTS
 from tests.conftest import bell_state, ket, random_density, random_hermitian
@@ -246,7 +246,7 @@ class TestNegativityDual:
 
 
 def paper_h(n=2):
-    return PauliObservable.from_text(n, {"ZZ": 1.0, "XI": 1.0, "IX": 1.0})
+    return Expansion.from_text(n, {"ZZ": 1.0, "XI": 1.0, "IX": 1.0})
 
 
 class TestChamPrimal:
@@ -258,8 +258,8 @@ class TestChamPrimal:
         assert tb.penalty == 0.0
 
     def test_exact_slack_kills_penalty(self, rng):
-        h = PauliObservable.from_text(1, {"Z": 1.0})
-        a1 = PauliObservable.from_text(1, {"X": 1.0})
+        h = Expansion.from_text(1, {"Z": 1.0})
+        a1 = Expansion.from_text(1, {"X": 1.0})
         rho = random_density(2, rng)
         x_val = np.trace(a1.dense() @ rho).real
         z = np.array([0.3])
@@ -269,7 +269,7 @@ class TestChamPrimal:
 
     def test_expansion_matches_dense(self, rng):
         h = paper_h()
-        a_list = [PauliObservable.from_text(2, {"YI": 1.0}), PauliObservable.from_text(2, {"IZ": 1.0})]
+        a_list = [Expansion.from_text(2, {"YI": 1.0}), Expansion.from_text(2, {"IZ": 1.0})]
         b = np.array([0.2, 0.1])
         a_dense = [a.dense() for a in a_list]
         for _ in range(25):
@@ -303,7 +303,7 @@ class TestChamDual:
 
     def test_expansion_matches_dense(self, rng):
         h = paper_h()
-        a_list = [PauliObservable.from_text(2, {"YI": 1.0}), PauliObservable.from_text(2, {"IZ": 1.0})]
+        a_list = [Expansion.from_text(2, {"YI": 1.0}), Expansion.from_text(2, {"IZ": 1.0})]
         b = np.array([0.2, 0.1])
         a_dense = [a.dense() for a in a_list]
         for _ in range(25):
@@ -366,14 +366,14 @@ class TestTvd:
 
 class TestClassicalCham:
     def test_no_constraints_uniform(self, rng):
-        h = WalshObservable.from_text(2, {"11": 1.0, "00": 0.3})
+        h = Expansion.from_text(2, {"11": 1.0, "00": 0.3}, walsh=True)
         p = np.full(4, 0.25)
         tb = obj.cham_primal_objective(p, h, [], np.zeros(0), np.zeros(0), 10.0, EST)
         assert abs(tb.value - np.mean(h.dense())) < 1e-12
 
     def test_primal_expansion_matches_dense(self, rng):
-        h = WalshObservable.from_text(2, {"11": 1.0})
-        a_list = [WalshObservable.from_text(2, {"10": 0.5}), WalshObservable.from_text(2, {"01": 0.7})]
+        h = Expansion.from_text(2, {"11": 1.0}, walsh=True)
+        a_list = [Expansion.from_text(2, {"10": 0.5}, walsh=True), Expansion.from_text(2, {"01": 0.7}, walsh=True)]
         b = np.array([0.1, 0.3])
         a_dense = [a.dense() for a in a_list]
         for _ in range(25):
@@ -384,8 +384,8 @@ class TestClassicalCham:
             assert abs(tb.value - dv) < 1e-10
 
     def test_dual_expansion_matches_dense(self, rng):
-        h = WalshObservable.from_text(2, {"11": 1.0})
-        a_list = [WalshObservable.from_text(2, {"10": 0.5}), WalshObservable.from_text(2, {"01": 0.7})]
+        h = Expansion.from_text(2, {"11": 1.0}, walsh=True)
+        a_list = [Expansion.from_text(2, {"10": 0.5}, walsh=True), Expansion.from_text(2, {"01": 0.7}, walsh=True)]
         b = np.array([0.1, 0.3])
         a_dense = [a.dense() for a in a_list]
         for _ in range(25):
@@ -418,8 +418,8 @@ def random_pauli_instance(n, rng, n_terms=3):
         ly = tuple(labels[rng.integers(len(labels))])
         phi[(lx, ly)] = rng.uniform(-1, 1)
     return obj.PauliMapInstance(
-        a_obs=PauliObservable(n, pick()),
-        b_obs=PauliObservable(n, pick()),
+        a_obs=Expansion.from_terms(n, pick()),
+        b_obs=Expansion.from_terms(n, pick()),
         phi_map=phi,
     )
 
@@ -498,7 +498,7 @@ class TestGenericBuilders:
             ly, ly2 = (labels[i] for i in rng.choice(len(labels), 2, replace=False))
             # the input string lx feeds two outputs
             phi_map = {(lx, ly): rng.uniform(-1, 1), (lx, ly2): rng.uniform(-1, 1), (lx2, ly): rng.uniform(-1, 1)}
-            pmi = obj.PauliMapInstance(PauliObservable(n, a), PauliObservable(n, b), phi_map)
+            pmi = obj.PauliMapInstance(Expansion.from_terms(n, a), Expansion.from_terms(n, b), phi_map)
             lcs = obj.LcsInstance(n, n, [(c, string(l)) for l, c in a.items()],
                                   [(c, string(l)) for l, c in b.items()],
                                   [(f, string(l_in), string(l_out)) for (l_in, l_out), f in phi_map.items()])
@@ -545,7 +545,7 @@ class TestPenaltyStructure:
 def random_expansion(n, rng, walsh=False, k=5):
     labels = sorted(product(range(2 if walsh else 4), repeat=n))
     pick = sorted(rng.choice(len(labels), k, replace=False))
-    exp = obj.Expansion(tuple(labels[i] for i in pick), rng.uniform(-1, 1, k), walsh)
+    exp = Expansion(n, tuple(labels[i] for i in pick), rng.uniform(-1, 1, k), walsh)
     basis = WalshVector if walsh else PauliString
     dense = sum(c * basis(l).dense() for l, c in zip(exp.labels, exp.coeffs))
     return exp, dense
@@ -608,9 +608,9 @@ class TestSqNorm:
             _bernoulli = _pm_one
 
         rho, sigma = (as_prepared(random_density(2, rng)) for _ in range(2))
-        h = obj.Expansion(((0,), (3,)), np.array([0.5, -0.25]))
-        off = obj.Expansion(((1, 0), (2, 3)), np.array([0.3, 0.7]))
-        obj.sq_norm([(1.0, obj.IDENTITY), (2.0, h), (-1.0, obj.Expansion(((3,),), np.ones(1)))], 2, NoSampling())
+        h = Expansion(1, ((0,), (3,)), np.array([0.5, -0.25]))
+        off = Expansion(2, ((1, 0), (2, 3)), np.array([0.3, 0.7]))
+        obj.sq_norm([(1.0, obj.IDENTITY), (2.0, h), (-1.0, Expansion(1, ((3,),), np.ones(1)))], 2, NoSampling())
         obj.sq_norm([(1.0, off), (2.0, obj.IDENTITY)], 4, NoSampling())
         assert obj._inner(obj.Block(0, rho), obj.Block(1, sigma), 4, NoSampling()) == 0.0
         assert obj._inner(obj.Block(1, rho), off, 4, NoSampling()) == 0.0
@@ -625,7 +625,7 @@ class TestSqNorm:
                 return super().pauli_expect(state, p)
 
         rho = as_prepared(random_density(4, rng))
-        exp = obj.Expansion(((0, 1), (3, 3), (2, 0)), np.array([0.5, 0.0, -1.0]))
+        exp = Expansion(2, ((0, 1), (3, 3), (2, 0)), np.array([0.5, 0.0, -1.0]))
         obj.sq_norm([(1.0, exp), (0.0, rho)], 4, Counting())
         assert calls == [(0, 1), (2, 0)]
 
@@ -736,16 +736,16 @@ def _stacking_cases():
     vec = lambda size: lambda rng: rng.standard_normal(size) * 0.4
     cvec = lambda size: lambda rng: (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * 0.4
     dist = lambda rng: random_dist(4, rng)
-    h = PauliObservable.from_text(2, {"ZZ": 1.0, "XI": 0.7})
-    a_list = [PauliObservable.from_text(2, {"YI": 1.0}), PauliObservable.from_text(2, {"IZ": 0.5, "XX": 0.2})]
-    hw = WalshObservable.from_text(2, {"11": 1.0, "00": 0.4})
-    aw = [WalshObservable.from_text(2, {"10": 0.5}), WalshObservable.from_text(2, {"01": 0.7})]
+    h = Expansion.from_text(2, {"ZZ": 1.0, "XI": 0.7})
+    a_list = [Expansion.from_text(2, {"YI": 1.0}), Expansion.from_text(2, {"IZ": 0.5, "XX": 0.2})]
+    hw = Expansion.from_text(2, {"11": 1.0, "00": 0.4}, walsh=True)
+    aw = [Expansion.from_text(2, {"10": 0.5}, walsh=True), Expansion.from_text(2, {"01": 0.7}, walsh=True)]
     cham = {"h_dense": h.dense(), "a_dense": [a.dense() for a in a_list], "b": np.array([0.15, -0.1])}
     ccham = {"h_dense": hw.dense(), "a_dense": [a.dense() for a in aw], "b": np.array([0.1, 0.3])}
     rng = np.random.default_rng(41)
     lcs = obj.LcsInstance(2, 2, [(0.7, dens(rng)), (-0.4, dens(rng))], [(0.9, dens(rng))],
                           [(0.6, dens(rng), dens(rng)), (-0.3, dens(rng), dens(rng))])
-    pmi = obj.PauliMapInstance(h, PauliObservable.from_text(2, {"ZI": 1.0, "IY": -0.3}),
+    pmi = obj.PauliMapInstance(h, Expansion.from_text(2, {"ZI": 1.0, "IY": -0.3}),
                                {((3, 3), (3, 0)): 1.0, ((1, 0), (0, 2)): 0.5})
     fixed_states = {"rho": dens(rng), "sigma": dens(rng)}
     return {

@@ -6,21 +6,21 @@ import pytest
 
 from qslack import linalg, problems
 from qslack import oracle as orc
-from qslack.pauli import PauliObservable, WalshObservable
+from qslack.pauli import Expansion
 from tests.conftest import bell_state, ket, random_density
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "golden.json").read_text())["values"]
 
 
 def paper_cham():
-    h = PauliObservable.from_text(2, {"ZZ": 1.0, "XI": 1.0, "IX": 1.0})
-    a = [PauliObservable.from_text(2, {"YI": 1.0}), PauliObservable.from_text(2, {"IZ": 1.0})]
+    h = Expansion.from_text(2, {"ZZ": 1.0, "XI": 1.0, "IX": 1.0})
+    a = [Expansion.from_text(2, {"YI": 1.0}), Expansion.from_text(2, {"IZ": 1.0})]
     return h, a, np.array([0.2, 0.1])
 
 
 def paper_classical_cham():
-    h = WalshObservable.from_text(2, {"11": 1.0})
-    a = [WalshObservable.from_text(2, {"10": 0.5}), WalshObservable.from_text(2, {"01": 0.7})]
+    h = Expansion.from_text(2, {"11": 1.0}, walsh=True)
+    a = [Expansion.from_text(2, {"10": 0.5}, walsh=True), Expansion.from_text(2, {"01": 0.7}, walsh=True)]
     return h, a, np.array([0.1, 0.3])
 
 
@@ -99,7 +99,7 @@ def random_cham(seed, ell):
     """Two-qubit instance with random coefficients whose constraints a
     random state meets with a margin, so the multipliers stay bounded."""
     rng = np.random.default_rng([seed, ell])
-    observable = lambda k: PauliObservable.from_text(
+    observable = lambda k: Expansion.from_text(
         2, {t: rng.uniform(-1, 1) for t in rng.choice(PAULI_LABELS, k, replace=False)})
     h, a_list = observable(3), [observable(2) for _ in range(ell)]
     rho = random_density(4, rng)
@@ -109,7 +109,7 @@ def random_cham(seed, ell):
 
 def random_classical_cham(seed, ell):
     rng = np.random.default_rng([seed, ell, 1])
-    observable = lambda: WalshObservable.from_text(2, {t: rng.uniform(-1, 1) for t in ("01", "10", "11")})
+    observable = lambda: Expansion.from_text(2, {t: rng.uniform(-1, 1) for t in ("01", "10", "11")}, walsh=True)
     h, a_list = observable(), [observable() for _ in range(ell)]
     p = rng.dirichlet(np.ones(4))
     b = np.array([a.dense() @ p for a in a_list]) - rng.uniform(0.05, 0.3, ell)
@@ -228,8 +228,8 @@ class TestSdpCham:
     def test_multiplier_at_the_box_edge_raises(self, b):
         # min <X> subject to <Z> >= b on one qubit is -sqrt(1 - b^2), with
         # multiplier y* = b / sqrt(1 - b^2): 2.06 at b = 0.9, 22.3 at 0.999.
-        h = PauliObservable.from_text(1, {"X": 1.0})
-        a = [PauliObservable.from_text(1, {"Z": 1.0})]
+        h = Expansion.from_text(1, {"X": 1.0})
+        a = [Expansion.from_text(1, {"Z": 1.0})]
         if b / np.sqrt(1 - b**2) < 10.0:
             res = orc.sdp_cham_value(h, a, [b])
             assert abs(res.value + np.sqrt(1 - b**2)) < 1e-9
@@ -272,8 +272,8 @@ class TestLpClassicalCham:
         assert res.residual < 1e-6
 
     def test_inactive_constraints_keep_min_entry(self):
-        h = WalshObservable.from_text(2, {"11": 1.0, "01": 0.2})
-        a = [WalshObservable.from_text(2, {"10": 1.0})]
+        h = Expansion.from_text(2, {"11": 1.0, "01": 0.2}, walsh=True)
+        a = [Expansion.from_text(2, {"10": 1.0}, walsh=True)]
         res = orc.lp_classical_cham_value(h, a, np.array([-5.0]))
         vec = h.dense()
         j = int(np.argmin(vec))
@@ -299,8 +299,8 @@ class TestLpClassicalCham:
 
     def test_vertex_oracle_agrees_with_search(self, rng):
         for _ in range(10):
-            h = WalshObservable(2, {(0, 1): rng.uniform(-1, 1), (1, 1): rng.uniform(-1, 1)})
-            a = [WalshObservable(2, {(1, 0): rng.uniform(0.2, 1)})]
+            h = Expansion.from_terms(2, {(0, 1): rng.uniform(-1, 1), (1, 1): rng.uniform(-1, 1)}, walsh=True)
+            a = [Expansion.from_terms(2, {(1, 0): rng.uniform(0.2, 1)}, walsh=True)]
             b = np.array([rng.uniform(-0.3, 0.3)])
             res = orc.lp_classical_cham_value(h, a, b)
             assert res.residual < 1e-5

@@ -6,9 +6,8 @@ from itertools import product
 
 from qslack.estimate import Estimator, Prepared
 from qslack.pauli import (
-    PauliObservable,
+    Expansion,
     PauliString,
-    WalshObservable,
     WalshVector,
     default_term_cap,
 )
@@ -58,39 +57,39 @@ class TestPauliString:
 
 class TestPauliObservable:
     def test_identity_observable(self):
-        o = PauliObservable.from_text(2, {"II": 1.0})
+        o = Expansion.from_text(2, {"II": 1.0})
         assert np.allclose(o.dense(), np.eye(4))
 
     def test_paper_hamiltonian_ground_energy(self):
-        o = PauliObservable.from_text(2, {"ZZ": 1.0, "XI": 1.0, "IX": 1.0})
+        o = Expansion.from_text(2, {"ZZ": 1.0, "XI": 1.0, "IX": 1.0})
         w = np.linalg.eigvalsh(o.dense())
         assert np.isclose(w[0], -np.sqrt(5.0))
 
-    def test_anti_hermitian_flagged(self):
-        o = PauliObservable(1, {(2,): 1.0j})
-        d = o.dense()
-        assert np.allclose(d, -d.conj().T)
+    @pytest.mark.parametrize("coeff", [1j, "0.5", True, float("nan"), float("inf"), float("-inf")])
+    def test_coefficient_must_be_finite_real(self, coeff):
+        with pytest.raises(ValueError, match=r"term 'Y' has coefficient .* not a finite real number"):
+            Expansion.from_terms(1, {(2,): coeff})
 
     def test_hermitian_within_tol(self, rng):
         terms = {l: rng.standard_normal() for l in product(range(4), repeat=2)}
-        d = PauliObservable(2, terms).dense()
+        d = Expansion.from_terms(2, terms).dense()
         assert np.abs(d - d.conj().T).max() < 1e-12
 
     def test_zero_coefficients_dropped(self):
-        o = PauliObservable(1, {(0,): 0.0, (3,): 1.0})
-        assert list(o.terms) == [(3,)]
+        o = Expansion.from_terms(1, {(0,): 0.0, (3,): 1.0})
+        assert o.labels == ((3,),)
 
     def test_term_cap(self):
         assert default_term_cap(2) == 16
         assert default_term_cap(3) == 64
         labels = list(product(range(4), repeat=4))
-        PauliObservable(4, {l: 1.0 for l in labels[:64]})
+        Expansion.from_terms(4, {l: 1.0 for l in labels[:64]})
         with pytest.raises(ValueError):
-            PauliObservable(4, {l: 1.0 for l in labels[:65]})
+            Expansion.from_terms(4, {l: 1.0 for l in labels[:65]})
 
     def test_canonical_order(self):
-        o = PauliObservable(1, {(3,): 1.0, (1,): 2.0})
-        assert list(o.terms) == [(1,), (3,)]
+        o = Expansion.from_terms(1, {(3,): 1.0, (1,): 2.0})
+        assert o.labels == ((1,), (3,))
 
 
 class TestWalsh:
@@ -127,7 +126,7 @@ class TestWalsh:
             walsh_expect(WalshVector((1, 0)), np.array([0.5, 0.5]))
 
     def test_observable_dense(self):
-        o = WalshObservable.from_text(2, {"11": 1.0, "00": 0.5})
+        o = Expansion.from_text(2, {"11": 1.0, "00": 0.5}, walsh=True)
         assert np.allclose(o.dense(), 0.5 * np.ones(4) + np.array([1, -1, -1, 1]))
 
 
