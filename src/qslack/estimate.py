@@ -6,17 +6,25 @@ sampling distribution of the corresponding measurement procedure instead of
 simulating it shot by shot: a +-1 observable with true mean m is drawn as
 2*Binomial(N, (1+m)/2)/N - 1, a 0/1 collision variable as Binomial(N, m)/N,
 and above 10^6 shots the binomial is replaced by its Gaussian limit.
+
+The Pauli and Walsh primitives take a whole observable, an
+:class:`~qslack.pauli.Expansion` sum_k a_k B_k (a lone string or vector is
+the one-term expansion with coefficient 1).  They estimate it as
+sum_k a_k <B_k>, one independent estimate per non-zero term: one stacked
+contraction gives every mean, one array draw every estimate, in label order,
+so the noise stream is the one a call per term would draw.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .ansatz import ConvexCombinationState, mixture
-from .pauli import PauliString, WalshVector
+from .pauli import Expansion, PauliString, WalshVector, term_stack
 
 GAUSSIAN_SHOT_THRESHOLD = 10**6
 
@@ -121,6 +129,27 @@ class Estimator:
             val = 2.0 * self.rng.binomial(n, p) / n - 1.0
         return Estimate(val, math.sqrt(max(0.0, 1.0 - val**2) / n))
 
+    def _pm_sum(self, coeffs: np.ndarray, means: np.ndarray) -> Estimate:
+        """sum_k coeffs[k] X_k for independent +-1 estimates X_k of the
+        ``means``: the vector form of ``_pm_one``, one draw per mean in
+        order, and the terms added left to right."""
+        if self.shots.exact:
+            vals, var = means, 0.0
+        else:
+            n = self.shots.n
+            if n > GAUSSIAN_SHOT_THRESHOLD:
+                sd = np.sqrt(np.maximum(0.0, 1.0 - means**2) / n)
+                vals = means + sd * self.rng.standard_normal(len(means))
+            else:
+                # fmax and fmin map a NaN mean to 0, as max and min do in _pm_one
+                p = np.fmin(1.0, np.fmax(0.0, (1.0 + means) / 2.0))
+                vals = 2.0 * self.rng.binomial(n, p) / n - 1.0
+            var = float(np.dot(coeffs * coeffs, np.maximum(0.0, 1.0 - vals * vals))) / n
+        total = 0.0
+        for term in (coeffs * vals).tolist():  # not sum(): it compensates from Python 3.12 on
+            total += term
+        return Estimate(total, math.sqrt(var))
+
     def _bernoulli(self, mean: float) -> Estimate:
         mean = float(mean)
         if self.shots.exact:
@@ -135,12 +164,25 @@ class Estimator:
         return Estimate(val, math.sqrt(max(0.0, val * (1.0 - val)) / n))
 
     # -- primitives --------------------------------------------------------
-    def pauli_expect(self, state, p: PauliString) -> Estimate:
+    def _expansion(self, obs: Expansion, means_of) -> Estimate:
+        """sum_k a_k <B_k> over the non-zero terms of ``obs``, from the means
+        that ``means_of`` gives for the stack of their basis elements."""
+        labels, coeffs = obs.labels, obs.coeffs
+        if np.count_nonzero(coeffs) < len(labels):
+            keep = coeffs != 0
+            labels, coeffs = tuple(compress(labels, keep)), coeffs[keep]
+            if not labels:
+                return Estimate(0.0)
+        return self._pm_sum(coeffs, means_of(term_stack(labels, obs.walsh)))
+
+    def pauli_expect(self, state, obs: Expansion | PauliString) -> Estimate:
+        """Estimate of a Pauli expansion, or of one string, on a state."""
+        if isinstance(obs, PauliString):
+            obs = Expansion(obs.n_qubits, (obs.labels,), np.ones(1))
         rho = as_prepared(state).rho
-        if rho.shape != (2**p.n_qubits, 2**p.n_qubits):
+        if rho.shape != (2**obs.n_qubits, 2**obs.n_qubits):
             raise ValueError("state dimension does not match Pauli string length")
-        mean = float(np.einsum("ij,ji->", p.dense(), rho).real)
-        return self._pm_one(mean)
+        return self._expansion(obs, lambda basis: np.einsum("kij,ji->k", basis, rho).real)
 
     def overlap(self, a, b) -> Estimate:
         """Destructive-swap-test estimate of Tr[rho_a rho_b]."""
@@ -182,9 +224,15 @@ class Estimator:
             raise ValueError(f"length mismatch {p.shape} vs {q.shape}")
         return self._bernoulli(float(p @ q))
 
-    def walsh_expect(self, state, w: WalshVector) -> Estimate:
+    def walsh_expect(self, state, obs: Expansion | WalshVector) -> Estimate:
+        """Estimate of a Walsh expansion, or of one vector, on a distribution:
+        each mean is one dot product, the one ``basis[k] @ p`` makes."""
+        if isinstance(obs, WalshVector):
+            obs = Expansion(len(obs.labels), (obs.labels,), np.ones(1), walsh=True)
         p = as_prepared(state).dist
-        return self._pm_one(float(w.dense() @ p))
+        if p.shape != (2**obs.n_qubits,):
+            raise ValueError("distribution length does not match Walsh vector length")
+        return self._expansion(obs, lambda basis: (basis[:, None, :] @ p[:, None])[:, 0, 0])
 
 
 def hoeffding_shots(epsilon: float, delta: float) -> int:

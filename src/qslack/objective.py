@@ -38,14 +38,15 @@ IDENTITY       IDENTITY        d
 IDENTITY       state, block    1
 IDENTITY       expansion A     d a_0, a_0 the coefficient of the identity
 expansion A    expansion B     d sum_k a_k b_k
-expansion A    state           sum_k a_k ``pauli_expect`` (or
-                               ``walsh_expect``); zero coefficients skipped
+expansion A    state           ``pauli_expect`` (or ``walsh_expect``) of A;
+                               nothing if every a_k is zero
 block P_k rho  itself          ``purity`` of rho
 block P_k rho  block P_l tau   ``overlap`` of rho and tau if k == l, else 0
-block P_k rho  expansion A     0 for strings that start with X or Y; for I or
-                               Z the ``pauli_expect`` of the rest on rho,
-                               negated for Z on block 1
-block P_k rho  state           ``overlap`` of P_k (x) rho with the state
+block P_k rho  expansion A     ``pauli_expect`` on rho of the expansion of
+                               the strings' rests: strings that start with X
+                               or Y drop out, and Z on block 1 is negated
+block P_k rho  state           ``overlap`` of rho with diagonal block k of
+                               the state
 off-diagonal   itself          d sum_x |alpha_x|^2
 off-diagonal   state           as its expansion over X and Y strings,
                                sum_x Re(alpha_x) X (x) sigma_x +
@@ -54,10 +55,12 @@ off-diagonal   IDENTITY, block 0
 off-diagonal   expansion       as its expansion over X and Y strings
 =============  ==============  ============================================
 
-Only the entries that name an Estimator primitive sample anything.
-:func:`sq_norm` adds the diagonal terms first and then the pairs i < j in
-row-major order, so the order of the operands fixes the order of the
-Estimator calls, and with it the noise stream a shot-mode run consumes.
+Only the entries that name an Estimator primitive sample anything, and
+each makes one Estimator call: for an expansion that call draws one
+estimate per non-zero term, in label order.  :func:`sq_norm` adds the
+diagonal terms first and then the pairs i < j in row-major order, so the
+order of the operands fixes the order of the Estimator calls, and with it
+the noise stream a shot-mode run consumes.
 
 The paper's general form, maximize lambda Tr[A rho] subject to
 lambda Phi(rho) <= B, is one :class:`SdpInstance`.  A and B are lists of
@@ -97,10 +100,7 @@ import numpy as np
 
 from . import linalg
 from .estimate import Estimator, Prepared, as_prepared, prepare
-from .pauli import Expansion, PauliString, WalshVector, dense_string_basis, string_order
-
-PROJ0 = np.array([[1, 0], [0, 0]], dtype=complex)
-PROJ1 = np.array([[0, 0], [0, 1]], dtype=complex)
+from .pauli import Expansion, dense_string_basis, string_order
 
 
 @dataclass
@@ -310,7 +310,6 @@ class OffDiagonal(NamedTuple):
 
 
 _RANK = {Identity: 0, Expansion: 1, Block: 2, OffDiagonal: 3, Prepared: 4}
-_PROJ = (PROJ0, PROJ1)
 
 
 def _dim(x: Prepared) -> int:
@@ -318,11 +317,11 @@ def _dim(x: Prepared) -> int:
 
 
 def _expect(a: Expansion, state: Prepared, est: Estimator) -> float:
-    """sum_k a_k <B_k>, one Estimator call per non-zero coefficient."""
-    pairs = zip(a.labels, a.coeffs)
-    if a.walsh:
-        return sum(c * est.walsh_expect(state, WalshVector(l)).value for l, c in pairs if c != 0)
-    return sum(c * est.pauli_expect(state, PauliString(l)).value for l, c in pairs if c != 0)
+    """sum_k a_k <B_k>: one Estimator call for the expansion, none if every
+    coefficient is zero."""
+    if not np.count_nonzero(a.coeffs):
+        return 0.0
+    return (est.walsh_expect if a.walsh else est.pauli_expect)(state, a).value
 
 
 def _self_inner(x, d: float, est: Estimator) -> float:
@@ -364,11 +363,12 @@ def _inner(a, b, d: float, est: Estimator) -> float:
         if tb is Prepared:
             return _expect(a, b, est)
         sign = (1.0, 0.0, 0.0, 1.0 - 2.0 * b.k)  # Tr[P_k s] for s = I, X, Y, Z
-        return sum(sign[l[0]] * c * est.pauli_expect(b.state, PauliString(l[1:])).value
-                   for l, c in zip(a.labels, a.coeffs) if sign[l[0]] * c != 0)
+        signs = np.array([sign[l[0]] for l in a.labels])
+        return _expect(Expansion(a.n_qubits - 1, tuple(l[1:] for l in a.labels), signs * a.coeffs), b.state, est)
     if tb is Block:
         return est.overlap(a.state, b.state).value if a.k == b.k else 0.0
-    return est.overlap(np.kron(_PROJ[a.k], a.state.rho), b).value
+    k, d = a.k, _dim(a.state)  # Tr[(P_k (x) rho) sigma] = Tr[rho sigma_kk]
+    return est.overlap(a.state, b.rho[k * d:(k + 1) * d, k * d:(k + 1) * d]).value
 
 
 def sq_norm(terms: list[tuple[float, object]], d: float, est: Estimator) -> float:

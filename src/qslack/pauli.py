@@ -102,6 +102,14 @@ class WalshVector:
         return out
 
 
+@lru_cache(maxsize=32)
+def term_stack(labels: tuple[tuple[int, ...], ...], walsh: bool = False) -> np.ndarray:
+    """The dense Pauli strings (or, if ``walsh``, Walsh vectors) labelled
+    ``labels``, stacked in order."""
+    basis = WalshVector if walsh else PauliString
+    return np.stack([basis(l).dense() for l in labels])
+
+
 def is_finite_real(x) -> bool:
     """Whether ``x`` is a finite real number; a bool is not one."""
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)

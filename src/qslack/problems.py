@@ -11,6 +11,7 @@ the templates out first and the scalar blocks after them.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable
@@ -114,13 +115,18 @@ def _check_keys(doc: dict, name: str, required: tuple[str, ...], optional: tuple
 def instance_from_dict(walsh: bool, n: int, instance: dict) -> tuple[Expansion, list[Expansion], np.ndarray]:
     """The objective ``h``, the constraint observables A_i and the bounds b_i
     of a constrained-Hamiltonian instance document, over Pauli strings or,
-    if ``walsh``, over Walsh vectors.  It holds ``h`` and optionally
-    ``constraints``, and each constraint ``coeffs`` and ``b``; any other key
-    is an error.  ``h`` and each ``coeffs`` map label text to a coefficient
-    (``Expansion.from_text`` checks them), and every coefficient and bound
-    must be a finite real number."""
+    if ``walsh``, over Walsh vectors.  It is an object that holds ``h`` and
+    optionally ``constraints``, a list of objects that each hold ``coeffs``
+    and ``b``; any other key or type is an error.  ``h`` and each
+    ``coeffs`` map label text to a coefficient (``Expansion.from_text``
+    checks them), and every coefficient and bound must be a finite real
+    number."""
+    if not isinstance(instance, Mapping):
+        raise ValueError(f"an instance must be a JSON object, not {instance!r}")
     _check_keys(instance, "instance", ("h",), ("constraints",))
     constraints = instance.get("constraints", [])
+    if not isinstance(constraints, list) or not all(isinstance(con, Mapping) for con in constraints):
+        raise ValueError(f"instance key 'constraints' must hold a list of JSON objects, not {constraints!r}")
     for con in constraints:
         _check_keys(con, "constraint", ("coeffs", "b"))
         if not is_finite_real(con["b"]):

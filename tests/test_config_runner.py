@@ -49,6 +49,16 @@ BAD_INSTANCE_VALUES = {
                re.escape("an observable maps label text to coefficients, not ['ZZ']")),
     "coeffs_number": ({"problem": "classical_cham_primal", "instance": {"h": {"11": 1.0}, "constraints": [{"coeffs": 0.5, "b": 0.1}]}},
                       "an observable maps label text to coefficients, not 0.5"),
+    "constraints_number": ({"problem": "cham_primal", "instance": {"h": {"ZZ": 1.0}, "constraints": 5}},
+                           re.escape("instance key 'constraints' must hold a list of JSON objects, not 5")),
+    "constraint_number": ({"problem": "cham_primal", "instance": {"h": {"ZZ": 1.0}, "constraints": [5]}},
+                          re.escape("instance key 'constraints' must hold a list of JSON objects, not [5]")),
+    "constraints_object": ({"problem": "cham_dual",
+                            "instance": {"h": {"ZZ": 1.0}, "constraints": {"coeffs": {"ZI": 1}, "b": 0.1}}},
+                           re.escape("instance key 'constraints' must hold a list of JSON objects, "
+                                     "not {'coeffs': {'ZI': 1}, 'b': 0.1}")),
+    "instance_list": ({"problem": "cham_primal", "instance": [1, 2]},
+                      re.escape("an instance must be a JSON object, not [1, 2]")),
 }
 
 
@@ -179,7 +189,11 @@ GOLDEN_RUNS = os.path.join(os.path.dirname(__file__), "data", "golden_runs")
 # non-negative slacks.  The cham_dual and the two shot-mode cham campaigns
 # were recorded from the observable classes that parsed instances before
 # ``pauli.Expansion`` did; they pin the cham term forms and their Estimator
-# call order.  No change may move a byte.
+# call order.  The four shot-mode negativity and fidelity campaigns were
+# recorded from an Estimator that drew one estimate per Pauli string: they
+# pin the 16-term expansions whose coefficients move every iteration, the
+# off-diagonal block and the block x expansion and block x state inner
+# products.  No change may move a byte.
 GOLDEN_CAMPAIGNS = {
     "td_dual_purification_exact": {"problem": "trace_distance_dual", "ansatz": {"type": "purification"}},
     "tvd_dual_born_exact": {"problem": "tvd_dual", "ansatz": {"type": "born"}},
@@ -194,6 +208,14 @@ GOLDEN_CAMPAIGNS = {
     "classical_cham_dual_born_shots": {"problem": "classical_cham_dual", "ansatz": {"type": "born"},
                                        "shots": {"mode": "shots", "n": 1000}},
     "classical_cham_dual_born_exact": {"problem": "classical_cham_dual", "ansatz": {"type": "born"}},
+    "negativity_primal_purification_shots": {"problem": "negativity_primal", "ansatz": {"type": "purification"},
+                                             "shots": {"mode": "shots", "n": 1000}},
+    "negativity_dual_purification_shots": {"problem": "negativity_dual", "ansatz": {"type": "purification"},
+                                           "shots": {"mode": "shots", "n": 1000}},
+    "fidelity_primal_purification_shots": {"problem": "fidelity_primal", "ansatz": {"type": "purification"},
+                                           "shots": {"mode": "shots", "n": 1000}},
+    "fidelity_dual_purification_shots": {"problem": "fidelity_dual", "ansatz": {"type": "purification"},
+                                         "shots": {"mode": "shots", "n": 1000}},
     "classical_cham_primal_born_schedule": {"problem": "classical_cham_primal", "ansatz": {"type": "born"},
                                             "optimizer": {"max_iters": 350}, "n_runs": 3, "workers": 1,
                                             "schedule": {"kind": "regression_window", "window": 100}},

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from qslack.estimate import (
     Estimator,
     Prepared,
     ShotModel,
+    as_prepared,
     hoeffding_shots,
     prepare,
 )
-from qslack.pauli import PauliString, WalshVector
+from qslack.pauli import Expansion, PauliString, WalshVector
 from tests.conftest import ket, random_density
 
 EXACT = Estimator(ShotModel())
@@ -138,6 +140,40 @@ class TestShotMode:
         a, _ = cc_pair(rng)
         exact = Estimator().purity(a).value
         assert abs(exact - np.sum(a.dist**2)) < 1e-12
+
+
+MODES = {"exact": ShotModel(), "binomial": ShotModel("shots", n=1000),
+         "gaussian": ShotModel("shots", n=2 * 10**6)}
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("walsh", [False, True], ids=["pauli", "walsh"])
+@pytest.mark.parametrize("zeros", [False, True], ids=["nonzero", "zeros"])
+def test_expansion_estimate_is_the_sum_of_term_estimates(mode, walsh, zeros, rng):
+    """One expansion estimate equals, bit for bit, the sum of one estimate
+    per non-zero term in label order, and leaves the generator where the
+    per-term calls leave it."""
+    n = 3 if walsh else 2
+    basis = WalshVector if walsh else PauliString
+    labels = tuple(product(range(2 if walsh else 4), repeat=n))
+    coeffs = rng.uniform(-1.0, 1.0, len(labels))
+    if zeros:
+        coeffs[::3] = 0.0
+    if walsh:
+        p = np.abs(rng.standard_normal(2**n))
+        state = Prepared(dist=p / p.sum())
+        mean = lambda l: float(basis(l).dense() @ state.dist)
+    else:
+        state = as_prepared(random_density(2**n, rng))
+        mean = lambda l: float(np.einsum("ij,ji->", basis(l).dense(), state.rho).real)
+    ests = [Estimator(MODES[mode], np.random.default_rng(3)) for _ in range(3)]
+    expect = [e.walsh_expect if walsh else e.pauli_expect for e in ests]
+    got = expect[0](state, Expansion(n, labels, coeffs, walsh))
+    per_term = sum(c * expect[1](state, basis(l)).value for l, c in zip(labels, coeffs) if c != 0)
+    per_mean = sum(c * ests[2]._pm_one(mean(l)).value for l, c in zip(labels, coeffs) if c != 0)
+    assert got.value == per_term == per_mean
+    assert (got.std_err == 0.0) == (mode == "exact")
+    assert len({e.rng.random() for e in ests}) == 1
 
 
 class TestHoeffding:

@@ -551,6 +551,10 @@ def random_expansion(n, rng, walsh=False, k=5):
     return exp, dense
 
 
+# The projectors P_0 = |0><0| and P_1 = |1><1| of a block's leading qubit.
+PROJ = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
+
+
 def operand_spaces(rng):
     """(dimension, [(operand, dense form)]) for every kind of operand."""
     n = 2
@@ -578,7 +582,7 @@ def operand_spaces(rng):
     off = np.kron([[0, 1], [0, 0]], x_mat.conj().T) + np.kron([[0, 0], [1, 0]], x_mat)
     x_rev = obj.coeffs_to_matrix(alpha[::-1], n)
     off_rev = np.kron([[0, 1], [0, 0]], x_rev.conj().T) + np.kron([[0, 0], [1, 0]], x_rev)
-    block_space = [(b, np.kron(obj._PROJ[b.k], b.state.rho)) for b in blocks] + [
+    block_space = [(b, np.kron(PROJ[b.k], b.state.rho)) for b in blocks] + [
         (obj.OffDiagonal(alpha), off),
         (obj.OffDiagonal(alpha[::-1].copy()), off_rev),
         (big, big.rho),
@@ -602,10 +606,10 @@ class TestSqNorm:
 
     def test_structural_pairs_sample_nothing(self, rng):
         class NoSampling(Estimator):
-            def _pm_one(self, mean):
+            def _pm_one(self, *args):
                 raise AssertionError("sampled a term fixed by structure")
 
-            _bernoulli = _pm_one
+            _bernoulli = _pm_sum = _pm_one
 
         rho, sigma = (as_prepared(random_density(2, rng)) for _ in range(2))
         h = Expansion(1, ((0,), (3,)), np.array([0.5, -0.25]))
@@ -617,28 +621,37 @@ class TestSqNorm:
         assert obj._inner(obj.IDENTITY, rho, 2, NoSampling()) == 1.0
 
     def test_zero_coefficients_are_not_estimated(self, rng):
-        calls = []
-
-        class Counting(Estimator):
-            def pauli_expect(self, state, p):
-                calls.append(p.labels)
-                return super().pauli_expect(state, p)
-
         rho = as_prepared(random_density(4, rng))
-        exp = Expansion(2, ((0, 1), (3, 3), (2, 0)), np.array([0.5, 0.0, -1.0]))
-        obj.sq_norm([(1.0, exp), (0.0, rho)], 4, Counting())
-        assert calls == [(0, 1), (2, 0)]
+        with_zero = Expansion(2, ((0, 1), (3, 3), (2, 0)), np.array([0.5, 0.0, -1.0]))
+        without = Expansion(2, ((0, 1), (2, 0)), np.array([0.5, -1.0]))
+        ests = [Estimator(ShotModel("shots", n=1000), np.random.default_rng(5)) for _ in range(2)]
+        got = [obj.sq_norm([(1.0, exp), (0.5, rho)], 4, est) for exp, est in zip((with_zero, without), ests)]
+        assert got[0] == got[1]
+        assert ests[0].rng.random() == ests[1].rng.random()
+
+    def test_block_state_overlap_reads_the_diagonal_block(self, rng):
+        for n in (1, 2, 3):
+            d = 2**n
+            for k in (0, 1):
+                for mode in (ShotModel(), ShotModel("shots", n=1000)):
+                    rho, big = as_prepared(random_density(d, rng)), as_prepared(random_density(2 * d, rng))
+                    ests = [Estimator(mode, np.random.default_rng(9)) for _ in range(2)]
+                    got = obj._inner(obj.Block(k, rho), big, 2 * d, ests[0])
+                    assert got == ests[1].overlap(np.kron(PROJ[k], rho.rho), big).value
+                    assert ests[0].rng.random() == ests[1].rng.random()
 
 
 # Two successive shot-mode evaluations of each term form at fixed parameters,
 # sharing one Estimator.  They pin the order and the number of the Estimator
 # calls, and with them the noise stream that a shot-mode run shares with its
-# SPSA draws.  Negativity is left out: its calls are grouped per squared norm.
+# SPSA draws.
 SHOT_STREAM = {
     "trace_distance_primal": (-29.208851751132073, -28.95629112325786),
     "trace_distance_dual": (7.155923942156722, 8.875314232536256),
     "fidelity_primal": (-65.7431248071489, -68.6257740126935),
     "fidelity_dual": (116.40289473546146, 118.67960963581463),
+    "negativity_primal": (-94.58031596236486, -96.82020383729339),
+    "negativity_dual": (16.2626902203083, 16.152198998729368),
     "cham_primal": (1.8424908206868538, 1.7744198254608594),
     "cham_dual": (-421.9559302460117, -415.1959490087973),
     "tvd_primal": (-30.201911368802485, -30.20372386184891),
