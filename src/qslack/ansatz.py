@@ -214,10 +214,6 @@ class ConvexCombinationState:
             raise ValueError("Born machine and basis circuit must share the qubit count")
 
     @property
-    def n_system(self) -> int:
-        return self.basis_circuit.n_qubits
-
-    @property
     def n_params(self) -> int:
         return self.born_circuit.n_params + self.basis_circuit.n_params
 

@@ -5,18 +5,23 @@ is laid over the row of ``problems.DEFAULTS`` for its (problem, ansatz type)
 pair, which holds the layer counts, the penalty constant, the learning-rate
 scheme, gradient normalization and the iteration cap; the ansatz type itself
 defaults to ``problems.default_ansatz_type``.  A key in neither takes the
-default of its dataclass field.  ``DEFAULTS`` is also importable from here.
+default of its dataclass field.  Values are checked as written, not
+converted: an integer field takes an integer, a real field a finite number,
+a flag a JSON boolean and a name a string.  ``DEFAULTS`` is also importable
+from here.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import get_type_hints
 
 from .estimate import ShotModel
 from .optimizer import LrSchedule, SpsaConfig
+from .pauli import is_finite_real
 from .problems import DEFAULTS, INSTANCE_SEED, N_SYSTEM, PROBLEM_TAGS, check_problem, default_ansatz_type, problem_defaults
 
 
@@ -74,15 +79,35 @@ _SECTIONS = {
 }
 
 
+# What a field of each checked type takes, as an error message names it.
+_TAKES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
+
+
+def _checked(name: str, key: str, kind: type, value):
+    """``value`` as the ``kind`` field ``key`` of section ``name`` takes it
+    as written: an int field takes an integer, a float field a finite real
+    (an integer is converted), a bool field a boolean and a str field a
+    string.  A boolean is no number."""
+    if kind is float:
+        ok = is_finite_real(value)
+    elif kind is int:
+        ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"{name} key {key!r} must be {_TAKES[kind]}, not {value!r}")
+    return kind(value)
+
+
 def _build(cls, doc: dict, name: str, **built):
     """``cls`` from the fields in ``built`` and the document ``doc``, whose
     keys must name the other fields; a value for an int, float, bool or str
-    field is converted to that type."""
+    field is checked by ``_checked``."""
     types = get_type_hints(cls)
     unknown = sorted(set(doc) - (set(types) - set(built)))
     if unknown:
         raise ConfigError(f"unknown {name} keys: {unknown}")
-    return cls(**{k: types[k](v) if types[k] in (int, float, bool, str) else v for k, v in doc.items()}, **built)
+    return cls(**{k: _checked(name, k, types[k], v) if types[k] in _TAKES else v for k, v in doc.items()}, **built)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:

@@ -8,8 +8,7 @@ simulating it shot by shot: a +-1 observable with true mean m is drawn as
 and above 10^6 shots the binomial is replaced by its Gaussian limit.
 
 The Pauli and Walsh primitives take a whole observable, an
-:class:`~qslack.pauli.Expansion` sum_k a_k B_k (a lone string or vector is
-the one-term expansion with coefficient 1).  They estimate it as
+:class:`~qslack.pauli.Expansion` sum_k a_k B_k, and estimate it as
 sum_k a_k <B_k>, one independent estimate per non-zero term: one stacked
 contraction gives every mean, one array draw every estimate, in label order,
 so the noise stream is the one a call per term would draw.
@@ -24,7 +23,7 @@ from itertools import compress
 import numpy as np
 
 from .ansatz import ConvexCombinationState, mixture
-from .pauli import Expansion, PauliString, WalshVector, term_stack
+from .pauli import Expansion, term_stack
 
 GAUSSIAN_SHOT_THRESHOLD = 10**6
 
@@ -175,10 +174,8 @@ class Estimator:
                 return Estimate(0.0)
         return self._pm_sum(coeffs, means_of(term_stack(labels, obs.walsh)))
 
-    def pauli_expect(self, state, obs: Expansion | PauliString) -> Estimate:
-        """Estimate of a Pauli expansion, or of one string, on a state."""
-        if isinstance(obs, PauliString):
-            obs = Expansion(obs.n_qubits, (obs.labels,), np.ones(1))
+    def pauli_expect(self, state, obs: Expansion) -> Estimate:
+        """Estimate of a Pauli expansion on a state."""
         rho = as_prepared(state).rho
         if rho.shape != (2**obs.n_qubits, 2**obs.n_qubits):
             raise ValueError("state dimension does not match Pauli string length")
@@ -224,11 +221,9 @@ class Estimator:
             raise ValueError(f"length mismatch {p.shape} vs {q.shape}")
         return self._bernoulli(float(p @ q))
 
-    def walsh_expect(self, state, obs: Expansion | WalshVector) -> Estimate:
-        """Estimate of a Walsh expansion, or of one vector, on a distribution:
-        each mean is one dot product, the one ``basis[k] @ p`` makes."""
-        if isinstance(obs, WalshVector):
-            obs = Expansion(len(obs.labels), (obs.labels,), np.ones(1), walsh=True)
+    def walsh_expect(self, state, obs: Expansion) -> Estimate:
+        """Estimate of a Walsh expansion on a distribution: each mean is one
+        dot product, the one ``basis[k] @ p`` makes."""
         p = as_prepared(state).dist
         if p.shape != (2**obs.n_qubits,):
             raise ValueError("distribution length does not match Walsh vector length")

@@ -103,12 +103,12 @@ from .estimate import Estimator, Prepared, as_prepared, prepare
 from .pauli import Expansion, dense_string_basis, string_order
 
 
-@dataclass
-class TermBreakdown:
-    """Objective value and the bare penalty (the quantity multiplied by c)."""
+class TermBreakdown(NamedTuple):
+    """Objective value and the bare penalty (the quantity multiplied by c):
+    floats for one parameter vector, arrays with one entry per row for a stack."""
 
-    value: float
-    penalty: float
+    value: float | np.ndarray
+    penalty: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -248,30 +248,28 @@ class PenaltyObjective:
         return [st[0] for st in self._realize(np.atleast_2d(np.asarray(params, dtype=float)))]
 
     # -- evaluation -----------------------------------------------------
-    def evaluate(self, params: np.ndarray, estimator: Estimator | list[Estimator] | None = None
-                 ) -> TermBreakdown | tuple[np.ndarray, np.ndarray]:
-        """The objective at a parameter vector, or, for the rows of a 2-D
-        array, the values and the penalties as two arrays, one entry per row.
-        Without an ``estimator`` one call of the dense form takes every row:
-        the states of each template stacked, and each scalar block with the
-        row axis first.  Otherwise ``estimator`` is one Estimator for every
-        row or a list of one per row, and the rows are evaluated in order, so
-        each Estimator draws the same stream as one call per row."""
+    def evaluate(self, params: np.ndarray, estimator: Estimator | list[Estimator] | None = None) -> TermBreakdown:
+        """The objective at a parameter vector, evaluated as the one-row
+        stack, or at every row of a 2-D array.  Without an ``estimator`` one
+        call of the dense form takes every row: the states of each template
+        stacked, and each scalar block with the row axis first.  Otherwise
+        ``estimator`` is one Estimator for every row or a list of one per
+        row, and the rows are evaluated in order, so each Estimator draws the
+        same stream as one call per row."""
         params = np.asarray(params, dtype=float)
         rows = np.atleast_2d(params)
         stacked = self._realize(rows)
         if estimator is None:
-            states = [st.dense if params.ndim == 2 else st.dense[0] for st in stacked]
-            value, penalty = self._dense(*states, **self._arguments(self.scalars(params)))
-            if params.ndim == 1:
-                return TermBreakdown(float(value), float(penalty))
-            return np.asarray(value, dtype=float), np.asarray(penalty, dtype=float)
-        estimators = estimator if isinstance(estimator, list) else [estimator] * len(rows)
-        out = [self._terms(*[st[r] for st in stacked], **self._arguments(self.scalars(row)), est=est)
-               for r, (row, est) in enumerate(zip(rows, estimators))]
+            value, penalty = self._dense(*[st.dense for st in stacked], **self._arguments(self.scalars(rows)))
+        else:
+            estimators = estimator if isinstance(estimator, list) else [estimator] * len(rows)
+            out = [self._terms(*[st[r] for st in stacked], **self._arguments(self.scalars(row)), est=est)
+                   for r, (row, est) in enumerate(zip(rows, estimators))]
+            value, penalty = zip(*out)
+        value, penalty = np.asarray(value, dtype=float), np.asarray(penalty, dtype=float)
         if params.ndim == 1:
-            return out[0]
-        return np.array([tb.value for tb in out], dtype=float), np.array([tb.penalty for tb in out], dtype=float)
+            return TermBreakdown(float(value[0]), float(penalty[0]))
+        return TermBreakdown(value, penalty)
 
     def dense_value(self, dense_states: list[np.ndarray], scalars: dict[str, np.ndarray]) -> float:
         return self._dense(*dense_states, **self._arguments(scalars))[0]

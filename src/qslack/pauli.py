@@ -4,7 +4,9 @@ Observables are sparse real expansions, :class:`Expansion`, over
 tensor-product basis elements: Pauli strings sigma_x1 (x) ... (x) sigma_xn
 with labels in {0,1,2,3} (0=I, 1=X, 2=Y, 3=Z), and their diagonal
 restriction, the Walsh vectors s_x1 (x) ... (x) s_xn with labels in {0,1}
-and entries +-1.
+and entries +-1.  ``Expansion`` is the one operator type: a single string
+or vector is the one-term expansion with coefficient 1, such as
+``Expansion.from_text(2, {"ZX": 1.0})``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
@@ -37,31 +38,6 @@ def default_term_cap(n: int) -> int:
     return 4**n if n <= 2 else 64
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """A tensor product of single-qubit Paulis, e.g. labels (1, 3) for "XZ"."""
-
-    labels: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.labels) < 1 or any(l not in (0, 1, 2, 3) for l in self.labels):
-            raise ValueError(f"invalid Pauli labels {self.labels}")
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.labels)
-
-    @classmethod
-    def from_text(cls, text: str) -> "PauliString":
-        try:
-            return cls(tuple(PAULI_CHARS.index(ch) for ch in text.upper()))
-        except ValueError:
-            raise ValueError(f"invalid Pauli string text {text!r}") from None
-
-    def dense(self) -> np.ndarray:
-        return _dense_string(self.labels)
-
-
 @lru_cache(maxsize=None)
 def _dense_string(labels: tuple[int, ...]) -> np.ndarray:
     return linalg.kron_all(*(SIGMA[l] for l in labels))
@@ -79,35 +55,31 @@ def dense_string_basis(n: int) -> np.ndarray:
     return np.stack([_dense_string(l) for l in string_order(n)])
 
 
-@dataclass(frozen=True)
-class WalshVector:
-    """A tensor product of s_0 = (1,1) and s_1 = (1,-1); entries are +-1."""
+def _parse_labels(text: str, walsh: bool) -> tuple[int, ...]:
+    """The labels of one basis element written as text: "XZIY" (in either
+    case) for a Pauli string, or "101" for a Walsh vector."""
+    chars = "01" if walsh else PAULI_CHARS
+    labels = tuple(chars.find(ch) for ch in (text if walsh else text.upper()))
+    if not labels or -1 in labels:
+        raise ValueError(f"invalid {'Walsh' if walsh else 'Pauli string'} text {text!r}")
+    return labels
 
-    labels: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.labels) < 1 or any(l not in (0, 1) for l in self.labels):
-            raise ValueError(f"invalid Walsh labels {self.labels}")
-
-    @classmethod
-    def from_text(cls, text: str) -> "WalshVector":
-        if not all(ch in "01" for ch in text):
-            raise ValueError(f"invalid Walsh text {text!r}")
-        return cls(tuple(int(ch) for ch in text))
-
-    def dense(self) -> np.ndarray:
-        out = WALSH[self.labels[0]]
-        for l in self.labels[1:]:
-            out = np.kron(out, WALSH[l])
-        return out
+def _basis_dense(labels: tuple[int, ...], walsh: bool) -> np.ndarray:
+    """The dense Pauli string (or, if ``walsh``, Walsh vector) labelled ``labels``."""
+    if not walsh:
+        return _dense_string(labels)
+    out = WALSH[labels[0]]
+    for l in labels[1:]:
+        out = np.kron(out, WALSH[l])
+    return out
 
 
 @lru_cache(maxsize=32)
 def term_stack(labels: tuple[tuple[int, ...], ...], walsh: bool = False) -> np.ndarray:
     """The dense Pauli strings (or, if ``walsh``, Walsh vectors) labelled
     ``labels``, stacked in order."""
-    basis = WalshVector if walsh else PauliString
-    return np.stack([basis(l).dense() for l in labels])
+    return np.stack([_basis_dense(l, walsh) for l in labels])
 
 
 def is_finite_real(x) -> bool:
@@ -136,15 +108,16 @@ class Expansion(NamedTuple):
         Zero terms are dropped, and the rest are sorted by label.  A Pauli
         expansion keeps at most ``default_term_cap(n)`` terms, a guard on
         instances read from JSON."""
-        basis = WalshVector if walsh else PauliString
+        chars = "01" if walsh else PAULI_CHARS
         clean: dict[tuple[int, ...], float] = {}
         for labels, coeff in terms.items():
             labels = tuple(labels)
             if len(labels) != n:
                 raise ValueError(f"term {labels} has wrong length for {n} {'bits' if walsh else 'qubits'}")
-            basis(labels)
+            if not labels or any(l not in range(len(chars)) for l in labels):
+                raise ValueError(f"invalid {'Walsh' if walsh else 'Pauli'} labels {labels}")
             if not is_finite_real(coeff):
-                text = "".join(("01" if walsh else PAULI_CHARS)[l] for l in labels)
+                text = "".join(chars[l] for l in labels)
                 raise ValueError(f"term {text!r} has coefficient {coeff!r}, not a finite real number")
             if coeff != 0:
                 clean[labels] = float(coeff)
@@ -160,16 +133,12 @@ class Expansion(NamedTuple):
         (or, if ``walsh``, {"11": 1.0})."""
         if not isinstance(terms, Mapping):
             raise ValueError(f"an observable maps label text to coefficients, not {terms!r}")
-        basis = WalshVector if walsh else PauliString
-        return cls.from_terms(n, {basis.from_text(t).labels: c for t, c in terms.items()}, walsh)
+        return cls.from_terms(n, {_parse_labels(t, walsh): c for t, c in terms.items()}, walsh)
 
     def dense(self) -> np.ndarray:
         """The 2^n x 2^n matrix (or, if ``walsh``, the length-2^n vector)."""
         d = 2**self.n_qubits
-        if self.walsh:
-            out, basis = np.zeros(d), WalshVector
-        else:
-            out, basis = np.zeros((d, d), dtype=complex), PauliString
+        out = np.zeros(d) if self.walsh else np.zeros((d, d), dtype=complex)
         for labels, coeff in zip(self.labels, self.coeffs):
-            out += coeff * basis(labels).dense()
+            out += coeff * _basis_dense(labels, self.walsh)
         return out

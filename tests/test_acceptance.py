@@ -27,7 +27,7 @@ from qslack import oracle as orc
 from qslack.config import config_from_dict
 from qslack.estimate import Estimator, ShotModel, hoeffding_shots, prepare
 from qslack.optimizer import parameter_shift_gradient_vector, rademacher, spsa_gradient
-from qslack.pauli import Expansion, PauliString
+from qslack.pauli import Expansion
 from qslack.runner import _run_single, build_from_config, run_experiment
 from qslack.ansatz import ConvexCombinationState, layered_unitary_circuit, qcbm_circuit
 
@@ -322,11 +322,11 @@ def test_criterion_5_estimator_statistics():
     cc_b = prepare(cc_t, rng.uniform(0, 2 * np.pi, cc_t.n_params))
     p_vec = _rand_dist(4, rng)
     q_vec = _rand_dist(4, rng)
+    zx = Expansion.from_text(2, {"ZX": 1.0})
 
     est = Estimator(ShotModel("shots", n=n_shots), rng)
     checks = {
-        "pauli": (lambda e: e.pauli_expect(rho, PauliString((3, 1))).value,
-                  EST.pauli_expect(rho, PauliString((3, 1))).value, "pm1"),
+        "pauli": (lambda e: e.pauli_expect(rho, zx).value, EST.pauli_expect(rho, zx).value, "pm1"),
         "swap": (lambda e: e.overlap(rho, sigma).value,
                  EST.overlap(rho, sigma).value, "pm1"),
         "loschmidt": (lambda e: e.loschmidt(cc_a, cc_b).value,

@@ -62,7 +62,50 @@ BAD_INSTANCE_VALUES = {
 }
 
 
+# Typed field values as a config document writes them, as (section, key,
+# value, held): ``held`` is the value the config holds, or None where the
+# document is refused.  A section of None is the top level.
+FIELD_VALUES = {
+    "penalty_int": (None, "penalty", 5, 5.0),
+    "normalize_text": ("optimizer", "normalize", "false", None),
+    "max_iters_float": ("optimizer", "max_iters", 2.7, None),
+    "workers_float": (None, "workers", 2.5, None),
+    "shots_float": ("shots", "n", 1000.9, None),
+    "n_runs_bool": (None, "n_runs", True, None),
+    "seed_text": (None, "seed", "7", None),
+    "penalty_nan_text": (None, "penalty", "nan", None),
+    "penalty_inf": (None, "penalty", float("inf"), None),
+    "learning_rate_nan_text": ("optimizer", "learning_rate", "nan", None),
+    "perturbation_inf": ("optimizer", "perturbation", float("inf"), None),
+    "min_lr_nan": ("schedule", "min_lr", float("nan"), None),
+    "output_dir_number": (None, "output_dir", 5, None),
+}
+
+
 class TestConfig:
+    @pytest.mark.parametrize("section, key, value, held", FIELD_VALUES.values(), ids=list(FIELD_VALUES))
+    def test_field_values_checked_as_written(self, section, key, value, held):
+        doc = tiny_config(shots={"mode": "shots", "n": 1000})
+        if section is None:
+            doc[key] = value
+        else:
+            doc[section] = {**doc[section], key: value}
+        if held is None:
+            where = section or "config"
+            message = re.escape(f"{where} key {key!r} must be ") + ".*" + re.escape(f", not {value!r}")
+            with pytest.raises(ConfigError, match=message):
+                config_from_dict(doc)
+        else:
+            got = getattr(config_from_dict(doc), key)
+            assert got == held and type(got) is type(held)
+
+    def test_readme_config_example_parses(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        cli = text[text.index("\n## CLI\n"):]
+        block = cli[cli.index("```json\n") + len("```json\n"):]
+        cfg = config_from_dict(json.loads(block[:block.index("```")]))
+        assert cfg.problem == "trace_distance_dual" and cfg.workers == 2
+
     @pytest.mark.parametrize("problem", ["trace_distance_dual", "tvd_primal", "cham_dual", "tvd_dual",
                                          "classical_cham_primal", "classical_cham_dual"])
     def test_dataclass_and_document_defaults_agree(self, problem):

@@ -13,7 +13,7 @@ from qslack.estimate import (
     hoeffding_shots,
     prepare,
 )
-from qslack.pauli import Expansion, PauliString, WalshVector
+from qslack.pauli import Expansion, term_stack
 from tests.conftest import ket, random_density
 
 EXACT = Estimator(ShotModel())
@@ -29,11 +29,11 @@ def cc_pair(rng, n=2):
 class TestExactMode:
     def test_pauli_z_on_zero(self):
         rho = np.outer(ket("0"), ket("0").conj())
-        e = EXACT.pauli_expect(rho, PauliString((3,)))
+        e = EXACT.pauli_expect(rho, Expansion.from_text(1, {"Z": 1.0}))
         assert e.value == 1.0 and e.std_err == 0.0
 
     def test_identity_string(self, rng):
-        e = EXACT.pauli_expect(random_density(4, rng), PauliString((0, 0)))
+        e = EXACT.pauli_expect(random_density(4, rng), Expansion.from_text(2, {"II": 1.0}))
         assert np.isclose(e.value, 1.0)
 
     def test_pure_state_self_overlap(self):
@@ -94,12 +94,13 @@ class TestShotMode:
     def test_binomial_concentration(self, rng):
         # |estimate - m| <= 5 sqrt((1 - m^2)/N) in >= 99% of trials
         rho = random_density(2, rng)
-        m = EXACT.pauli_expect(rho, PauliString((3,))).value
+        z = Expansion.from_text(1, {"Z": 1.0})
+        m = EXACT.pauli_expect(rho, z).value
         n = 10_000
         est = Estimator(ShotModel("shots", n=n), rng)
         band = 5 * math.sqrt((1 - m**2) / n)
         hits = sum(
-            abs(est.pauli_expect(rho, PauliString((3,))).value - m) <= band
+            abs(est.pauli_expect(rho, z).value - m) <= band
             for _ in range(1000)
         )
         assert hits >= 990
@@ -154,7 +155,7 @@ def test_expansion_estimate_is_the_sum_of_term_estimates(mode, walsh, zeros, rng
     per non-zero term in label order, and leaves the generator where the
     per-term calls leave it."""
     n = 3 if walsh else 2
-    basis = WalshVector if walsh else PauliString
+    one = lambda l: Expansion(n, (l,), np.ones(1), walsh)
     labels = tuple(product(range(2 if walsh else 4), repeat=n))
     coeffs = rng.uniform(-1.0, 1.0, len(labels))
     if zeros:
@@ -162,14 +163,14 @@ def test_expansion_estimate_is_the_sum_of_term_estimates(mode, walsh, zeros, rng
     if walsh:
         p = np.abs(rng.standard_normal(2**n))
         state = Prepared(dist=p / p.sum())
-        mean = lambda l: float(basis(l).dense() @ state.dist)
+        mean = lambda l: float(term_stack((l,), walsh)[0] @ state.dist)
     else:
         state = as_prepared(random_density(2**n, rng))
-        mean = lambda l: float(np.einsum("ij,ji->", basis(l).dense(), state.rho).real)
+        mean = lambda l: float(np.einsum("ij,ji->", term_stack((l,))[0], state.rho).real)
     ests = [Estimator(MODES[mode], np.random.default_rng(3)) for _ in range(3)]
     expect = [e.walsh_expect if walsh else e.pauli_expect for e in ests]
     got = expect[0](state, Expansion(n, labels, coeffs, walsh))
-    per_term = sum(c * expect[1](state, basis(l)).value for l, c in zip(labels, coeffs) if c != 0)
+    per_term = sum(c * expect[1](state, one(l)).value for l, c in zip(labels, coeffs) if c != 0)
     per_mean = sum(c * ests[2]._pm_one(mean(l)).value for l, c in zip(labels, coeffs) if c != 0)
     assert got.value == per_term == per_mean
     assert (got.std_err == 0.0) == (mode == "exact")
@@ -222,5 +223,5 @@ class TestPrepared:
     def test_walsh_expect_matches_dot(self, rng):
         p = np.abs(rng.standard_normal(4))
         p /= p.sum()
-        w = WalshVector((1, 0))
+        w = Expansion.from_text(2, {"10": 1.0}, walsh=True)
         assert np.isclose(Estimator().walsh_expect(Prepared(dist=p), w).value, w.dense() @ p)

@@ -1,4 +1,6 @@
+import json
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from itertools import product
 from qslack import PROBLEM_TAGS, build_problem, linalg, objective as obj
 from qslack.ansatz import ConvexCombinationState, layered_unitary_circuit, qcbm_circuit
 from qslack.estimate import Estimator, Prepared, ShotModel, as_prepared, prepare
-from qslack.pauli import Expansion, PauliString, WalshVector
+from qslack.pauli import Expansion, term_stack
 from qslack.oracle import exact_negativity, exact_root_fidelity, exact_trace_distance, exact_tvd
 from qslack.problems import DEFAULTS
 from tests.conftest import bell_state, ket, random_density, random_hermitian
@@ -18,8 +20,8 @@ EST = Estimator()
 def pauli_coeffs_of(m: np.ndarray, n: int) -> np.ndarray:
     """Coefficient vector of a matrix in the lexicographic Pauli-string basis."""
     return np.array([
-        np.trace(PauliString(labels).dense() @ m) / 2**n
-        for labels in sorted(product(range(4), repeat=n))
+        np.trace(string @ m) / 2**n
+        for string in term_stack(tuple(sorted(product(range(4), repeat=n))))
     ])
 
 
@@ -490,7 +492,7 @@ class TestGenericBuilders:
         # one instance written both ways: Pauli observables and a string map, and
         # linear combinations whose matrices are those strings
         labels = sorted(product(range(4), repeat=n))
-        string = lambda l: PauliString(l).dense()
+        string = lambda l: term_stack((l,))[0]
         for _ in range(10):
             a = {labels[i]: rng.uniform(-1, 1) for i in rng.choice(len(labels), 2, replace=False)}
             b = {labels[i]: rng.uniform(-1, 1) for i in rng.choice(len(labels), 2, replace=False)}
@@ -546,8 +548,7 @@ def random_expansion(n, rng, walsh=False, k=5):
     labels = sorted(product(range(2 if walsh else 4), repeat=n))
     pick = sorted(rng.choice(len(labels), k, replace=False))
     exp = Expansion(n, tuple(labels[i] for i in pick), rng.uniform(-1, 1, k), walsh)
-    basis = WalshVector if walsh else PauliString
-    dense = sum(c * basis(l).dense() for l, c in zip(exp.labels, exp.coeffs))
+    dense = sum(c * b for b, c in zip(term_stack(exp.labels, walsh), exp.coeffs))
     return exp, dense
 
 
@@ -723,14 +724,15 @@ def test_scalar_blocks_are_passed_in_their_form():
 
     def dense(**args):
         seen.update(args)
-        return 0.0, 0.0
+        return np.zeros(1), np.zeros(1)
 
     o = obj.PenaltyObjective("max", [], blocks, dense, None)
     assert o.n_params == 7 and [b.name for b in o.blocks] == ["a", "v", "w"]
-    o.evaluate(np.arange(1.0, 8.0))
-    assert seen["a"] == 2.0
-    assert np.array_equal(seen["v"], [2.0, 3.0])
-    assert np.array_equal(seen["w"], [2.0 + 3.0j, 2.5 + 3.5j])
+    # a vector is evaluated as the one-row stack
+    assert o.evaluate(np.arange(1.0, 8.0)) == (0.0, 0.0)
+    assert np.array_equal(seen["a"], [2.0])
+    assert np.array_equal(seen["v"], [[2.0, 3.0]])
+    assert np.array_equal(seen["w"], [[2.0 + 3.0j, 2.5 + 3.5j]])
 
 
 @pytest.mark.parametrize("size, passed_as", [(2, "number"), (3, "complex"), (1, "matrix")])
@@ -835,3 +837,21 @@ def test_stacked_contractions_match_single_vector_calls(m):
             assert dots[k] == np.dot(x[k], y[k]) and fixed_dots[k] == np.dot(x[0], y[k])
             assert np.array_equal(mats[k], np.tensordot(coeffs[k], dense_string_basis(n), axes=1))
             assert np.array_equal(real_mats[k], np.tensordot(x[k], dense_string_basis(n), axes=1))
+
+
+def test_vector_evaluation_is_pinned():
+    """``evaluate`` on one parameter vector gives, bit for bit, the values
+    recorded in ``data/vector_path.json``: the dense form, the exact
+    Estimator and a seeded shot-mode Estimator, at seeded parameters with
+    the sign-constrained scalars clamped, for every ``DEFAULTS`` pair."""
+    with open(Path(__file__).parent / "data" / "vector_path.json") as fh:
+        pinned = json.load(fh)
+    assert sorted(pinned) == sorted(f"{tag}/{ansatz_type}" for tag, ansatz_type in DEFAULTS)
+    for key, calls in pinned.items():
+        tag, ansatz_type = key.split("/")
+        o = build_problem(tag, ansatz_type=ansatz_type).objective
+        x = o.clamp(np.random.default_rng(11).uniform(-0.5, 1.5, o.n_params))
+        got = {"dense": o.evaluate(x), "exact": o.evaluate(x, Estimator()),
+               "shots": o.evaluate(x, Estimator(ShotModel("shots", n=1000), np.random.default_rng(4)))}
+        for name, tb in got.items():
+            assert (tb.value, tb.penalty) == tuple(float(v) for v in calls[name]), (key, name)

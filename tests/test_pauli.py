@@ -5,44 +5,50 @@ from hypothesis import strategies as st
 from itertools import product
 
 from qslack.estimate import Estimator, Prepared
-from qslack.pauli import (
-    Expansion,
-    PauliString,
-    WalshVector,
-    default_term_cap,
-)
+from qslack.pauli import Expansion, default_term_cap, term_stack
 
 
-def walsh_expect(w: WalshVector, p: np.ndarray) -> float:
+def one_term(labels, walsh=False) -> Expansion:
+    """The basis element labelled ``labels``: the one-term expansion with coefficient 1."""
+    return Expansion(len(labels), (tuple(labels),), np.ones(1), walsh)
+
+
+def walsh_expect(w: Expansion, p: np.ndarray) -> float:
     return Estimator().walsh_expect(Prepared(dist=p), w).value
 
 
 class TestPauliString:
     def test_identity_dense(self):
-        assert np.allclose(PauliString((0, 0)).dense(), np.eye(4))
+        assert np.allclose(one_term((0, 0)).dense(), np.eye(4))
 
     def test_sigma_y(self):
-        assert np.allclose(PauliString((2,)).dense(), np.array([[0, -1j], [1j, 0]]))
+        assert np.allclose(one_term((2,)).dense(), np.array([[0, -1j], [1j, 0]]))
 
     def test_orthogonality_relation(self):
-        p = PauliString((1, 3))
+        p = one_term((1, 3))
         d = p.dense()
         assert np.isclose(np.trace(d @ d), 4.0)
         assert np.isclose(np.trace(d), 0.0)
 
     def test_text_round_trip(self):
-        p = PauliString.from_text("XZIY")
-        assert p.labels == (1, 3, 0, 2)
+        assert Expansion.from_text(4, {"XZIY": 1.0}).labels == ((1, 3, 0, 2),)
+        assert Expansion.from_text(4, {"xziy": 1.0}).labels == ((1, 3, 0, 2),)
 
     def test_bad_text(self):
-        with pytest.raises(ValueError):
-            PauliString.from_text("XQ")
+        for text in ("XQ", ""):
+            with pytest.raises(ValueError, match=f"invalid Pauli string text {text!r}"):
+                Expansion.from_text(2, {text: 1.0})
+
+    @pytest.mark.parametrize("labels, walsh", [((0, 4), False), ((1, -1), False), ((0.5, 0), False),
+                                               ((0, 2), True), ((), False), ((), True)])
+    def test_bad_labels(self, labels, walsh):
+        with pytest.raises(ValueError, match="invalid (Pauli|Walsh) labels"):
+            Expansion.from_terms(len(labels), {labels: 1.0}, walsh)
 
     def test_orthogonality_all_pairs(self):
         # Tr[dense(p)^dag dense(q)] = 2^n [p == q], n <= 3
         for n in (1, 2, 3):
-            strings = [PauliString(l) for l in product(range(4), repeat=n)]
-            dense = [s.dense() for s in strings]
+            dense = term_stack(tuple(product(range(4), repeat=n)))
             for i, di in enumerate(dense):
                 for j, dj in enumerate(dense):
                     expected = 2.0**n if i == j else 0.0
@@ -50,7 +56,7 @@ class TestPauliString:
 
     def test_dense_unitary_hermitian(self):
         for labels in product(range(4), repeat=2):
-            d = PauliString(labels).dense()
+            d = one_term(labels).dense()
             assert np.allclose(d @ d.conj().T, np.eye(4))
             assert np.allclose(d, d.conj().T)
 
@@ -96,34 +102,39 @@ class TestWalsh:
     def test_all_zero_vector(self, rng):
         p = np.abs(rng.standard_normal(8))
         p /= p.sum()
-        assert np.isclose(walsh_expect(WalshVector((0, 0, 0)), p), 1.0)
+        assert np.isclose(walsh_expect(one_term((0, 0, 0), walsh=True), p), 1.0)
 
     def test_tensor_structure(self):
-        w = WalshVector((1, 1))
+        w = one_term((1, 1), walsh=True)
         assert np.allclose(w.dense(), [1, -1, -1, 1])
         assert np.isclose(walsh_expect(w, np.full(4, 0.25)), 0.0)
 
     def test_point_mass(self):
-        assert np.isclose(walsh_expect(WalshVector((1,)), np.array([1.0, 0.0])), 1.0)
+        assert np.isclose(walsh_expect(one_term((1,), walsh=True), np.array([1.0, 0.0])), 1.0)
 
     def test_orthogonality(self):
         for n in (1, 2, 3):
-            vecs = [WalshVector(l).dense() for l in product(range(2), repeat=n)]
+            vecs = term_stack(tuple(product(range(2), repeat=n)), walsh=True)
             for i, vi in enumerate(vecs):
                 for j, vj in enumerate(vecs):
                     assert np.isclose(vi @ vj, (2.0**n) * (i == j))
 
     def test_sign_matches_dense(self):
         # entry i of s_x is (-1)^(x . i), with the bits of i read MSB-first
-        w = WalshVector((1, 0, 1))
+        w = one_term((1, 0, 1), walsh=True)
         d = w.dense()
         for i in range(8):
             bits = [(i >> (2 - j)) & 1 for j in range(3)]
-            assert d[i] == (-1) ** sum(l * b for l, b in zip(w.labels, bits))
+            assert d[i] == (-1) ** sum(l * b for l, b in zip(w.labels[0], bits))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            walsh_expect(WalshVector((1, 0)), np.array([0.5, 0.5]))
+            walsh_expect(one_term((1, 0), walsh=True), np.array([0.5, 0.5]))
+
+    def test_bad_text(self):
+        for text in ("12", "0X", ""):
+            with pytest.raises(ValueError, match=f"invalid Walsh text {text!r}"):
+                Expansion.from_text(2, {text: 1.0}, walsh=True)
 
     def test_observable_dense(self):
         o = Expansion.from_text(2, {"11": 1.0, "00": 0.5}, walsh=True)
@@ -133,7 +144,7 @@ class TestWalsh:
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3))
 def test_dense_matches_kron_of_factors(labels):
-    got = PauliString(tuple(labels)).dense()
+    got = term_stack((tuple(labels),))[0]
     expected = np.array([[1.0]], dtype=complex)
     singles = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
     for l in labels:
