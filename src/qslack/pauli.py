@@ -130,10 +130,18 @@ class Expansion(NamedTuple):
     @classmethod
     def from_text(cls, n: int, terms: Mapping[str, float], walsh: bool = False) -> "Expansion":
         """``from_terms`` of a {text: coefficient} map, such as {"ZZ": 1.0}
-        (or, if ``walsh``, {"11": 1.0})."""
+        (or, if ``walsh``, {"11": 1.0}).  Two texts of the same basis
+        element, such as "zz" and "ZZ", are an error."""
         if not isinstance(terms, Mapping):
             raise ValueError(f"an observable maps label text to coefficients, not {terms!r}")
-        return cls.from_terms(n, {_parse_labels(t, walsh): c for t, c in terms.items()}, walsh)
+        texts: dict[tuple[int, ...], str] = {}
+        for text in terms:
+            labels = _parse_labels(text, walsh)
+            if labels in texts:
+                raise ValueError(f"texts {texts[labels]!r} and {text!r} name the same "
+                                 f"{'Walsh vector' if walsh else 'Pauli string'}")
+            texts[labels] = text
+        return cls.from_terms(n, {labels: terms[text] for labels, text in texts.items()}, walsh)
 
     def dense(self) -> np.ndarray:
         """The 2^n x 2^n matrix (or, if ``walsh``, the length-2^n vector)."""

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+# Unused here, but perfbench/tracer.py subclasses and patches this name.
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -38,6 +40,18 @@ def _run_single(job: tuple[ExperimentConfig, Problem], runs: Sequence[int]) -> R
     cfg, problem = job
     return RunRecords(run_optimization(problem.objective, cfg.spsa, cfg.schedule, [[cfg.seed, k] for k in runs],
                                        shots=cfg.shots, oracle=problem.oracle.value))
+
+
+def _run_chunk(job: tuple[ExperimentConfig, Problem], runs: Sequence[int], conn) -> None:
+    """A forked child's work: send the records of ``runs`` on ``conn``, or
+    the exception that training them raised.  ``_run_single`` is looked up
+    when the child runs, so a wrapper installed on the module applies."""
+    try:
+        out = _run_single(job, runs)
+    except Exception as exc:
+        out = exc
+    conn.send(out)
+    conn.close()
 
 
 @dataclass
@@ -77,8 +91,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     convergence.svg, and a manifest of run statuses.  The problem, oracle
     included, is built once and every run trains it.  The runs are split
     into min(workers, n_runs) chunks of consecutive indices, each trained in
-    lockstep by one call of ``_run_single``; with more than one chunk, each
-    goes to a worker of a process pool."""
+    lockstep by one call of ``_run_single``.  Chunk 0 is trained in this
+    process.  Each other chunk is trained in a child forked for it before
+    that, so ``workers > 1`` needs the fork start method: the child holds
+    the built problem already, and only its records are pickled back.  A
+    child's exception is raised here, and no child is left running when
+    this returns or raises."""
     problem = build_from_config(cfg)
     out_dir = resolve_output_dir(cfg)
     os.makedirs(out_dir, exist_ok=True)
@@ -86,11 +104,33 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     n_chunks = min(cfg.workers, cfg.n_runs)
     chunks = [range(i * cfg.n_runs // n_chunks, (i + 1) * cfg.n_runs // n_chunks) for i in range(n_chunks)]
-    if n_chunks > 1:
-        with ProcessPoolExecutor(max_workers=n_chunks) as pool:
-            done = list(pool.map(_run_single, [job] * n_chunks, chunks))
-    else:
+    children = []
+    try:
+        for runs in chunks[1:]:
+            recv, send = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.get_context("fork").Process(target=_run_chunk, args=(job, runs, send))
+            child.start()
+            send.close()
+            children.append((child, recv))
         done = [_run_single(job, chunks[0])]
+        for i, (child, recv) in enumerate(children, 1):
+            try:
+                out = recv.recv()
+            except EOFError:
+                out = None
+            child.join()
+            if out is None:
+                raise RuntimeError(f"chunk {i} sent no records: its process ended with exit code {child.exitcode}")
+            if isinstance(out, Exception):
+                raise out
+            done.append(out)
+    finally:
+        # a child is still running only if this process raised first
+        for child, recv in children:
+            if child.is_alive():
+                child.terminate()
+            child.join()
+            recv.close()
     records: list[RunRecord] = []
     for chunk in done:
         # attributes a caller's wrapper set on the chunk (a profiler's, say)

@@ -1,6 +1,9 @@
+import importlib
 import json
+import multiprocessing
 import os
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +60,8 @@ BAD_INSTANCE_VALUES = {
                             "instance": {"h": {"ZZ": 1.0}, "constraints": {"coeffs": {"ZI": 1}, "b": 0.1}}},
                            re.escape("instance key 'constraints' must hold a list of JSON objects, "
                                      "not {'coeffs': {'ZI': 1}, 'b': 0.1}")),
+    "h_two_cases": ({"problem": "cham_primal", "instance": {"h": {"zz": 1.0, "ZZ": 0.5}}},
+                    re.escape("texts 'zz' and 'ZZ' name the same Pauli string")),
     "instance_list": ({"problem": "cham_primal", "instance": [1, 2]},
                       re.escape("an instance must be a JSON object, not [1, 2]")),
 }
@@ -348,6 +353,55 @@ class TestRunner:
         run_experiment(config_from_dict(tiny_config(n_runs=3, workers=workers, output_dir=str(tmp_path / "exp"))))
         assert calls.read_text().count("build") == 1
 
+    @pytest.mark.parametrize("failing_run", [0, 1], ids=["parent_chunk", "child_chunk"])
+    def test_chunk_error_is_raised(self, tmp_path, monkeypatch, failing_run):
+        # with two chunks, run 0 is trained in this process and run 1 in a
+        # forked child; either one's error stops the campaign, and a child
+        # still training when the parent's chunk fails is stopped
+        run_single = runner._run_single
+
+        def fails(job, runs):
+            if failing_run in runs:
+                raise ValueError(f"run {failing_run} failed")
+            if failing_run == 0:
+                time.sleep(60)
+            return run_single(job, runs)
+
+        monkeypatch.setattr(runner, "_run_single", fails)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"run {failing_run} failed"):
+            run_experiment(config_from_dict(tiny_config(workers=2, output_dir=str(tmp_path / "exp"))))
+        assert time.perf_counter() - start < 30
+        assert multiprocessing.active_children() == []
+
+    def test_child_that_dies_is_named(self, tmp_path, monkeypatch):
+        run_single = runner._run_single
+
+        def dies(job, runs):
+            if 1 in runs:
+                os._exit(3)
+            return run_single(job, runs)
+
+        monkeypatch.setattr(runner, "_run_single", dies)
+        with pytest.raises(RuntimeError, match="chunk 1 sent no records: its process ended with exit code 3"):
+            run_experiment(config_from_dict(tiny_config(workers=2, output_dir=str(tmp_path / "exp"))))
+        assert multiprocessing.active_children() == []
+
+    def test_chunk_attributes_reach_its_first_record(self, tmp_path, monkeypatch):
+        run_single = runner._run_single
+
+        def marked(job, runs):
+            records = run_single(job, runs)
+            records.marks = (os.getpid(), list(runs))
+            return records
+
+        monkeypatch.setattr(runner, "_run_single", marked)
+        result = run_experiment(config_from_dict(tiny_config(n_runs=3, workers=3, output_dir=str(tmp_path / "exp"))))
+        assert multiprocessing.active_children() == []
+        pids = [rec.marks[0] for rec in result.records]
+        assert [rec.marks[1] for rec in result.records] == [[0], [1], [2]]
+        assert pids[0] == os.getpid() and len({os.getpid(), *pids}) == 3
+
     def test_run_without_rows(self, tmp_path, monkeypatch):
         # run 0 goes non-finite at its first record point and records no
         # row; the other runs complete, as they do beside a sound run 0
@@ -401,6 +455,25 @@ class TestRunner:
         assert result.ok
         rows = Path(result.run_csvs[0]).read_text().strip().split("\n")[1:]
         assert len(rows) == 10
+
+
+def test_perfbench_tracer_installs_and_uninstalls(tmp_path, monkeypatch):
+    # perfbench/tracer.py wraps names of runner and of the layers it times;
+    # renaming or deleting one of them fails here, and a forked child's
+    # spans reach the parent on its chunk's first record
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    run_single = runner._run_single
+    uninstall = tracer.install(tracer.Tracer())
+    try:
+        assert runner._run_single is not run_single
+        result = runner.run_experiment(config_from_dict(tiny_config(workers=2, output_dir=str(tmp_path / "exp"))))
+        spans = tracer.collect_worker_spans(result.records)
+    finally:
+        uninstall()
+    assert runner._run_single is run_single
+    assert len(spans) == 1 and spans[0][0] != os.getpid()
+    assert "runner.worker" in spans[0][1]["names"]
 
 
 class TestEmitPlot:

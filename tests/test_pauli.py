@@ -39,6 +39,11 @@ class TestPauliString:
             with pytest.raises(ValueError, match=f"invalid Pauli string text {text!r}"):
                 Expansion.from_text(2, {text: 1.0})
 
+    @pytest.mark.parametrize("first, second", [("zz", "ZZ"), ("XY", "xy"), ("Iz", "iZ")])
+    def test_one_string_in_two_cases(self, first, second):
+        with pytest.raises(ValueError, match=f"texts {first!r} and {second!r} name the same Pauli string"):
+            Expansion.from_text(2, {first: 1.0, second: 2.0})
+
     @pytest.mark.parametrize("labels, walsh", [((0, 4), False), ((1, -1), False), ((0.5, 0), False),
                                                ((0, 2), True), ((), False), ((), True)])
     def test_bad_labels(self, labels, walsh):
@@ -135,6 +140,14 @@ class TestWalsh:
         for text in ("12", "0X", ""):
             with pytest.raises(ValueError, match=f"invalid Walsh text {text!r}"):
                 Expansion.from_text(2, {text: 1.0}, walsh=True)
+
+    def test_every_text_names_its_own_vector(self):
+        # Walsh text is not case-folded, so distinct texts are distinct
+        # vectors; a key that reads as the same bits still collides
+        o = Expansion.from_text(2, {"01": 1.0, "10": 2.0, "11": 3.0}, walsh=True)
+        assert o.labels == ((0, 1), (1, 0), (1, 1)) and o.coeffs.tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError, match=r"texts '11' and \('1', '1'\) name the same Walsh vector"):
+            Expansion.from_text(2, {"11": 1.0, ("1", "1"): 2.0}, walsh=True)
 
     def test_observable_dense(self):
         o = Expansion.from_text(2, {"11": 1.0, "00": 0.5}, walsh=True)
