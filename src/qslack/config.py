@@ -133,10 +133,21 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
 
 
+def _json_object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a key written twice in it is an error, where
+    ``json`` would keep the last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"key {key!r} appears twice in one JSON object")
+        doc[key] = value
+    return doc
+
+
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_json_object)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:

@@ -7,7 +7,7 @@ exact mode:
   literally and takes its squared Hilbert-Schmidt (or Euclidean) norm.  The
   dense forms are written out by hand and share no code with the term forms:
   they are the independent reference the term forms are checked against, and
-  the input of the analytic gradients;
+  the form exact mode evaluates;
 * a term form (``*_objective``) in which every sampled quantity is an
   ``Estimate`` drawn from an :class:`~qslack.estimate.Estimator`, mirroring
   how it would be measured; this is the form the optimizer trains on in shot
@@ -270,9 +270,6 @@ class PenaltyObjective:
         if params.ndim == 1:
             return TermBreakdown(float(value[0]), float(penalty[0]))
         return TermBreakdown(value, penalty)
-
-    def dense_value(self, dense_states: list[np.ndarray], scalars: dict[str, np.ndarray]) -> float:
-        return self._dense(*dense_states, **self._arguments(scalars))[0]
 
 
 # ======================================================================

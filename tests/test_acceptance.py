@@ -14,7 +14,6 @@ Criteria at a glance:
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from qslack.config import config_from_dict
 from qslack.estimate import Estimator, ShotModel, hoeffding_shots, prepare
 from qslack.optimizer import parameter_shift_gradient_vector, rademacher, spsa_gradient
 from qslack.pauli import Expansion
-from qslack.runner import _run_single, build_from_config, run_experiment
+from qslack.runner import run_experiment
 from qslack.ansatz import ConvexCombinationState, layered_unitary_circuit, qcbm_circuit
 
 EST = Estimator()
@@ -53,42 +52,36 @@ def _rand_dist(size, rng):
     return p / p.sum()
 
 
-def _run_job(args):
-    cfg_dict, seed = args
-    rec = _run_single(cfg_dict, [seed])[0]
-    return rec.final_objective, rec.final_error, rec.aborted
-
-
-def _campaign(problem_ansatz_pairs, n_seeds):
-    jobs = []
-    keys = []
+def _campaign(problem_ansatz_pairs, n_seeds, out_dir):
+    """(tag, ansatz type, seed) -> (final objective, final error, aborted):
+    one ``run_experiment`` campaign of ``n_seeds`` runs per pair, run k
+    reporting as seed k."""
+    results = {}
     for tag, at in problem_ansatz_pairs:
-        cfg = config_from_dict({"problem": tag, "ansatz": {"type": at}})
-        problem = build_from_config(cfg)
-        for seed in range(n_seeds):
-            jobs.append(((cfg, problem), seed))
-            keys.append((tag, at, seed))
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        results = list(pool.map(_run_job, jobs))
-    return dict(zip(keys, results))
+        cfg = config_from_dict({"problem": tag, "ansatz": {"type": at}, "n_runs": n_seeds, "workers": 2,
+                                "output_dir": str(out_dir / f"{tag}_{at}")})
+        for seed, rec in enumerate(run_experiment(cfg).records):
+            results[(tag, at, seed)] = rec.final_objective, rec.final_error, rec.aborted
+    return results
 
 
 @pytest.fixture(scope="module")
-def quantum_campaign():
+def quantum_campaign(tmp_path_factory):
     t0 = time.monotonic()
-    results = _campaign(QUANTUM_COMBOS, N_SEEDS)
+    results = _campaign(QUANTUM_COMBOS, N_SEEDS, tmp_path_factory.mktemp("quantum"))
     return results, time.monotonic() - t0
 
 
 @pytest.fixture(scope="module")
-def cslack_campaign():
+def cslack_campaign(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("cslack")
     t0 = time.monotonic()
     results = _campaign(
         [("tvd_dual", "born"), ("classical_cham_primal", "born"), ("classical_cham_dual", "born")],
-        10,
+        10, out_dir,
     )
     elapsed = time.monotonic() - t0
-    results.update(_campaign([("tvd_primal", "born")], N_SEEDS))
+    results.update(_campaign([("tvd_primal", "born")], N_SEEDS, out_dir))
     return results, elapsed
 
 
@@ -249,8 +242,6 @@ def test_criterion_3_desk_scale_convergence(quantum_campaign):
     failures = []
     lines = []
     for tag, at in QUANTUM_COMBOS:
-        cfg = config_from_dict({"problem": tag, "ansatz": {"type": at}})
-        oracle = None
         errs = []
         for seed in range(N_SEEDS):
             final, err, aborted = results[(tag, at, seed)]

@@ -185,6 +185,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="line 3"):
             load_config(str(path))
 
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "twice.json"
+        path.write_text('{"problem": "cham_primal", "instance": {"h": {"ZZ": 1.0, "ZZ": 2.0}}}')
+        with pytest.raises(ConfigError, match="'ZZ' appears twice"):
+            load_config(str(path))
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/config.json")
@@ -241,7 +247,10 @@ GOLDEN_RUNS = os.path.join(os.path.dirname(__file__), "data", "golden_runs")
 # recorded from an Estimator that drew one estimate per Pauli string: they
 # pin the 16-term expansions whose coefficients move every iteration, the
 # off-diagonal block and the block x expansion and block x state inner
-# products.  No change may move a byte.
+# products.  The two convex-combination campaigns, recorded from the
+# forked-chunk runner, pin the path no other campaign takes: ``prepare``'s
+# convex-combination branch, the mixture, the circuit unitary and the
+# collision purity.  No change may move a byte.
 GOLDEN_CAMPAIGNS = {
     "td_dual_purification_exact": {"problem": "trace_distance_dual", "ansatz": {"type": "purification"}},
     "tvd_dual_born_exact": {"problem": "tvd_dual", "ansatz": {"type": "born"}},
@@ -263,6 +272,9 @@ GOLDEN_CAMPAIGNS = {
     "fidelity_primal_purification_shots": {"problem": "fidelity_primal", "ansatz": {"type": "purification"},
                                            "shots": {"mode": "shots", "n": 1000}},
     "fidelity_dual_purification_shots": {"problem": "fidelity_dual", "ansatz": {"type": "purification"},
+                                         "shots": {"mode": "shots", "n": 1000}},
+    "td_dual_convex_combination_exact": {"problem": "trace_distance_dual", "ansatz": {"type": "convex_combination"}},
+    "td_dual_convex_combination_shots": {"problem": "trace_distance_dual", "ansatz": {"type": "convex_combination"},
                                          "shots": {"mode": "shots", "n": 1000}},
     "classical_cham_primal_born_schedule": {"problem": "classical_cham_primal", "ansatz": {"type": "born"},
                                             "optimizer": {"max_iters": 350}, "n_runs": 3, "workers": 1,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qslack import build_problem, optimizer
+from qslack.problems import DEFAULTS
 from qslack.estimate import ShotModel
 from qslack.optimizer import (
     CHECK_EVERY,
@@ -12,7 +13,6 @@ from qslack.optimizer import (
     aggregate_runs,
     lr_step,
     normalize_gradient,
-    parameter_shift_gradient,
     parameter_shift_gradient_vector,
     rademacher,
     run_optimization,
@@ -342,6 +342,25 @@ def test_aborted_run_keeps_its_record_point():
     assert not np.array_equal(rec.final_params, stacks[2][0])
 
 
+def _random_scalars(objective, rng):
+    """Initial parameters with every scalar drawn from [0.1, 0.9]."""
+    params = objective.initial_params(rng)
+    for b in objective.blocks:
+        if b.kind != "angle":
+            params[objective.block_slice(b.name)] = rng.uniform(0.1, 0.9, b.size)
+    return params
+
+
+def _assert_matches_central_differences(objective, params, h=1e-5):
+    ps = parameter_shift_gradient_vector(objective, params)
+    for k in range(objective.n_params):
+        up, dn = params.copy(), params.copy()
+        up[k] += h
+        dn[k] -= h
+        fd = (objective.evaluate(up).value - objective.evaluate(dn).value) / (2 * h)
+        assert abs(ps[k] - fd) < 1e-6, f"param {k}: shift {ps[k]:.6e} vs fd {fd:.6e}"
+
+
 class TestParameterShift:
     @pytest.mark.parametrize("tag,kwargs", [
         ("trace_distance_primal", {}),
@@ -355,53 +374,33 @@ class TestParameterShift:
     ])
     def test_matches_central_differences(self, tag, kwargs, rng):
         p = build_problem(tag, n_system=1, ansatz_type="purification", layers=2, c=5.0, **kwargs)
-        params = p.objective.initial_params(rng)
-        for b in p.objective.blocks:
-            if b.kind != "angle":
-                s = p.objective.block_slice(b.name)
-                params[s] = rng.uniform(0.1, 0.9, b.size)
-        ps = parameter_shift_gradient_vector(p.objective, params)
-        h = 1e-5
-        for k in range(p.objective.n_params):
-            up, dn = params.copy(), params.copy()
-            up[k] += h
-            dn[k] -= h
-            fd = (p.objective.evaluate(up).value - p.objective.evaluate(dn).value) / (2 * h)
-            assert abs(ps[k] - fd) < 1e-6
+        _assert_matches_central_differences(p.objective, _random_scalars(p.objective, rng))
+
+    @pytest.mark.parametrize("tag,ansatz_type", sorted(DEFAULTS))
+    def test_every_pair_matches_central_differences(self, tag, ansatz_type, rng):
+        # the shift rule rests on every ansatz entering the objective with
+        # frequency at most two per angle; negativity needs a bipartition and
+        # the default cham instances act on two qubits
+        n = 2 if tag.startswith(("negativity", "cham", "classical_cham")) else 1
+        p = build_problem(tag, n_system=n, ansatz_type=ansatz_type, layers=2, born_layers=1)
+        _assert_matches_central_differences(p.objective, _random_scalars(p.objective, rng))
 
     def test_constant_offset_has_zero_gradient(self, rng):
-        p = build_problem("trace_distance_primal", n_system=1, ansatz_type="purification",
-                          layers=2, c=5.0)
-        params = p.objective.initial_params(rng)
-        base = parameter_shift_gradient_vector(p.objective, params)
-        p2 = build_problem("trace_distance_primal", n_system=1, ansatz_type="purification",
-                           layers=2, c=10.0)
-        scaled = parameter_shift_gradient_vector(p2.objective, params)
-        # objective = linear part - c * penalty: gradients differ only through c
-        lin = 2 * base - scaled  # eliminates the penalty contribution at c=5 vs c=10
-        combined = base - lin
-        assert np.allclose(scaled - lin, 2 * combined, atol=1e-9)
-
-    def test_out_of_range_index(self, rng):
-        p = build_problem("trace_distance_primal", n_system=1, layers=2, c=5.0)
-        params = p.objective.initial_params(rng)
-        with pytest.raises(IndexError):
-            parameter_shift_gradient(p.objective, params, p.objective.n_params + 3)
+        objectives = [build_problem("trace_distance_primal", n_system=1, ansatz_type="purification",
+                                    layers=2, c=c).objective for c in (5.0, 10.0, 20.0)]
+        params = objectives[0].initial_params(rng)
+        g5, g10, g20 = (parameter_shift_gradient_vector(o, params) for o in objectives)
+        # objective = linear part - c * penalty: the gradient is affine in c
+        scale = max(1.0, np.abs([g5, g10, g20]).max())
+        assert np.allclose(g20 - g10, 2 * (g10 - g5), rtol=0, atol=1e-9 * scale)
+        assert not np.allclose(g10, g5)
 
     def test_convex_combination_states_supported(self, rng):
         # the shift rule also holds for Born-machine angles: the dephased
         # distribution is linear in the underlying pure state
         p = build_problem("trace_distance_dual", n_system=1, ansatz_type="convex_combination",
                           layers=2, born_layers=1, c=5.0)
-        params = p.objective.initial_params(rng)
-        ps = parameter_shift_gradient_vector(p.objective, params)
-        h = 1e-5
-        for k in range(p.objective.n_params):
-            up, dn = params.copy(), params.copy()
-            up[k] += h
-            dn[k] -= h
-            fd = (p.objective.evaluate(up).value - p.objective.evaluate(dn).value) / (2 * h)
-            assert abs(ps[k] - fd) < 1e-6
+        _assert_matches_central_differences(p.objective, p.objective.initial_params(rng))
 
 
 class TestAggregate:
