@@ -28,6 +28,8 @@ class SpsaConfig:
 
 # Iterations between two learning-rate updates.
 CHECK_EVERY = 100
+# The bidirectional regression scheme's rate multiplier on a favorable slope.
+GROWTH = 1.1
 
 
 @dataclass(frozen=True)
@@ -35,13 +37,12 @@ class LrSchedule:
     """fixed, halve_every (period N), or the regression schemes that fit a
     line to the recent objective history every ``CHECK_EVERY`` iterations and
     halve on an adverse slope; the bidirectional variant also multiplies by
-    ``factor`` on a favorable slope.  A slope of exactly zero counts as
-    favorable."""
+    ``GROWTH`` on a favorable slope.  A slope of exactly zero counts as
+    favorable.  A halving stops at ``min_lr`` and never raises the rate."""
 
     kind: str = "fixed"
     period: int = 1000
     window: int = 500
-    factor: float = 1.1
     min_lr: float = 1e-3
 
     def __post_init__(self) -> None:
@@ -51,8 +52,8 @@ class LrSchedule:
             raise ValueError("min_lr must be positive")
         if self.window < 2:
             raise ValueError("regression window must be >= 2")
-        if self.kind == "halve_every" and self.period % CHECK_EVERY != 0:
-            raise ValueError("halving period must be a multiple of the check period")
+        if self.kind == "halve_every" and (self.period <= 0 or self.period % CHECK_EVERY != 0):
+            raise ValueError("halving period must be a positive multiple of the check period")
 
 
 # A run's trace at one iteration: the columns of run_<k>.csv after ``iter``.
@@ -103,12 +104,11 @@ def normalize_gradient(g: np.ndarray) -> np.ndarray:
 def lr_step(schedule: LrSchedule, history: Sequence[float], direction: str,
             current_lr: float, iteration: int) -> float:
     """New learning rate at a check boundary."""
+    halved = min(current_lr, max(current_lr / 2.0, schedule.min_lr))
     if schedule.kind == "fixed":
         return current_lr
     if schedule.kind == "halve_every":
-        if iteration % schedule.period == 0:
-            return max(current_lr / 2.0, schedule.min_lr)
-        return current_lr
+        return halved if iteration % schedule.period == 0 else current_lr
     if len(history) < schedule.window:
         return current_lr
     y = np.asarray(history[-schedule.window:], dtype=float)
@@ -118,9 +118,9 @@ def lr_step(schedule: LrSchedule, history: Sequence[float], direction: str,
         slope = 0.0
     adverse = slope < 0 if direction == "max" else slope > 0
     if adverse:
-        return max(current_lr / 2.0, schedule.min_lr)
+        return halved
     if schedule.kind == "regression_window_bidir":
-        return current_lr * schedule.factor
+        return current_lr * GROWTH
     return current_lr
 
 
@@ -130,28 +130,24 @@ def run_optimization(problem: PenaltyObjective, spsa: SpsaConfig, schedule: LrSc
     """Train the objective once from each of ``seeds``, all runs in lockstep,
     and return one record per run, with one ``ROW`` per iteration.
 
-    Run k draws its initial parameters, its SPSA directions and, in shot
-    mode, its shots from one generator seeded by ``seeds[k]`` (a Generator
-    or anything ``np.random.default_rng`` accepts).  The live runs'
-    parameters, learning rates, directions and gradients are arrays with
-    one row per run: each iteration evaluates every run's record point and
-    its SPSA pair theta +- c Delta, then steps the whole stack (ascent for
-    maximization problems) and clamps its sign-constrained scalars at zero.
-    Every row is bit for bit the run trained alone.
-
-    In exact mode, which draws nothing else from the generators, each run
-    draws its Deltas for the next ``CHECK_EVERY`` iterations in one call,
-    the same stream as one draw per iteration, and the three points of
-    every run go through one ``evaluate`` call.  In shot mode a run's
-    record point draws its shots before its Delta, so no draw can be
-    brought forward: the record points of all runs share one call, then
-    each run draws its Delta, and the pairs share a second call; each row
-    draws from its own run's Estimator, so every run consumes its stream in
-    the order of a run trained alone.  A non-finite objective (NaN or
-    +-inf) at a run's record point aborts that run with a diagnostic and
-    keeps that point as its final parameters; it leaves the stack and the
-    other runs go on unchanged.  The final evaluation of the trained
-    parameters is iteration ``max_iters``, checked the same way.
+    Run k draws its initial parameters and its SPSA directions from one
+    generator seeded by ``seeds[k]`` (a Generator or anything
+    ``np.random.default_rng`` accepts), and in shot mode its shots from
+    the first child that generator spawns, so the exact-mode and shot-mode
+    runs of one seed share their initial parameters and every Delta.  The
+    live runs' parameters, learning rates, directions and gradients are
+    arrays with one row per run.  Each run draws its Deltas for the next
+    ``CHECK_EVERY`` iterations in one call, the same stream as one draw per
+    iteration; each iteration then evaluates every run's record point theta
+    and its SPSA pair theta +- c Delta in one ``evaluate`` call, with each
+    row drawing its shots from its own run's Estimator, and steps the whole
+    stack (ascent for maximization problems) and clamps its
+    sign-constrained scalars at zero.  Every row is bit for bit the run
+    trained alone.  A non-finite objective (NaN or +-inf) at a run's record
+    point aborts that run with a diagnostic and keeps that point as its
+    final parameters; it leaves the stack and the other runs go on
+    unchanged.  The final evaluation of the trained parameters is
+    iteration ``max_iters``, checked the same way.
     """
     shots = shots if shots is not None else ShotModel()
     records = [RunRecord() for _ in seeds]
@@ -159,8 +155,9 @@ def run_optimization(problem: PenaltyObjective, spsa: SpsaConfig, schedule: LrSc
         return records
     rngs = [np.random.default_rng(seed) for seed in seeds]
     # exact expectations carry no sampling noise, so the dense form
-    # (numerically identical to the exact term expansion) serves
-    ests = None if shots.exact else [Estimator(shots, rng) for rng in rngs]
+    # (numerically identical to the exact term expansion) serves; a run's
+    # shots come from the first child its generator spawns
+    ests = None if shots.exact else [Estimator(shots, rng.spawn(1)[0]) for rng in rngs]
     start = np.array([problem.initial_params(rng) for rng in rngs])
     n = start.shape[1]
     # each run's record point theta, then its SPSA pair theta +- c Delta
@@ -177,33 +174,33 @@ def run_optimization(problem: PenaltyObjective, spsa: SpsaConfig, schedule: LrSc
     objective, penalty, error, lrs = (table[name] for name in ROW.names)
 
     for k in range(iters + 1):
-        if shots.exact and k < iters:
+        if k < iters:
             if k % CHECK_EVERY == 0:
                 size = (min(CHECK_EVERY, iters - k), n)
                 deltas = np.stack([rademacher(rngs[i], size) for i in live])
-            delta = deltas[:, k % CHECK_EVERY]
-            step = c * delta
+            step = c * deltas[:, k % CHECK_EVERY]
             np.add(params, step, out=points[:, 1])
             np.subtract(params, step, out=points[:, 2])
-            values, penalties = problem.evaluate(points.reshape(-1, n))
-            values, penalties, plus, minus = values[::3], penalties[::3], values[1::3], values[2::3]
-        else:
-            values, penalties = problem.evaluate(params, None if shots.exact else [ests[i] for i in live])
-        bad = ~np.isfinite(values)
+        rows = params if k == iters else points.reshape(-1, n)
+        m = len(rows) // len(live)  # rows per run: 3, or 1 at the final evaluation
+        est = None if ests is None else [ests[i] for i in live for _ in range(m)]
+        f, pen = (np.reshape(a, (len(live), m)) for a in problem.evaluate(rows, est))
+        bad = ~np.isfinite(f[:, 0])
         if bad.any():
             for j in np.flatnonzero(bad):
                 rec = records[live[j]]
                 rec.aborted = True
-                rec.abort_reason = f"non-finite objective ({float(values[j])}) at iteration {k}"
+                rec.abort_reason = f"non-finite objective ({float(f[j, 0])}) at iteration {k}"
                 rec.final_params = params[j].copy()
                 ends[live[j]] = k
             keep = ~bad
-            live, points, lr, values, penalties = live[keep], points[keep], lr[keep], values[keep], penalties[keep]
+            live, points, lr, f, pen = live[keep], points[keep], lr[keep], f[keep], pen[keep]
             params = points[:, 0]
-            if shots.exact and k < iters:
-                deltas, delta, plus, minus = deltas[keep], delta[keep], plus[keep], minus[keep]
+            if k < iters:
+                deltas = deltas[keep]
             if not len(live):
                 break
+        values, penalties = f[:, 0], pen[:, 0]
         err = np.abs(values - (math.nan if oracle is None else oracle))
         if k == iters:
             for j, i in enumerate(live):
@@ -214,14 +211,7 @@ def run_optimization(problem: PenaltyObjective, spsa: SpsaConfig, schedule: LrSc
             for j, i in enumerate(live):
                 lr[j] = lr_step(schedule, objective[i, :k], problem.direction, float(lr[j]), k)
         objective[live, k], penalty[live, k], error[live, k], lrs[live, k] = values, penalties, err, lr
-        if not shots.exact:
-            delta = np.stack([rademacher(rngs[i], n) for i in live])
-            step = c * delta
-            np.add(params, step, out=points[:, 1])
-            np.subtract(params, step, out=points[:, 2])
-            pair, _ = problem.evaluate(points[:, 1:].reshape(-1, n), [ests[i] for i in live for _ in (0, 1)])
-            plus, minus = pair[::2], pair[1::2]
-        grad = spsa_gradient(plus, minus, delta, c)
+        grad = spsa_gradient(f[:, 1], f[:, 2], deltas[:, k % CHECK_EVERY], c)
         if spsa.normalize:
             grad = normalize_gradient(grad)
         np.add(params, (sign * lr)[:, None] * grad, out=params)

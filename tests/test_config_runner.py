@@ -209,7 +209,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("section, key", [
         ("optimizer", "learning_rte"), ("ansatz", "layer"), ("schedule", "kinds"),
-        ("shots", "sed"), ("shots", "seed"), ("ansatz", "n_reference"),
+        ("shots", "sed"), ("shots", "seed"), ("ansatz", "n_reference"), ("schedule", "factor"),
     ])
     def test_unknown_section_keys_rejected(self, section, key):
         with pytest.raises(ConfigError, match=f"unknown {section} keys: \\['{key}'\\]"):
@@ -231,26 +231,30 @@ GOLDEN_RUNS = os.path.join(os.path.dirname(__file__), "data", "golden_runs")
 
 # Campaigns (seed 7; 30 iterations and 2 runs unless the entry says
 # otherwise) whose run CSVs in GOLDEN_RUNS were recorded from earlier
-# designs: the td/tvd ones from a loop that evaluated each SPSA point in its
-# own call, the 30-iteration others from builders that bound each scalar
-# block by hand, and the 350-iteration one from a loop that stepped each run
-# on its own and drew each SPSA direction in its own call.  Between them
-# they pass every kind of scalar block: numbers, real vectors (alpha and
-# beta, the slacks z and the multipliers y) and fidelity's complex alpha.
-# The 350-iteration campaign crosses the learning-rate checks and the
-# exact-mode blocks of SPSA directions at 100, 200 and 300, ends inside a
-# block, halves its runs' rates to different values and clamps its
-# non-negative slacks.  The cham_dual and the two shot-mode cham campaigns
-# were recorded from the observable classes that parsed instances before
-# ``pauli.Expansion`` did; they pin the cham term forms and their Estimator
-# call order.  The four shot-mode negativity and fidelity campaigns were
-# recorded from an Estimator that drew one estimate per Pauli string: they
-# pin the 16-term expansions whose coefficients move every iteration, the
-# off-diagonal block and the block x expansion and block x state inner
-# products.  The two convex-combination campaigns, recorded from the
-# forked-chunk runner, pin the path no other campaign takes: ``prepare``'s
-# convex-combination branch, the mixture, the circuit unitary and the
-# collision purity.  No change may move a byte.
+# designs: the exact-mode td/tvd ones from a loop that evaluated each SPSA
+# point in its own call, the 30-iteration others from builders that bound
+# each scalar block by hand, and the 350-iteration one from a loop that
+# stepped each run on its own and drew each SPSA direction in its own call.
+# Between them they pass every kind of scalar block: numbers, real vectors
+# (alpha and beta, the slacks z and the multipliers y) and fidelity's
+# complex alpha.  The 350-iteration campaign crosses the learning-rate
+# checks and the exact-mode blocks of SPSA directions at 100, 200 and 300,
+# ends inside a block, halves its runs' rates to different values and
+# clamps its non-negative slacks.  The cham_dual campaign was recorded from
+# the observable classes that parsed instances before ``pauli.Expansion``
+# did, and the convex-combination exact one from the forked-chunk runner: it
+# pins ``prepare``'s convex-combination branch, the mixture, the circuit
+# unitary and the collision purity.  The eight shot-mode campaigns were
+# re-recorded when a run's shots moved from its own generator to the first
+# child that generator spawns, which lets shot mode draw its SPSA
+# directions in blocks and share them with exact mode; until then they
+# held the values of the earlier designs (the cham ones from the observable
+# classes, the negativity and fidelity ones from an Estimator that drew one
+# estimate per Pauli string).  They pin the Estimator call order of the
+# cham term forms, the 16-term expansions whose coefficients move every
+# iteration, the off-diagonal block, the block x expansion and block x
+# state inner products, and the shot-mode convex-combination path.  No
+# change may move a byte.
 GOLDEN_CAMPAIGNS = {
     "td_dual_purification_exact": {"problem": "trace_distance_dual", "ansatz": {"type": "purification"}},
     "tvd_dual_born_exact": {"problem": "tvd_dual", "ansatz": {"type": "born"}},

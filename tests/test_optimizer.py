@@ -113,11 +113,14 @@ class TestLrStep:
         hist = [5.0, 4.0, 3.0, 2.0, 1.0]
         assert lr_step(self.SCHED, hist, "max", 0.012, 100) == 0.01
         assert lr_step(self.SCHED, hist, "max", 0.01, 100) == 0.01
+        # a halving never raises a rate that is already below the floor
+        assert lr_step(self.SCHED, hist, "max", 0.001, 100) == 0.001
+        assert lr_step(LrSchedule(kind="halve_every", period=100, min_lr=0.01), [], "max", 0.001, 100) == 0.001
 
     def test_bidirectional_growth(self):
-        sched = LrSchedule(kind="regression_window_bidir", window=5, factor=1.5, min_lr=0.01)
+        sched = LrSchedule(kind="regression_window_bidir", window=5, min_lr=0.01)
         hist = [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert lr_step(sched, hist, "max", 0.1, 100) == pytest.approx(0.15)
+        assert lr_step(sched, hist, "max", 0.1, 100) == 0.1 * optimizer.GROWTH
 
     def test_halve_every(self):
         sched = LrSchedule(kind="halve_every", period=1000, min_lr=1e-6)
@@ -127,9 +130,10 @@ class TestLrStep:
     def test_fixed(self):
         assert lr_step(LrSchedule(kind="fixed"), [1, 2, 3], "min", 0.3, 100) == 0.3
 
-    def test_invalid_period(self):
-        with pytest.raises(ValueError):
-            LrSchedule(kind="halve_every", period=250)
+    @pytest.mark.parametrize("period", [250, 0, -100])
+    def test_invalid_period(self, period):
+        with pytest.raises(ValueError, match="positive multiple"):
+            LrSchedule(kind="halve_every", period=period)
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +220,23 @@ class TestRunOptimization:
                                shots=ShotModel("shots", n=1000), oracle=None)
         assert len(rec.rows) == 20
 
+    @pytest.mark.parametrize("tag,ansatz_type", [("trace_distance_dual", "purification"),
+                                                 ("cham_primal", "purification"), ("tvd_dual", "born")])
+    def test_shot_mode_tends_to_exact_mode(self, tag, ansatz_type):
+        # the runs of one seed share their initial parameters and every Delta,
+        # so at 10^15 shots the objective columns agree, here across the
+        # Delta block boundary at iteration 100
+        row = DEFAULTS[(tag, ansatz_type)]
+        objective = build_problem(tag, ansatz_type=ansatz_type).objective
+        spsa, sched = SpsaConfig(**{**row["optimizer"], "max_iters": 150}), LrSchedule(**row["schedule"])
+        seeds = [[7, 0], [7, 1]]
+        exact = run_optimization(objective, spsa, sched, seeds)
+        shots = run_optimization(objective, spsa, sched, seeds, shots=ShotModel("shots", n=10**15))
+        for a, b in zip(exact, shots):
+            want, got = a.rows["objective"], b.rows["objective"]
+            assert len(want) == len(got) == 150
+            assert (np.abs(got - want) <= 1e-4 * np.maximum(1.0, np.abs(want))).all()
+
     def test_no_seeds_no_records(self, vqe_problem):
         assert run_optimization(vqe_problem.objective, SpsaConfig(max_iters=5), LrSchedule(), []) == []
 
@@ -292,16 +313,21 @@ class _TaggedStub:
         return params
 
 
+# the stubs ignore the Estimators, so both modes give the same records
+MODES = [None, ShotModel("shots", n=1000)]
+
+
+@pytest.mark.parametrize("shots", MODES)
 @pytest.mark.parametrize("bad_value", [np.inf, -np.inf, np.nan])
-def test_non_finite_objective_aborts(bad_value):
+def test_non_finite_objective_aborts(bad_value, shots):
     # each iteration evaluates the record point, then the SPSA pair: row 4 is
     # iteration 1's record, and row 7 the final evaluation after 2 iterations
     spsa = SpsaConfig(max_iters=2)
-    [rec] = run_optimization(_StubObjective(4, bad_value), spsa, LrSchedule(), [0])
+    [rec] = run_optimization(_StubObjective(4, bad_value), spsa, LrSchedule(), [0], shots=shots)
     assert rec.aborted and len(rec.rows) == 1
     assert rec.abort_reason == f"non-finite objective ({bad_value}) at iteration 1"
 
-    [rec] = run_optimization(_StubObjective(7, bad_value), spsa, LrSchedule(), [0])
+    [rec] = run_optimization(_StubObjective(7, bad_value), spsa, LrSchedule(), [0], shots=shots)
     assert rec.aborted and len(rec.rows) == 2
     assert rec.abort_reason == f"non-finite objective ({bad_value}) at iteration 2"
     assert np.isnan(rec.final_objective)
@@ -311,9 +337,10 @@ def test_non_finite_objective_aborts(bad_value):
     seeds = [0, 1, 2]
     bad_tag = float(np.random.default_rng(seeds[1]).integers(1, 2**30))
     spsa = SpsaConfig(max_iters=6)
-    together = run_optimization(_TaggedStub(bad_tag, 4, bad_value), spsa, LrSchedule(), seeds, oracle=0.0)
-    alone = [run_optimization(_TaggedStub(bad_tag, 4, bad_value), spsa, LrSchedule(), [seed], oracle=0.0)[0]
-             for seed in seeds]
+    together = run_optimization(_TaggedStub(bad_tag, 4, bad_value), spsa, LrSchedule(), seeds,
+                                shots=shots, oracle=0.0)
+    alone = [run_optimization(_TaggedStub(bad_tag, 4, bad_value), spsa, LrSchedule(), [seed],
+                              shots=shots, oracle=0.0)[0] for seed in seeds]
     assert [r.aborted for r in together] == [False, True, False]
     assert together[1].abort_reason == f"non-finite objective ({bad_value}) at iteration 3"
     assert len(together[1].rows) == 3 and len(together[0].rows) == 6
@@ -325,7 +352,8 @@ def test_non_finite_objective_aborts(bad_value):
         assert np.array_equal(got.final_params, want.final_params)
 
 
-def test_aborted_run_keeps_its_record_point():
+@pytest.mark.parametrize("shots", MODES)
+def test_aborted_run_keeps_its_record_point(shots):
     # the run's 4th record point (iteration 3) is non-finite
     stub = _TaggedStub(float(np.random.default_rng(4).integers(1, 2**30)), 4, np.nan)
     stacks, evaluate = [], stub.evaluate
@@ -335,9 +363,9 @@ def test_aborted_run_keeps_its_record_point():
         return evaluate(params, est)
 
     stub.evaluate = evaluate_recording
-    [rec] = run_optimization(stub, SpsaConfig(max_iters=6), LrSchedule(), [4])
+    [rec] = run_optimization(stub, SpsaConfig(max_iters=6), LrSchedule(), [4], shots=shots)
     assert rec.aborted and len(rec.rows) == 3
-    # row 0 of each exact-mode stack is the record point, which the steps move
+    # row 0 of each iteration's stack is the record point, which the steps move
     assert np.array_equal(rec.final_params, stacks[3][0])
     assert not np.array_equal(rec.final_params, stacks[2][0])
 
