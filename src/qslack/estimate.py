@@ -4,14 +4,17 @@ Every estimator runs in one of two modes.  Exact mode returns the
 infinite-shot value with zero standard error.  Shot mode emulates the
 sampling distribution of the corresponding measurement procedure instead of
 simulating it shot by shot: a +-1 observable with true mean m is drawn as
-2*Binomial(N, (1+m)/2)/N - 1, a 0/1 collision variable as Binomial(N, m)/N,
-and above 10^6 shots the binomial is replaced by its Gaussian limit.
+2*Binomial(N, (1+m)/2)/N - 1 and a 0/1 collision variable as
+Binomial(N, m)/N, exactly, for every shot count N up to ``MAX_SHOTS``, the
+largest count numpy's binomial draw takes.
 
 The Pauli and Walsh primitives take a whole observable, an
 :class:`~qslack.pauli.Expansion` sum_k a_k B_k, and estimate it as
 sum_k a_k <B_k>, one independent estimate per non-zero term: one stacked
 contraction gives every mean, one array draw every estimate, in label order,
-so the noise stream is the one a call per term would draw.
+so the noise stream is the one a call per term would draw.  An expansion
+with no non-zero term is worth 0 and draws nothing; callers pass every
+expansion through, and this is the one place that skips the zero terms.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from .ansatz import ConvexCombinationState, mixture
 from .pauli import Expansion, term_stack
 
-GAUSSIAN_SHOT_THRESHOLD = 10**6
+MAX_SHOTS = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -38,8 +41,10 @@ class ShotModel:
     def __post_init__(self) -> None:
         if self.mode not in ("exact", "shots"):
             raise ValueError(f"unknown shot mode {self.mode!r}")
-        if self.mode == "shots" and self.n < 1:
-            raise ValueError("shot count must be >= 1")
+        if self.mode == "exact" and self.n != 0:
+            raise ValueError("shots key 'mode' must be 'shots' when 'n' is set, not 'exact'")
+        if self.mode == "shots" and not 1 <= self.n <= MAX_SHOTS:
+            raise ValueError(f"shots key 'n' must be a count in [1, 2**63 - 1], not {self.n!r}")
 
     @property
     def exact(self) -> bool:
@@ -120,13 +125,9 @@ class Estimator:
         if self.shots.exact:
             return Estimate(mean)
         n = self.shots.n
-        if n > GAUSSIAN_SHOT_THRESHOLD:
-            sd = math.sqrt(max(0.0, 1.0 - mean**2) / n)
-            val = mean + sd * self.rng.standard_normal()
-        else:
-            p = min(1.0, max(0.0, (1.0 + mean) / 2.0))
-            val = 2.0 * self.rng.binomial(n, p) / n - 1.0
-        return Estimate(val, math.sqrt(max(0.0, 1.0 - val**2) / n))
+        p = min(1.0, max(0.0, (1.0 + mean) / 2.0))
+        val = 2.0 * self.rng.binomial(n, p) / n - 1.0
+        return Estimate(val, math.sqrt((1.0 - val**2) / n))
 
     def _pm_sum(self, coeffs: np.ndarray, means: np.ndarray) -> Estimate:
         """sum_k coeffs[k] X_k for independent +-1 estimates X_k of the
@@ -136,14 +137,10 @@ class Estimator:
             vals, var = means, 0.0
         else:
             n = self.shots.n
-            if n > GAUSSIAN_SHOT_THRESHOLD:
-                sd = np.sqrt(np.maximum(0.0, 1.0 - means**2) / n)
-                vals = means + sd * self.rng.standard_normal(len(means))
-            else:
-                # fmax and fmin map a NaN mean to 0, as max and min do in _pm_one
-                p = np.fmin(1.0, np.fmax(0.0, (1.0 + means) / 2.0))
-                vals = 2.0 * self.rng.binomial(n, p) / n - 1.0
-            var = float(np.dot(coeffs * coeffs, np.maximum(0.0, 1.0 - vals * vals))) / n
+            # fmax and fmin map a NaN mean to 0, as max and min do in _pm_one
+            p = np.fmin(1.0, np.fmax(0.0, (1.0 + means) / 2.0))
+            vals = 2.0 * self.rng.binomial(n, p) / n - 1.0
+            var = float(np.dot(coeffs * coeffs, 1.0 - vals * vals)) / n
         total = 0.0
         for term in (coeffs * vals).tolist():  # not sum(): it compensates from Python 3.12 on
             total += term
@@ -154,24 +151,20 @@ class Estimator:
         if self.shots.exact:
             return Estimate(mean)
         n = self.shots.n
-        p = min(1.0, max(0.0, mean))
-        if n > GAUSSIAN_SHOT_THRESHOLD:
-            sd = math.sqrt(p * (1.0 - p) / n)
-            val = mean + sd * self.rng.standard_normal()
-        else:
-            val = self.rng.binomial(n, p) / n
-        return Estimate(val, math.sqrt(max(0.0, val * (1.0 - val)) / n))
+        val = self.rng.binomial(n, min(1.0, max(0.0, mean))) / n
+        return Estimate(val, math.sqrt(val * (1.0 - val) / n))
 
     # -- primitives --------------------------------------------------------
     def _expansion(self, obs: Expansion, means_of) -> Estimate:
         """sum_k a_k <B_k> over the non-zero terms of ``obs``, from the means
-        that ``means_of`` gives for the stack of their basis elements."""
+        that ``means_of`` gives for the stack of their basis elements; 0,
+        with no draw, if there is none."""
         labels, coeffs = obs.labels, obs.coeffs
         if np.count_nonzero(coeffs) < len(labels):
             keep = coeffs != 0
             labels, coeffs = tuple(compress(labels, keep)), coeffs[keep]
-            if not labels:
-                return Estimate(0.0)
+        if not labels:
+            return Estimate(0.0)
         return self._pm_sum(coeffs, means_of(term_stack(labels, obs.walsh)))
 
     def pauli_expect(self, state, obs: Expansion) -> Estimate:

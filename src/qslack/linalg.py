@@ -19,11 +19,6 @@ def as_complex(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=complex)
 
 
-def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
-    m = as_complex(m)
-    return m.shape[0] == m.shape[1] and bool(np.allclose(m, m.conj().T, atol=atol, rtol=0.0))
-
-
 def check_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     m = as_complex(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -81,13 +76,9 @@ def eig_hermitian(m: np.ndarray, atol: float = 1e-10) -> tuple[np.ndarray, np.nd
 
 
 def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values; for Hermitian input, the sum of |eigenvalues|."""
-    m = as_complex(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("trace norm expects a square matrix")
-    if is_hermitian(m, atol=1e-10):
-        return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+    """Sum of |eigenvalues| of a Hermitian matrix, its sum of singular
+    values.  Raises on non-Hermitian input."""
+    return float(np.sum(np.abs(np.linalg.eigvalsh(check_hermitian(m, atol=1e-10)))))
 
 
 def hs_norm_sq(a: np.ndarray) -> float | np.ndarray:

@@ -38,8 +38,8 @@ IDENTITY       IDENTITY        d
 IDENTITY       state, block    1
 IDENTITY       expansion A     d a_0, a_0 the coefficient of the identity
 expansion A    expansion B     d sum_k a_k b_k
-expansion A    state           ``pauli_expect`` (or ``walsh_expect``) of A;
-                               nothing if every a_k is zero
+expansion A    state           ``pauli_expect`` (or ``walsh_expect``) of A,
+                               which draws nothing if every a_k is zero
 block P_k rho  itself          ``purity`` of rho
 block P_k rho  block P_l tau   ``overlap`` of rho and tau if k == l, else 0
 block P_k rho  expansion A     ``pauli_expect`` on rho of the expansion of
@@ -312,10 +312,8 @@ def _dim(x: Prepared) -> int:
 
 
 def _expect(a: Expansion, state: Prepared, est: Estimator) -> float:
-    """sum_k a_k <B_k>: one Estimator call for the expansion, none if every
-    coefficient is zero."""
-    if not np.count_nonzero(a.coeffs):
-        return 0.0
+    """sum_k a_k <B_k>: one Estimator call for the expansion, which draws
+    nothing if every coefficient is zero."""
     return (est.walsh_expect if a.walsh else est.pauli_expect)(state, a).value
 
 

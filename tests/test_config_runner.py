@@ -76,6 +76,10 @@ FIELD_VALUES = {
     "max_iters_float": ("optimizer", "max_iters", 2.7, None),
     "workers_float": (None, "workers", 2.5, None),
     "shots_float": ("shots", "n", 1000.9, None),
+    "shots_zero": ("shots", "n", 0, None),
+    "shots_2_pow_63": ("shots", "n", 2**63, None),
+    "shots_1e20": ("shots", "n", 10**20, None),
+    "shots_n_in_exact_mode": ("shots", "mode", "exact", None),
     "n_runs_bool": (None, "n_runs", True, None),
     "seed_text": (None, "seed", "7", None),
     "penalty_nan_text": (None, "penalty", "nan", None),

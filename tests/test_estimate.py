@@ -116,12 +116,20 @@ class TestShotMode:
         assert abs(draws.mean() - m) <= 3 * se_pool
         assert abs(draws.std() - math.sqrt((1 - m**2) / n)) <= 0.1 * math.sqrt((1 - m**2) / n)
 
-    def test_gaussian_regime_used_for_huge_counts(self, rng):
+    def test_binomial_concentration_at_huge_counts(self, rng):
         est = Estimator(ShotModel("shots", n=10**12), rng)
         vals = [est.overlap(np.eye(2) / 2, np.eye(2) / 2).value for _ in range(50)]
         spread = np.std(vals)
         assert spread < 5e-6
         assert abs(np.mean(vals) - 0.5) < 5e-6
+
+    def test_huge_counts_draw_one_binomial(self, rng):
+        rho = random_density(2, rng)
+        z = Expansion.from_text(1, {"Z": 1.0})
+        n = 10**15
+        got = Estimator(ShotModel("shots", n=n), np.random.default_rng(8)).pauli_expect(rho, z).value
+        p = (1.0 + EXACT.pauli_expect(rho, z).value) / 2.0
+        assert got == 2.0 * np.random.default_rng(8).binomial(n, p) / n - 1.0
 
     def test_estimates_stay_in_band(self, rng):
         est = Estimator(ShotModel("shots", n=400), rng)
@@ -143,23 +151,48 @@ class TestShotMode:
         assert abs(exact - np.sum(a.dist**2)) < 1e-12
 
 
+def pure(t: float) -> np.ndarray:
+    """The pure state cos(t)|0> + sin(t)|1>."""
+    v = np.array([math.cos(t), math.sin(t)])
+    return np.outer(v, v)
+
+
+# At 10**12 shots, 200 estimates of a mean within 1e-12 of the top of its
+# range, from inputs that are almost pure, all lie in that range: the
+# overlap is 1 - 1e-12, the collision (1 - 1e-13)**2 + 1e-26.
+NEAR_PURE = {
+    "overlap": ("overlap", (pure(0.0), pure(math.asin(1e-6))), (-1.0, 1.0)),
+    "collision": ("collision", (np.array([1 - 1e-13, 1e-13]),) * 2, (0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_PURE))
+def test_huge_counts_stay_in_range(name, rng):
+    method, args, (lo, hi) = NEAR_PURE[name]
+    draw = getattr(Estimator(ShotModel("shots", n=10**12), rng), method)
+    vals = [draw(*args).value for _ in range(200)]
+    assert lo <= min(vals) and max(vals) <= hi
+
+
 MODES = {"exact": ShotModel(), "binomial": ShotModel("shots", n=1000),
-         "gaussian": ShotModel("shots", n=2 * 10**6)}
+         "binomial_2e6": ShotModel("shots", n=2 * 10**6)}
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
 @pytest.mark.parametrize("walsh", [False, True], ids=["pauli", "walsh"])
-@pytest.mark.parametrize("zeros", [False, True], ids=["nonzero", "zeros"])
+@pytest.mark.parametrize("zeros", ["nonzero", "zeros", "all_zero", "empty"])
 def test_expansion_estimate_is_the_sum_of_term_estimates(mode, walsh, zeros, rng):
     """One expansion estimate equals, bit for bit, the sum of one estimate
     per non-zero term in label order, and leaves the generator where the
-    per-term calls leave it."""
+    per-term calls leave it: 0, with no draw, without a non-zero term."""
     n = 3 if walsh else 2
     one = lambda l: Expansion(n, (l,), np.ones(1), walsh)
     labels = tuple(product(range(2 if walsh else 4), repeat=n))
     coeffs = rng.uniform(-1.0, 1.0, len(labels))
-    if zeros:
-        coeffs[::3] = 0.0
+    if zeros != "nonzero":
+        coeffs[::3 if zeros == "zeros" else 1] = 0.0
+    if zeros == "empty":
+        labels, coeffs = (), coeffs[:0]
     if walsh:
         p = np.abs(rng.standard_normal(2**n))
         state = Prepared(dist=p / p.sum())
@@ -173,7 +206,7 @@ def test_expansion_estimate_is_the_sum_of_term_estimates(mode, walsh, zeros, rng
     per_term = sum(c * expect[1](state, one(l)).value for l, c in zip(labels, coeffs) if c != 0)
     per_mean = sum(c * ests[2]._pm_one(mean(l)).value for l, c in zip(labels, coeffs) if c != 0)
     assert got.value == per_term == per_mean
-    assert (got.std_err == 0.0) == (mode == "exact")
+    assert (got.std_err == 0.0) == (mode == "exact" or not coeffs.any())
     assert len({e.rng.random() for e in ests}) == 1
 
 

@@ -118,9 +118,11 @@ class TestNorms:
     def test_trace_norm_pt_bell(self):
         assert np.isclose(linalg.trace_norm(linalg.partial_transpose_b(bell_state(), 2, 2)), 2.0)
 
-    def test_trace_norm_general_matrix(self, rng):
+    def test_trace_norm_rejects_non_hermitian(self, rng):
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert np.isclose(linalg.trace_norm(m), np.sum(np.linalg.svd(m, compute_uv=False)))
+        for bad, message in ((m, "not Hermitian"), (np.eye(4)[:3], "square")):
+            with pytest.raises(ValueError, match=message):
+                linalg.trace_norm(bad)
 
     def test_hs_norm_sq(self):
         assert np.isclose(linalg.hs_norm_sq(SX), 2.0)
