@@ -36,8 +36,6 @@ class AnsatzConfig:
     born_layers: int
 
     def __post_init__(self) -> None:
-        if self.type not in ("purification", "convex_combination", "born"):
-            raise ConfigError(f"unknown ansatz type {self.type!r}")
         if self.layers < 1 or self.born_layers < 1:
             raise ConfigError("layer counts must be positive")
 
@@ -45,7 +43,8 @@ class AnsatzConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A campaign.  The per-pair settings have no default here: a config
-    document takes them from ``DEFAULTS``."""
+    document takes them from ``DEFAULTS``, and a (problem, ansatz type) pair
+    without a row there is rejected."""
 
     problem: str
     ansatz: AnsatzConfig
@@ -64,6 +63,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         try:
             check_problem(self.problem, self.n_system, self.penalty, self.instance)
+            problem_defaults(self.problem, self.ansatz.type)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.n_runs < 1 or self.workers < 1:

@@ -173,49 +173,52 @@ def run_optimization(problem: PenaltyObjective, spsa: SpsaConfig, schedule: LrSc
     table = np.empty((len(rngs), iters), ROW)
     objective, penalty, error, lrs = (table[name] for name in ROW.names)
 
-    for k in range(iters + 1):
-        if k < iters:
-            if k % CHECK_EVERY == 0:
-                size = (min(CHECK_EVERY, iters - k), n)
-                deltas = np.stack([rademacher(rngs[i], size) for i in live])
-            step = c * deltas[:, k % CHECK_EVERY]
-            np.add(params, step, out=points[:, 1])
-            np.subtract(params, step, out=points[:, 2])
-        rows = params if k == iters else points.reshape(-1, n)
-        m = len(rows) // len(live)  # rows per run: 3, or 1 at the final evaluation
-        est = None if ests is None else [ests[i] for i in live for _ in range(m)]
-        f, pen = (np.reshape(a, (len(live), m)) for a in problem.evaluate(rows, est))
-        bad = ~np.isfinite(f[:, 0])
-        if bad.any():
-            for j in np.flatnonzero(bad):
-                rec = records[live[j]]
-                rec.aborted = True
-                rec.abort_reason = f"non-finite objective ({float(f[j, 0])}) at iteration {k}"
-                rec.final_params = params[j].copy()
-                ends[live[j]] = k
-            keep = ~bad
-            live, points, lr, f, pen = live[keep], points[keep], lr[keep], f[keep], pen[keep]
-            params = points[:, 0]
+    # a diverging run can overflow (in shot mode, in objective.sq_norm)
+    # before its objective turns non-finite; its abort reason reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(iters + 1):
             if k < iters:
-                deltas = deltas[keep]
-            if not len(live):
+                if k % CHECK_EVERY == 0:
+                    size = (min(CHECK_EVERY, iters - k), n)
+                    deltas = np.stack([rademacher(rngs[i], size) for i in live])
+                step = c * deltas[:, k % CHECK_EVERY]
+                np.add(params, step, out=points[:, 1])
+                np.subtract(params, step, out=points[:, 2])
+            rows = params if k == iters else points.reshape(-1, n)
+            m = len(rows) // len(live)  # rows per run: 3, or 1 at the final evaluation
+            est = None if ests is None else [ests[i] for i in live for _ in range(m)]
+            f, pen = (np.reshape(a, (len(live), m)) for a in problem.evaluate(rows, est))
+            bad = ~np.isfinite(f[:, 0])
+            if bad.any():
+                for j in np.flatnonzero(bad):
+                    rec = records[live[j]]
+                    rec.aborted = True
+                    rec.abort_reason = f"non-finite objective ({float(f[j, 0])}) at iteration {k}"
+                    rec.final_params = params[j].copy()
+                    ends[live[j]] = k
+                keep = ~bad
+                live, points, lr, f, pen = live[keep], points[keep], lr[keep], f[keep], pen[keep]
+                params = points[:, 0]
+                if k < iters:
+                    deltas = deltas[keep]
+                if not len(live):
+                    break
+            values, penalties = f[:, 0], pen[:, 0]
+            err = np.abs(values - (math.nan if oracle is None else oracle))
+            if k == iters:
+                for j, i in enumerate(live):
+                    rec = records[i]
+                    rec.final_objective, rec.final_penalty, rec.final_error = map(float, (values[j], penalties[j], err[j]))
                 break
-        values, penalties = f[:, 0], pen[:, 0]
-        err = np.abs(values - (math.nan if oracle is None else oracle))
-        if k == iters:
-            for j, i in enumerate(live):
-                rec = records[i]
-                rec.final_objective, rec.final_penalty, rec.final_error = map(float, (values[j], penalties[j], err[j]))
-            break
-        if k > 0 and k % CHECK_EVERY == 0:
-            for j, i in enumerate(live):
-                lr[j] = lr_step(schedule, objective[i, :k], problem.direction, float(lr[j]), k)
-        objective[live, k], penalty[live, k], error[live, k], lrs[live, k] = values, penalties, err, lr
-        grad = spsa_gradient(f[:, 1], f[:, 2], deltas[:, k % CHECK_EVERY], c)
-        if spsa.normalize:
-            grad = normalize_gradient(grad)
-        np.add(params, (sign * lr)[:, None] * grad, out=params)
-        problem.clamp(params)
+            if k > 0 and k % CHECK_EVERY == 0:
+                for j, i in enumerate(live):
+                    lr[j] = lr_step(schedule, objective[i, :k], problem.direction, float(lr[j]), k)
+            objective[live, k], penalty[live, k], error[live, k], lrs[live, k] = values, penalties, err, lr
+            grad = spsa_gradient(f[:, 1], f[:, 2], deltas[:, k % CHECK_EVERY], c)
+            if spsa.normalize:
+                grad = normalize_gradient(grad)
+            np.add(params, (sign * lr)[:, None] * grad, out=params)
+            problem.clamp(params)
 
     for j, i in enumerate(live):
         records[i].final_params = params[j].copy()

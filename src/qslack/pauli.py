@@ -14,13 +14,11 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Mapping
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from typing import NamedTuple
 
 import numpy as np
-
-from . import linalg
 
 SIGMA = (
     np.array([[1, 0], [0, 1]], dtype=complex),
@@ -40,7 +38,7 @@ def default_term_cap(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _dense_string(labels: tuple[int, ...]) -> np.ndarray:
-    return linalg.kron_all(*(SIGMA[l] for l in labels))
+    return reduce(np.kron, (SIGMA[l] for l in labels))
 
 
 @lru_cache(maxsize=8)

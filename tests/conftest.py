@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
 
+from qslack import linalg
+
+# Tolerances of check_density.
+PSD_EIG_ATOL = 1e-10
+TRACE_ATOL = 1e-10
+
 
 @pytest.fixture
 def rng():
@@ -16,6 +22,18 @@ def random_density(dim, rng):
 def random_hermitian(dim, rng):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (g + g.conj().T) / 2
+
+
+def check_density(rho):
+    """Validate a density matrix: Hermitian, eigenvalues >= -PSD_EIG_ATOL,
+    trace 1 within TRACE_ATOL."""
+    rho = linalg.check_hermitian(rho)
+    w = np.linalg.eigvalsh(rho)
+    if w.min() < -PSD_EIG_ATOL:
+        raise ValueError(f"matrix has negative eigenvalue {w.min():.3e}")
+    if abs(np.trace(rho).real - 1.0) > TRACE_ATOL:
+        raise ValueError(f"trace {np.trace(rho).real!r} is not 1 within tolerance")
+    return rho
 
 
 def bell_state():

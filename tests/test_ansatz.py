@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qslack import linalg
 from qslack.ansatz import (
     BornDistribution,
     ConvexCombinationState,
@@ -19,6 +18,7 @@ from qslack.ansatz import (
     qcbm_circuit,
     qcbm_distribution,
 )
+from tests.conftest import check_density
 
 
 def test_layered_unitary_theta_zero_is_identity():
@@ -237,8 +237,8 @@ class TestRealize:
         pur = PurificationState(layered_unitary_circuit(4, 2), 2, 2)
         cc = ConvexCombinationState(qcbm_circuit(2, 2), layered_unitary_circuit(2, 2))
         for _ in range(500):
-            linalg.check_density(pur.realize(rng.uniform(0, 2 * np.pi, pur.n_params)))
-            linalg.check_density(cc.realize(rng.uniform(0, 2 * np.pi, cc.n_params)))
+            check_density(pur.realize(rng.uniform(0, 2 * np.pi, pur.n_params)))
+            check_density(cc.realize(rng.uniform(0, 2 * np.pi, cc.n_params)))
 
     def test_cc_purity_equals_distribution_purity(self, rng):
         state = ConvexCombinationState(qcbm_circuit(2, 2), layered_unitary_circuit(2, 2))
@@ -288,4 +288,4 @@ def test_realized_states_are_density_matrices(seed):
     rng = np.random.default_rng(seed)
     state = PurificationState(layered_unitary_circuit(3, 2), 1, 2)
     rho = state.realize(rng.uniform(0, 2 * np.pi, state.n_params))
-    linalg.check_density(rho)
+    check_density(rho)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qslack.config import ConfigError, ExperimentConfig, config_from_dict, load_config, resolve_output_dir
+from qslack.config import AnsatzConfig, ConfigError, ExperimentConfig, config_from_dict, load_config, resolve_output_dir
 from qslack import runner
 from qslack.estimate import Estimator
 from qslack.objective import PenaltyObjective
@@ -126,6 +126,14 @@ class TestConfig:
         for name in ("n_system", "n_runs", "seed", "instance_seed", "output_dir", "workers"):
             assert getattr(direct, name) == getattr(parsed, name), name
         assert direct.spsa.perturbation == parsed.spsa.perturbation
+
+    def test_direct_config_checks_its_pair(self):
+        row = config_from_dict({"problem": "cham_dual", "ansatz": {"type": "convex_combination"}})
+        settings = {"penalty": row.penalty, "spsa": row.spsa, "schedule": row.schedule}
+        direct = ExperimentConfig(problem="cham_dual", ansatz=AnsatzConfig("convex_combination", 2, 2), **settings)
+        assert direct.ansatz.type == "convex_combination"
+        with pytest.raises(ConfigError, match="tvd_dual takes ansatz type born, not 'purification'"):
+            ExperimentConfig(problem="tvd_dual", ansatz=AnsatzConfig("purification", 2, 2), **settings)
 
     def test_per_pair_settings_have_no_dataclass_default(self):
         with pytest.raises(TypeError):
@@ -480,6 +488,18 @@ class TestRunner:
         assert result.ok
         rows = Path(result.run_csvs[0]).read_text().strip().split("\n")[1:]
         assert len(rows) == 10
+
+    def test_diverging_shot_run_aborts_without_warnings(self, tmp_path):
+        # cham_dual/purification diverges at its row's settings; in shot mode
+        # run 1 overflows on the way to a NaN, under the suite's
+        # filterwarnings = ["error"]
+        cfg = config_from_dict({"problem": "cham_dual", "ansatz": {"type": "purification"},
+                                "shots": {"mode": "shots", "n": 100000}, "optimizer": {"max_iters": 40},
+                                "n_runs": 4, "seed": 1, "instance_seed": 921, "workers": 1,
+                                "output_dir": str(tmp_path)})
+        result = run_experiment(cfg)
+        assert [rec.abort_reason for rec in result.records] == [
+            "", "non-finite objective (nan) at iteration 14", "", ""]
 
 
 def test_perfbench_tracer_installs_and_uninstalls(tmp_path, monkeypatch):

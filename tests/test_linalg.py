@@ -2,41 +2,12 @@ import numpy as np
 import pytest
 
 from qslack import linalg
-from tests.conftest import bell_state, random_density, random_hermitian
+from tests.conftest import bell_state, check_density, random_density, random_hermitian
 
 I2 = np.eye(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.allclose(linalg.kron_all(I2, I2), np.eye(4))
-
-    def test_sx_sz_entrywise(self):
-        # oracle: (A x B)[i*p + k, j*q + l] = A[i, j] B[k, l]
-        expected = np.zeros((4, 4), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        expected[2 * i + k, 2 * j + l] = SX[i, j] * SZ[k, l]
-        got = linalg.kron_all(SX, SZ)
-        assert np.allclose(got, expected)
-        assert got[0, 2] == 1 and got[1, 3] == -1 and got[2, 0] == 1 and got[3, 1] == -1
-
-    def test_diagonal_case(self):
-        assert np.allclose(linalg.kron_all(SZ, np.diag([1.0, 1.0])), np.diag([1, 1, -1, -1]))
-
-    def test_associativity_random(self, rng):
-        for _ in range(25):
-            a = random_hermitian(2, rng)
-            b = random_hermitian(3, rng)
-            c = random_hermitian(2, rng)
-            left = linalg.kron_all(linalg.kron_all(a, b), c)
-            right = linalg.kron_all(a, linalg.kron_all(b, c))
-            assert np.sqrt(linalg.hs_norm_sq(left - right)) <= 1e-12
 
 
 class TestPartialTranspose:
@@ -71,40 +42,6 @@ class TestPartialTranspose:
             pt = linalg.partial_transpose_b(m, 2, 4)
             assert np.allclose(linalg.partial_transpose_b(pt, 2, 4), m)
             assert np.isclose(np.trace(pt), np.trace(m))
-
-
-class TestEig:
-    def test_sz(self):
-        w, v = linalg.eig_hermitian(SZ)
-        assert np.allclose(w, [-1, 1])
-        assert np.allclose(np.abs(v[:, 0]), [0, 1])
-        assert np.allclose(np.abs(v[:, 1]), [1, 0])
-
-    def test_sx(self):
-        w, v = linalg.eig_hermitian(SX)
-        assert np.allclose(w, [-1, 1])
-        minus = np.array([1, -1]) / np.sqrt(2)
-        assert np.isclose(abs(np.vdot(v[:, 0], minus)), 1.0)
-
-    def test_trace_identities(self, rng):
-        m = random_hermitian(8, rng)
-        w, _ = linalg.eig_hermitian(m)
-        assert abs(np.sum(w) - np.trace(m).real) < 1e-9
-        assert abs(np.sum(w**2) - np.trace(m @ m).real) < 1e-9
-
-    def test_reconstruction_bulk(self, rng):
-        # 1000 random Hermitian matrices up to dim 16
-        for i in range(1000):
-            dim = int(rng.integers(2, 17))
-            m = random_hermitian(dim, rng)
-            w, v = linalg.eig_hermitian(m)
-            err = np.sqrt(linalg.hs_norm_sq(v @ np.diag(w) @ v.conj().T - m))
-            assert err <= 1e-9 * dim
-            assert np.all(np.diff(w) >= -1e-12)
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
-            linalg.eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 class TestNorms:
@@ -147,14 +84,18 @@ class TestSqrt:
         with pytest.raises(ValueError):
             linalg.mat_sqrt_psd(np.diag([1.0, -0.5]))
 
+    def test_non_hermitian_rejected(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            linalg.mat_sqrt_psd(np.array([[0, 1], [0, 0]], dtype=complex))
+
 
 class TestValidators:
     def test_check_density_accepts(self, rng):
-        linalg.check_density(random_density(4, rng))
+        check_density(random_density(4, rng))
 
     def test_check_density_rejects_trace(self):
         with pytest.raises(ValueError):
-            linalg.check_density(np.eye(2))
+            check_density(np.eye(2))
 
     def test_check_hermitian_rejects(self):
         with pytest.raises(ValueError):
