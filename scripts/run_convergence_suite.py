@@ -69,7 +69,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--output-root", default="suite_out")
     ap.add_argument("--runs", type=int, default=5)
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--workers", type=int, default=2)
+    ap.add_argument("--workers", type=int, default=2,
+                    help="the most processes one campaign trains in (default: 2); a campaign forks only in "
+                         "shot mode or on circuits of at least 8 qubits")
     ap.add_argument("--problems", default=None,
                     help="comma-separated problem tags (default: all)")
     ap.add_argument("--set", dest="overrides", action="append", default=[], type=parse_override,

@@ -4,7 +4,7 @@ Everything operates on plain ``numpy`` arrays in row-major layout.  The
 functions that read a matrix through its eigenvalues, ``trace_norm`` and
 ``mat_sqrt_psd``, check that it is square and Hermitian to ``HERMITIAN_ATOL``
 and raise ``ValueError`` otherwise; ``mat_sqrt_psd`` also rejects an
-eigenvalue below ``-neg_atol``.  ``partial_transpose_b`` checks the shape.
+eigenvalue below ``-NEG_EIG_ATOL``.  ``partial_transpose_b`` checks the shape.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 HERMITIAN_ATOL = 1e-10
+NEG_EIG_ATOL = 1e-8
 
 
 def check_hermitian(m: np.ndarray) -> np.ndarray:
@@ -54,14 +55,14 @@ def hs_norm_sq(a: np.ndarray) -> float | np.ndarray:
     return (flat.conj() @ np.swapaxes(flat, -1, -2))[..., 0, 0].real
 
 
-def mat_sqrt_psd(m: np.ndarray, neg_atol: float = 1e-8) -> np.ndarray:
+def mat_sqrt_psd(m: np.ndarray) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix.
 
-    Eigenvalues in [-neg_atol, 0) are clamped to zero; anything below
-    -neg_atol raises, as does a non-Hermitian matrix.
+    Eigenvalues in [-NEG_EIG_ATOL, 0) are clamped to zero; anything below
+    -NEG_EIG_ATOL raises, as does a non-Hermitian matrix.
     """
     w, v = np.linalg.eigh(check_hermitian(m))
-    if w.min() < -neg_atol:
+    if w.min() < -NEG_EIG_ATOL:
         raise ValueError(f"matrix is not PSD: eigenvalue {w.min():.3e}")
     w = np.maximum(w, 0.0)
     return hermitianize((v * np.sqrt(w)) @ v.conj().T)

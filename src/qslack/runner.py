@@ -9,6 +9,7 @@ from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .ansatz import PurificationState
 from .config import ExperimentConfig, resolve_output_dir
 from .optimizer import ROW, RunRecord, aggregate_runs, run_optimization
 from .oracle import OracleResult
@@ -26,6 +27,25 @@ def build_from_config(cfg: ExperimentConfig) -> Problem:
         instance_seed=cfg.instance_seed,
         instance=cfg.instance,
     )
+
+
+# A campaign's chunks are forked only where a stack row costs real work.  One
+# dense evaluate call (OPENBLAS_NUM_THREADS=1, 2-core Xeon, median of 7, stacks
+# of 3 and 30 rows) costs 0.13-1.1 ms, and each row adds 2-36 us where the
+# widest circuit has 2-4 qubits (130-190 us for a 4-qubit convex
+# combination), 30-60 us at 6 and 180-410 us at 8.  A forked child adds
+# 30-60 ms to a campaign: against one process, campaigns of 2 or 4 runs x 40
+# iterations took 1.06-2.0x the wall time forked at 6 qubits (1.4-1.6x for
+# the 4-qubit convex combinations) and 0.73-0.86x at 8.
+FORK_QUBITS = 8
+
+
+def _widest_circuit(problem: Problem) -> int:
+    """The qubit count of the widest circuit of the problem's templates: a
+    purification's circuit, else the Born machine (a convex combination's
+    basis circuit is as wide)."""
+    return max((t.circuit if isinstance(t, PurificationState) else t.born_circuit).n_qubits
+               for t in problem.objective.state_templates)
 
 
 class RunRecords(list):
@@ -90,19 +110,24 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute the configured campaign and write run_<k>.csv, summary.csv,
     convergence.svg, and a manifest of run statuses.  The problem, oracle
     included, is built once and every run trains it.  The runs are split
-    into min(workers, n_runs) chunks of consecutive indices, each trained in
-    lockstep by one call of ``_run_single``.  Chunk 0 is trained in this
-    process.  Each other chunk is trained in a child forked for it before
-    that, so ``workers > 1`` needs the fork start method: the child holds
-    the built problem already, and only its records are pickled back.  A
-    child's exception is raised here, and no child is left running when
-    this returns or raises."""
+    into chunks of consecutive indices, each trained in lockstep by one call
+    of ``_run_single``.  ``workers`` caps the number of chunks, and there is
+    more than one only where a row of the lockstep stack costs real work: in
+    shot mode, where each row is estimated on its own, or where a template's
+    circuit has at least ``FORK_QUBITS`` qubits.  Elsewhere a forked child
+    costs more than it saves, and all runs form one chunk.  Chunk 0
+    is trained in this process.  Each other chunk is trained in a child
+    forked for it before that, so more than one chunk needs the fork start
+    method: the child holds the built problem already, and only its records
+    are pickled back.  A child's exception is raised here, and no child is
+    left running when this returns or raises."""
     problem = build_from_config(cfg)
     out_dir = resolve_output_dir(cfg)
     os.makedirs(out_dir, exist_ok=True)
     job = (cfg, problem)
 
-    n_chunks = min(cfg.workers, cfg.n_runs)
+    forks = not cfg.shots.exact or _widest_circuit(problem) >= FORK_QUBITS
+    n_chunks = min(cfg.workers, cfg.n_runs) if forks else 1
     chunks = [range(i * cfg.n_runs // n_chunks, (i + 1) * cfg.n_runs // n_chunks) for i in range(n_chunks)]
     children = []
     try:

@@ -33,6 +33,11 @@ def tiny_config(**over):
     return base
 
 
+# Shot mode: with workers > 1 the runner forks tiny_config's chunks, which it
+# trains in one process in exact mode.
+SHOTS = {"mode": "shots", "n": 1000}
+
+
 # Values that an instance must not hold, each with the text of the error
 # that names it: bad numbers as a coefficient of h, as a coefficient of a
 # constraint or as a constraint bound b, and observables that are not maps.
@@ -354,22 +359,54 @@ class TestRunner:
         assert Path(ra.summary_csv).read_bytes() == Path(rb.summary_csv).read_bytes()
 
     def test_parallel_workers_match_serial(self, tmp_path):
-        serial = run_experiment(config_from_dict(tiny_config(output_dir=str(tmp_path / "s"))))
-        par = run_experiment(config_from_dict(tiny_config(output_dir=str(tmp_path / "p"), workers=2)))
+        serial = run_experiment(config_from_dict(tiny_config(shots=SHOTS, output_dir=str(tmp_path / "s"))))
+        par = run_experiment(config_from_dict(tiny_config(shots=SHOTS, output_dir=str(tmp_path / "p"), workers=2)))
         for pa, pb in zip(serial.run_csvs, par.run_csvs):
             assert Path(pa).read_text() == Path(pb).read_text()
 
-    @pytest.mark.parametrize("shots", [{"mode": "exact"}, {"mode": "shots", "n": 1000}])
+    @pytest.mark.parametrize("shots", [{"mode": "exact"}, SHOTS])
     def test_lockstep_chunks_match_runs_alone(self, tmp_path, shots):
         # one chunk of three runs in lockstep, uneven chunks of one and two
-        # runs, and every run alone in its own worker write the same bytes
+        # runs, and every run alone in its own worker write the same bytes;
+        # exact mode forks its chunks only on 8-qubit circuits (n_system 4)
         outputs = []
+        n_system = 4 if shots["mode"] == "exact" else 1
         for workers in (1, 2, 3):
             res = run_experiment(config_from_dict(tiny_config(n_runs=3, workers=workers, shots=shots,
+                                                              n_system=n_system,
                                                               output_dir=str(tmp_path / str(workers)))))
             outputs.append([Path(path).read_bytes() for path in res.run_csvs + [res.summary_csv]])
         assert len(outputs[0]) == 4
         assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("over, forks", [
+        ({}, False),
+        ({"n_system": 3}, False),
+        ({"n_system": 4}, True),
+        ({"problem": "fidelity_dual", "n_system": 3}, True),
+        ({"shots": SHOTS}, True),
+    ], ids=["exact_2_qubits", "exact_6_qubits", "exact_8_qubits", "exact_widest_8_qubits", "shots"])
+    def test_chunks_fork_only_where_rows_cost_work(self, tmp_path, monkeypatch, over, forks):
+        # with workers=2, an exact-mode campaign on circuits below
+        # runner.FORK_QUBITS trains both runs in one call in this process;
+        # in shot mode, or where any template's circuit is that wide, run 1
+        # is trained in a forked child
+        run_single = runner._run_single
+
+        def marked(job, runs):
+            records = run_single(job, runs)
+            records.marks = (os.getpid(), list(runs))
+            return records
+
+        monkeypatch.setattr(runner, "_run_single", marked)
+        result = run_experiment(config_from_dict(tiny_config(workers=2, output_dir=str(tmp_path / "exp"), **over)))
+        assert multiprocessing.active_children() == []
+        marks = [vars(rec).get("marks") for rec in result.records]
+        if forks:
+            assert marks[0] == (os.getpid(), [0])
+            assert marks[1][1] == [1] and marks[1][0] != os.getpid()
+        else:
+            assert marks == [(os.getpid(), [0, 1]), None]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_campaign_builds_its_problem_once(self, tmp_path, monkeypatch, workers):
@@ -383,7 +420,8 @@ class TestRunner:
             return build(*args, **kwargs)
 
         monkeypatch.setattr(runner, "build_problem", counted)
-        run_experiment(config_from_dict(tiny_config(n_runs=3, workers=workers, output_dir=str(tmp_path / "exp"))))
+        run_experiment(config_from_dict(tiny_config(n_runs=3, workers=workers, shots=SHOTS,
+                                                    output_dir=str(tmp_path / "exp"))))
         assert calls.read_text().count("build") == 1
 
     @pytest.mark.parametrize("failing_run", [0, 1], ids=["parent_chunk", "child_chunk"])
@@ -403,7 +441,7 @@ class TestRunner:
         monkeypatch.setattr(runner, "_run_single", fails)
         start = time.perf_counter()
         with pytest.raises(ValueError, match=f"run {failing_run} failed"):
-            run_experiment(config_from_dict(tiny_config(workers=2, output_dir=str(tmp_path / "exp"))))
+            run_experiment(config_from_dict(tiny_config(workers=2, shots=SHOTS, output_dir=str(tmp_path / "exp"))))
         assert time.perf_counter() - start < 30
         assert multiprocessing.active_children() == []
 
@@ -417,7 +455,7 @@ class TestRunner:
 
         monkeypatch.setattr(runner, "_run_single", dies)
         with pytest.raises(RuntimeError, match="chunk 1 sent no records: its process ended with exit code 3"):
-            run_experiment(config_from_dict(tiny_config(workers=2, output_dir=str(tmp_path / "exp"))))
+            run_experiment(config_from_dict(tiny_config(workers=2, shots=SHOTS, output_dir=str(tmp_path / "exp"))))
         assert multiprocessing.active_children() == []
 
     def test_chunk_attributes_reach_its_first_record(self, tmp_path, monkeypatch):
@@ -429,7 +467,8 @@ class TestRunner:
             return records
 
         monkeypatch.setattr(runner, "_run_single", marked)
-        result = run_experiment(config_from_dict(tiny_config(n_runs=3, workers=3, output_dir=str(tmp_path / "exp"))))
+        result = run_experiment(config_from_dict(tiny_config(n_runs=3, workers=3, shots=SHOTS,
+                                                             output_dir=str(tmp_path / "exp"))))
         assert multiprocessing.active_children() == []
         pids = [rec.marks[0] for rec in result.records]
         assert [rec.marks[1] for rec in result.records] == [[0], [1], [2]]
@@ -512,7 +551,8 @@ def test_perfbench_tracer_installs_and_uninstalls(tmp_path, monkeypatch):
     uninstall = tracer.install(tracer.Tracer())
     try:
         assert runner._run_single is not run_single
-        result = runner.run_experiment(config_from_dict(tiny_config(workers=2, output_dir=str(tmp_path / "exp"))))
+        result = runner.run_experiment(config_from_dict(tiny_config(workers=2, shots=SHOTS,
+                                                                    output_dir=str(tmp_path / "exp"))))
         spans = tracer.collect_worker_spans(result.records)
     finally:
         uninstall()

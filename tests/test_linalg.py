@@ -84,6 +84,13 @@ class TestSqrt:
         with pytest.raises(ValueError):
             linalg.mat_sqrt_psd(np.diag([1.0, -0.5]))
 
+    def test_negative_tolerance(self):
+        # an eigenvalue within NEG_EIG_ATOL below zero is clamped, one beyond raises
+        tol = linalg.NEG_EIG_ATOL
+        assert np.allclose(linalg.mat_sqrt_psd(np.diag([1.0, -tol / 2])), np.diag([1.0, 0.0]), rtol=0, atol=0)
+        with pytest.raises(ValueError, match="not PSD"):
+            linalg.mat_sqrt_psd(np.diag([1.0, -2 * tol]))
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             linalg.mat_sqrt_psd(np.array([[0, 1], [0, 0]], dtype=complex))
