@@ -15,7 +15,7 @@ by ``config_from_dict`` before the first campaign starts, so an unknown key
 stops the suite at once.  ``--json PATH`` also writes the table as JSON.
 
 Usage:
-    python scripts/run_convergence_suite.py [--output-root OUT] [--runs 5]
+    python scripts/run_convergence_suite.py [--output-root OUT] [--runs N] [--seed S]
     python scripts/run_convergence_suite.py --problems trace_distance_dual,tvd_dual
     python scripts/run_convergence_suite.py --set optimizer.max_iters=8000 --json errors.json
 """
@@ -30,7 +30,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from qslack.config import ConfigError, config_from_dict
+from qslack.config import ConfigError, ExperimentConfig, config_from_dict
 from qslack.problems import DEFAULTS
 from qslack.runner import run_experiment
 
@@ -67,8 +67,8 @@ def apply_overrides(doc: dict, overrides: list[tuple[list[str], object]]) -> dic
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--output-root", default="suite_out")
-    ap.add_argument("--runs", type=int, default=5)
-    ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--runs", type=int, help=f"runs per pair (default: the config's, {ExperimentConfig.n_runs})")
+    ap.add_argument("--seed", type=int, help=f"campaign seed (default: the config's, {ExperimentConfig.seed})")
     ap.add_argument("--workers", type=int, default=2,
                     help="the most processes one campaign trains in (default: 2); a campaign forks only in "
                          "shot mode or on circuits of at least 8 qubits")
@@ -87,11 +87,13 @@ def main(argv: list[str] | None = None) -> int:
         doc = {
             "problem": tag,
             "ansatz": {"type": ansatz},
-            "n_runs": args.runs,
-            "seed": args.seed,
             "workers": args.workers,
             "output_dir": os.path.join(args.output_root, f"{tag}__{ansatz}"),
         }
+        if args.runs is not None:
+            doc["n_runs"] = args.runs
+        if args.seed is not None:
+            doc["seed"] = args.seed
         try:
             configs.append(config_from_dict(apply_overrides(doc, args.overrides)))
         except ConfigError as exc:

@@ -1,6 +1,7 @@
 """Variational penalty-method bounds for small semi-definite and linear programs."""
 
-from .estimate import Estimate, Estimator, Prepared, ShotModel, hoeffding_shots
+from .ansatz import Prepared
+from .estimate import Estimate, Estimator, ShotModel, hoeffding_shots
 from .objective import PenaltyObjective, TermBreakdown
 from .optimizer import LrSchedule, RunRecord, SpsaConfig, run_optimization
 from .oracle import OracleResult

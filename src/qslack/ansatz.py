@@ -3,7 +3,10 @@
 Two ways of parameterizing a mixed state are provided: tracing a reference
 register out of a parameterized pure state (purification form), and mixing a
 parameterized eigenbasis with the output distribution of a quantum circuit
-Born machine (convex-combination form).
+Born machine (convex-combination form).  Each template's ``realize`` returns
+a :class:`Prepared`: the density matrix of a purification, the distribution
+of a Born machine, and the density matrix with its (p, U) of a convex
+combination.
 
 Qubit 0 is the most significant bit of the basis index.  All rotations use
 the half-angle convention exp(-i theta G / 2) with a Pauli generator G, so a
@@ -48,12 +51,11 @@ GATE_KINDS = {
 class Gate:
     kind: str
     qubits: tuple[int, ...]
-    param_index: int
 
 
 @dataclass(frozen=True)
 class ParamCircuit:
-    """An ordered gate sequence over n qubits with contiguous parameter indices."""
+    """An ordered gate sequence over n qubits; gate k takes parameter k."""
 
     n_qubits: int
     gates: tuple[Gate, ...]
@@ -69,8 +71,6 @@ class ParamCircuit:
                 raise ValueError(f"gate {g} repeats a qubit")
             if any(q < 0 or q >= self.n_qubits for q in g.qubits):
                 raise ValueError(f"gate {g} targets an out-of-range qubit")
-        if sorted(g.param_index for g in self.gates) != list(range(len(self.gates))):
-            raise ValueError("parameter indices must be contiguous 0..L-1")
 
     @property
     def n_params(self) -> int:
@@ -78,7 +78,7 @@ class ParamCircuit:
 
     @cached_property
     def ops(self) -> tuple[tuple, ...]:
-        """Per gate (param index, perm, phase, diagonal), compiled on first use;
+        """Per gate (perm, phase, diagonal), compiled on first use;
         perm and phase are None where they are the identity, and ``diagonal``
         marks Rzz, whose phase is its real sign vector."""
         n = self.n_qubits
@@ -97,10 +97,9 @@ class ParamCircuit:
                 elif a == "Z":
                     phase *= 1 - 2 * b
             if g.kind == "rzz":
-                ops.append((g.param_index, None, phase.real.copy(), True))
+                ops.append((None, phase.real.copy(), True))
             else:
-                ops.append((g.param_index, r ^ flip if flip else None,
-                            None if np.all(phase == 1) else phase, False))
+                ops.append((r ^ flip if flip else None, None if np.all(phase == 1) else phase, False))
         return tuple(ops)
 
 
@@ -126,7 +125,7 @@ def apply_circuit(circuit: ParamCircuit, theta: np.ndarray, psi: np.ndarray | No
         half = half.reshape(half.shape + (1,) * (psi.ndim - 1))
     cos_h = np.cos(half)
     msin_h = -1j * np.sin(half)
-    for idx, perm, phase, diagonal in circuit.ops:
+    for idx, (perm, phase, diagonal) in enumerate(circuit.ops):
         if diagonal:
             psi = (cos_h[idx] + msin_h[idx] * phase) * psi
             continue
@@ -151,15 +150,9 @@ def _ring_pairs(n: int) -> list[tuple[int, int]]:
 
 def _layered(n: int, layers: int, rot_kinds: tuple[str, str]) -> ParamCircuit:
     gates: list[Gate] = []
-    k = 0
     for _ in range(layers):
-        for q in range(n):
-            for kind in rot_kinds:
-                gates.append(Gate(kind, (q,), k))
-                k += 1
-        for pair in _ring_pairs(n):
-            gates.append(Gate("rzz", pair, k))
-            k += 1
+        gates += [Gate(kind, (q,)) for q in range(n) for kind in rot_kinds]
+        gates += [Gate("rzz", pair) for pair in _ring_pairs(n)]
     return ParamCircuit(n, tuple(gates))
 
 
@@ -181,6 +174,30 @@ def qcbm_distribution(born_circuit: ParamCircuit, phi: np.ndarray) -> np.ndarray
 
 
 @dataclass(frozen=True)
+class Prepared:
+    """A realized state: dense density matrix, plus (p, U) when it was built
+    as a convex combination, or a bare probability vector for classical
+    distributions.  The fields of a stack of states carry the row axis
+    first, and ``stack[k]`` is the state at row k."""
+
+    rho: np.ndarray | None = None
+    dist: np.ndarray | None = None
+    basis: np.ndarray | None = None
+
+    @property
+    def dense(self) -> np.ndarray:
+        return self.rho if self.rho is not None else self.dist
+
+    @property
+    def is_cc(self) -> bool:
+        return self.dist is not None and self.basis is not None
+
+    def __getitem__(self, index) -> "Prepared":
+        """One row (or a run of rows) of a stack of states: each field indexed alike."""
+        return Prepared(*(None if f is None else f[index] for f in (self.rho, self.dist, self.basis)))
+
+
+@dataclass(frozen=True)
 class PurificationState:
     """Mixed state on n_system qubits obtained by tracing out the first n_reference."""
 
@@ -196,10 +213,10 @@ class PurificationState:
     def n_params(self) -> int:
         return self.circuit.n_params
 
-    def realize(self, theta: np.ndarray) -> np.ndarray:
+    def realize(self, theta: np.ndarray) -> Prepared:
         psi = apply_circuit(self.circuit, theta)
         m = psi.reshape(psi.shape[:-1] + (2**self.n_reference, 2**self.n_system))
-        return np.swapaxes(m, -1, -2) @ m.conj()
+        return Prepared(rho=np.swapaxes(m, -1, -2) @ m.conj())
 
 
 @dataclass(frozen=True)
@@ -217,21 +234,12 @@ class ConvexCombinationState:
     def n_params(self) -> int:
         return self.born_circuit.n_params + self.basis_circuit.n_params
 
-    def split(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        params = np.asarray(params, dtype=float)
+    def realize(self, params: np.ndarray) -> Prepared:
+        """The Born-machine angles come first, then the basis circuit's."""
         k = self.born_circuit.n_params
-        return params[..., :k], params[..., k:]
-
-    def distribution(self, params: np.ndarray) -> np.ndarray:
-        phi, _ = self.split(params)
-        return qcbm_distribution(self.born_circuit, phi)
-
-    def basis_unitary(self, params: np.ndarray) -> np.ndarray:
-        _, gamma = self.split(params)
-        return circuit_unitary(self.basis_circuit, gamma)
-
-    def realize(self, params: np.ndarray) -> np.ndarray:
-        return mixture(self.distribution(params), self.basis_unitary(params))
+        p = qcbm_distribution(self.born_circuit, params[..., :k])
+        u = circuit_unitary(self.basis_circuit, params[..., k:])
+        return Prepared(rho=mixture(p, u), dist=p, basis=u)
 
 
 def mixture(p: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -249,5 +257,5 @@ class BornDistribution:
     def n_params(self) -> int:
         return self.born_circuit.n_params
 
-    def realize(self, phi: np.ndarray) -> np.ndarray:
-        return qcbm_distribution(self.born_circuit, phi)
+    def realize(self, phi: np.ndarray) -> Prepared:
+        return Prepared(dist=qcbm_distribution(self.born_circuit, phi))

@@ -7,8 +7,7 @@ scheme, gradient normalization and the iteration cap; the ansatz type itself
 defaults to ``problems.default_ansatz_type``.  A key in neither takes the
 default of its dataclass field.  Values are checked as written, not
 converted: an integer field takes an integer, a real field a finite number,
-a flag a JSON boolean and a name a string.  ``DEFAULTS`` is also importable
-from here.
+a flag a JSON boolean and a name a string.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import get_type_hints
 from .estimate import ShotModel
 from .optimizer import LrSchedule, SpsaConfig
 from .pauli import is_finite_real
-from .problems import DEFAULTS, INSTANCE_SEED, N_SYSTEM, PROBLEM_TAGS, check_problem, default_ansatz_type, problem_defaults
+from .problems import INSTANCE_SEED, N_SYSTEM, PROBLEM_TAGS, check_problem, default_ansatz_type, problem_defaults
 
 
 class ConfigError(ValueError):

@@ -25,7 +25,7 @@ from itertools import compress
 
 import numpy as np
 
-from .ansatz import ConvexCombinationState, mixture
+from .ansatz import Prepared
 from .pauli import Expansion, term_stack
 
 MAX_SHOTS = 2**63 - 1
@@ -57,45 +57,10 @@ class Estimate:
     std_err: float = 0.0
 
 
-@dataclass(frozen=True)
-class Prepared:
-    """A realized state: dense density matrix, plus (p, U) when it was built
-    as a convex combination, or a bare probability vector for classical
-    distributions."""
-
-    rho: np.ndarray | None = None
-    dist: np.ndarray | None = None
-    basis: np.ndarray | None = None
-
-    @property
-    def dense(self) -> np.ndarray:
-        return self.rho if self.rho is not None else self.dist
-
-    @property
-    def is_cc(self) -> bool:
-        return self.dist is not None and self.basis is not None
-
-    def __getitem__(self, index) -> "Prepared":
-        """One row (or a run of rows) of a stack of states: each field indexed alike."""
-        return Prepared(*(None if f is None else f[index] for f in (self.rho, self.dist, self.basis)))
-
-
 def prepare(template, params: np.ndarray) -> Prepared:
     """Realize an ansatz template at a parameter vector, or at every row of a
-    2-D array of parameter rows in one circuit pass.  The fields of a stack
-    carry the row axis first, and ``stack[k]`` is the state at row k."""
-    params = np.asarray(params, dtype=float)
-    if isinstance(template, ConvexCombinationState):
-        p = template.distribution(params)
-        u = template.basis_unitary(params)
-        fields = {"rho": mixture(p, u), "dist": p, "basis": u}
-    else:
-        realize = getattr(template, "realize", None)
-        if realize is None:
-            raise TypeError(f"cannot prepare object of type {type(template)!r}")
-        out = realize(params)
-        fields = {"dist" if out.ndim == params.ndim else "rho": out}
-    return Prepared(**fields)
+    2-D array of parameter rows in one circuit pass."""
+    return template.realize(np.asarray(params, dtype=float))
 
 
 def as_prepared(x) -> Prepared:

@@ -18,7 +18,7 @@ The penalties of the term forms are squared norms ||sum_i c_i X_i||^2, and
 (The constrained-Hamiltonian primal is the exception: its penalty squares
 the estimate of each scalar constraint.)  An operand X_i is one of
 
-* a :class:`~qslack.estimate.Prepared` state, or a distribution (no ``rho``);
+* a :class:`~qslack.ansatz.Prepared` state, or a distribution (no ``rho``);
 * ``IDENTITY``: the identity matrix, or the all-ones vector;
 * a :class:`~qslack.pauli.Expansion` sum_k a_k B_k with real coefficients
   over Pauli strings or Walsh vectors: the observable type of the package,
@@ -99,8 +99,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .estimate import Estimator, Prepared, as_prepared, prepare
-from .pauli import Expansion, dense_string_basis, string_order
+from .ansatz import Prepared
+from .estimate import Estimator, as_prepared, prepare
+from .pauli import Expansion, string_order, term_stack
 
 
 class TermBreakdown(NamedTuple):
@@ -471,7 +472,7 @@ def coeffs_to_matrix(coeffs: np.ndarray, n: int) -> np.ndarray:
     vector or for each of a stack: one BLAS vector-matrix product per vector,
     the product ``np.tensordot(coeffs, basis, axes=1)`` makes."""
     coeffs = np.ascontiguousarray(coeffs)
-    basis = dense_string_basis(n)
+    basis = term_stack(string_order(n))
     flat = coeffs[..., None, :] @ basis.reshape(len(basis), -1)
     return flat.reshape(coeffs.shape[:-1] + basis.shape[1:])
 

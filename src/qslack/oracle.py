@@ -49,9 +49,12 @@ def exact_tvd(p: np.ndarray, q: np.ndarray) -> float:
 # The multiplier searches handle at most this many scalar constraints.
 MAX_CONSTRAINTS = 3
 
+# The multiplier searches cover [0, Y_MAX] in each coordinate.
+Y_MAX = 10.0
 
-def _maximize_concave_box(g, lead: np.ndarray, dim: int, y_max: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nested ternary search over [0, y_max]^dim for jointly concave g, in lanes.
+
+def _maximize_concave_box(g, lead: np.ndarray, dim: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nested ternary search over [0, Y_MAX]^dim for jointly concave g, in lanes.
 
     Each row of ``lead`` is a lane: fixed values of the leading coordinates,
     followed by the ``dim`` searched ones.  ``g`` maps a (k, ell) array of
@@ -66,10 +69,10 @@ def _maximize_concave_box(g, lead: np.ndarray, dim: int, y_max: float, tol: floa
         pts = np.column_stack((lead[lanes], x))
         if dim == 1:
             return pts, g(pts)
-        return _maximize_concave_box(g, pts, dim - 1, y_max, tol)
+        return _maximize_concave_box(g, pts, dim - 1, tol)
 
     lo = np.zeros(len(lead))
-    hi = np.full(len(lead), y_max)
+    hi = np.full(len(lead), Y_MAX)
     active = np.flatnonzero(hi - lo > tol)
     while active.size:
         third = (hi[active] - lo[active]) / 3.0
@@ -83,21 +86,21 @@ def _maximize_concave_box(g, lead: np.ndarray, dim: int, y_max: float, tol: floa
     return best(np.arange(len(lead)), (lo + hi) / 2.0)
 
 
-def _grid_then_refine(g, dim: int, y_max: float, coarse: int, tol: float) -> tuple[np.ndarray, float]:
-    """The maximizer of g over [0, y_max]^dim, dim >= 1: the first point of a
+def _grid_then_refine(g, dim: int, coarse: int, tol: float) -> tuple[np.ndarray, float]:
+    """The maximizer of g over [0, Y_MAX]^dim, dim >= 1: the first point of a
     coarse grid, in C order, that beats the origin and every earlier point,
     unless the nested ternary search finds a higher value.  The grid is
     evaluated one value of its leading coordinate at a time."""
     best_y = np.zeros(dim)
     best_v = g(best_y[None])[0]
-    axes = np.meshgrid(*[np.linspace(0.0, y_max, coarse)] * dim, indexing="ij")
+    axes = np.meshgrid(*[np.linspace(0.0, Y_MAX, coarse)] * dim, indexing="ij")
     pts = np.stack([m.ravel() for m in axes], axis=1)
     for chunk in pts.reshape(coarse if dim > 1 else 1, -1, dim):
         v = g(chunk)
         j = int(np.argmax(v))
         if v[j] > best_v:
             best_v, best_y = v[j], chunk[j]
-    y_t, v_t = _maximize_concave_box(g, np.zeros((1, 0)), dim, y_max, tol)
+    y_t, v_t = _maximize_concave_box(g, np.zeros((1, 0)), dim, tol)
     if v_t[0] > best_v:
         return y_t[0], v_t[0]
     return best_y, best_v
@@ -117,12 +120,11 @@ def _row_dots(y: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([np.dot(b, row) for row in y])
 
 
-def sdp_cham_value(h: Expansion, a_list: list[Expansion], b,
-                   y_max: float = 10.0) -> OracleResult:
+def sdp_cham_value(h: Expansion, a_list: list[Expansion], b) -> OracleResult:
     """Optimal value of the constrained Hamiltonian problem via its
     multiplier form: max over y >= 0 of sum_i b_i y_i + lambda_min(H - sum_i y_i A_i),
     which matches the primal optimum under strong duality.  The search
-    covers [0, y_max]^ell; a maximizer within the search tolerance of y_max
+    covers [0, Y_MAX]^ell; a maximizer within the search tolerance of Y_MAX
     in any coordinate raises ValueError, since the optimum may lie beyond."""
     ell = len(a_list)
     coarse, tol = _search_settings(ell)
@@ -137,15 +139,14 @@ def sdp_cham_value(h: Expansion, a_list: list[Expansion], b,
         m = h_dense - sum(y[:, i, None, None] * a for i, a in enumerate(a_dense))
         return _row_dots(y, b) + np.linalg.eigvalsh(m)[:, 0]
 
-    y_star, val = _grid_then_refine(g, ell, y_max, coarse, tol)
-    if np.any(y_max - y_star <= tol):
-        raise ValueError(f"the multiplier search stopped at the edge of its box [0, {y_max}]: "
+    y_star, val = _grid_then_refine(g, ell, coarse, tol)
+    if np.any(Y_MAX - y_star <= tol):
+        raise ValueError(f"the multiplier search stopped at the edge of its box [0, {Y_MAX}]: "
                          f"y = {y_star.tolist()}, so the optimum may lie beyond it")
     return OracleResult(float(val), "eigenvalue-dual-search")
 
 
-def lp_classical_cham_value(h: Expansion, a_list: list[Expansion], b,
-                            y_max: float = 10.0) -> OracleResult:
+def lp_classical_cham_value(h: Expansion, a_list: list[Expansion], b) -> OracleResult:
     """Classical analogue, by vertex enumeration of the primal polytope.
 
     The residual is the distance to the multiplier form, max over y >= 0 of
@@ -163,7 +164,7 @@ def lp_classical_cham_value(h: Expansion, a_list: list[Expansion], b,
         v = h_vec - sum(y[:, i, None] * a for i, a in enumerate(a_vecs))
         return _row_dots(y, b) + np.min(v, axis=1)
 
-    _, val = _grid_then_refine(g, ell, y_max, coarse, tol)
+    _, val = _grid_then_refine(g, ell, coarse, tol)
     vertex = lp_vertex_value(h_vec, np.array(a_vecs), b)
     return OracleResult(vertex, "lp-vertex", float(abs(val - vertex)))
 

@@ -36,21 +36,10 @@ def default_term_cap(n: int) -> int:
     return 4**n if n <= 2 else 64
 
 
-@lru_cache(maxsize=None)
-def _dense_string(labels: tuple[int, ...]) -> np.ndarray:
-    return reduce(np.kron, (SIGMA[l] for l in labels))
-
-
 @lru_cache(maxsize=8)
 def string_order(n: int) -> tuple[tuple[int, ...], ...]:
     """All length-n label tuples in the canonical lexicographic order."""
     return tuple(sorted(product(range(4), repeat=n)))
-
-
-@lru_cache(maxsize=4)
-def dense_string_basis(n: int) -> np.ndarray:
-    """Stack of all 4^n dense Pauli strings in canonical order."""
-    return np.stack([_dense_string(l) for l in string_order(n)])
 
 
 def _parse_labels(text: str, walsh: bool) -> tuple[int, ...]:
@@ -63,14 +52,10 @@ def _parse_labels(text: str, walsh: bool) -> tuple[int, ...]:
     return labels
 
 
+@lru_cache(maxsize=None)
 def _basis_dense(labels: tuple[int, ...], walsh: bool) -> np.ndarray:
     """The dense Pauli string (or, if ``walsh``, Walsh vector) labelled ``labels``."""
-    if not walsh:
-        return _dense_string(labels)
-    out = WALSH[labels[0]]
-    for l in labels[1:]:
-        out = np.kron(out, WALSH[l])
-    return out
+    return reduce(np.kron, ((WALSH if walsh else SIGMA)[l] for l in labels))
 
 
 @lru_cache(maxsize=32)

@@ -23,11 +23,12 @@ from . import oracle as orc
 from .ansatz import (
     BornDistribution,
     ConvexCombinationState,
+    Prepared,
     PurificationState,
     layered_unitary_circuit,
     qcbm_circuit,
 )
-from .estimate import Prepared, as_prepared, prepare
+from .estimate import as_prepared, prepare
 from .objective import ParamBlock, PenaltyObjective
 from .pauli import Expansion, is_finite_real
 
@@ -65,13 +66,12 @@ def make_cc(n_system: int, layers: int, born_layers: int) -> ConvexCombinationSt
 
 
 def make_opt_template(ansatz_type: str, n_system: int, layers: int, born_layers: int):
+    """The template to train for an ansatz type that ``problem_defaults`` accepted."""
     if ansatz_type == "purification":
         return make_purification(n_system, layers)
     if ansatz_type == "convex_combination":
         return make_cc(n_system, layers, born_layers)
-    if ansatz_type == "born":
-        return BornDistribution(qcbm_circuit(n_system, born_layers))
-    raise ValueError(f"unknown ansatz type {ansatz_type!r}")
+    return BornDistribution(qcbm_circuit(n_system, born_layers))
 
 
 def frozen_quantum_input(ansatz_type: str, n: int, seed_key: list[int]) -> Prepared:
@@ -90,7 +90,7 @@ def frozen_born_input(n: int, seed_key: list[int]) -> np.ndarray:
     rng = np.random.default_rng(seed_key)
     template = BornDistribution(qcbm_circuit(n, INPUT_LAYERS))
     phi = rng.uniform(0.0, 2.0 * np.pi, template.n_params)
-    return template.realize(phi)
+    return template.realize(phi).dist
 
 
 def _scalar(name: str, size: int, init, nonneg: bool = True, scale: float = 1.0,

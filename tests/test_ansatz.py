@@ -29,7 +29,7 @@ def test_layered_unitary_theta_zero_is_identity():
 
 
 def test_single_ry_pi_flips_qubit():
-    c = ParamCircuit(1, (Gate("ry", (0,), 0),))
+    c = ParamCircuit(1, (Gate("ry", (0,)),))
     u = circuit_unitary(c, np.array([np.pi]))
     out = u @ np.array([1, 0], dtype=complex)
     assert np.isclose(abs(out[1]), 1.0)
@@ -52,14 +52,14 @@ def test_gate_kinds_match_generators(rng):
     }
     theta = 0.73
     for kind, g in pauli.items():
-        c = ParamCircuit(1, (Gate(kind, (0,), 0),))
+        c = ParamCircuit(1, (Gate(kind, (0,)),))
         u = circuit_unitary(c, np.array([theta]))
         expected = np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * g
         assert np.allclose(u, expected)
     for kind, g in [("rxx", np.kron(pauli["rx"], pauli["rx"])),
                     ("ryy", np.kron(pauli["ry"], pauli["ry"])),
                     ("rzz", np.kron(pauli["rz"], pauli["rz"]))]:
-        c = ParamCircuit(2, (Gate(kind, (0, 1), 0),))
+        c = ParamCircuit(2, (Gate(kind, (0, 1)),))
         u = circuit_unitary(c, np.array([theta]))
         expected = np.cos(theta / 2) * np.eye(4) - 1j * np.sin(theta / 2) * g
         assert np.allclose(u, expected)
@@ -91,7 +91,7 @@ _PLACEMENTS = ([(k, (q,)) for k in ("rx", "ry", "rz") for q in range(3)]
 @pytest.mark.parametrize("kind,qubits", _PLACEMENTS)
 def test_gate_placement_matches_kron_reference(kind, qubits, rng):
     n, theta = 3, 0.73
-    circuit = ParamCircuit(n, (Gate(kind, qubits, 0),))
+    circuit = ParamCircuit(n, (Gate(kind, qubits),))
     angles = np.array([theta])
     u = _reference_gate(kind, qubits, theta, n)
     batch = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
@@ -110,14 +110,11 @@ def test_gate_placement_matches_kron_reference(kind, qubits, rng):
 def _every_gate_kind(n):
     """One circuit per gate kind on n qubits, placed on each qubit (pair),
     interleaved with Ry layers so that the inputs of every gate are generic."""
-    gates, k = [], 0
+    gates = []
     for kind, qubits in [(k, (q,)) for k in ("rx", "ry", "rz") for q in range(n)] + [
             (k, pair) for k in ("rxx", "ryy", "rzz") for pair in permutations(range(n), 2)]:
-        for q in range(n):
-            gates.append(Gate("ry", (q,), k))
-            k += 1
-        gates.append(Gate(kind, qubits, k))
-        k += 1
+        gates += [Gate("ry", (q,)) for q in range(n)]
+        gates.append(Gate(kind, qubits))
     return ParamCircuit(n, tuple(gates))
 
 
@@ -161,26 +158,20 @@ def test_empty_circuit_returns_a_copy(rng):
         assert np.array_equal(out, psi) and not np.shares_memory(out, psi)
 
 
-# cnot is not a gate kind: every gate is a rotation with a parameter
+# cnot is not a gate kind: every gate is a rotation, and gate k takes parameter k
 @pytest.mark.parametrize("gate", [
-    Gate("rzz", (1, 1), 0),
-    Gate("rxx", (1, 1), 0),
-    Gate("rx", (0, 1), 0),
-    Gate("cnot", (0,), None),
-    Gate("cnot", (0, 1), 0),
-    Gate("ry", (0,), None),
-    Gate("rq", (0,), 0),
-    Gate("rz", (3,), 0),
+    Gate("rzz", (1, 1)),
+    Gate("rxx", (1, 1)),
+    Gate("rx", (0, 1)),
+    Gate("cnot", (0,)),
+    Gate("cnot", (0, 1)),
+    Gate("rq", (0,)),
+    Gate("rz", (3,)),
 ], ids=["repeated-rzz", "repeated-rxx", "two-qubit-rx", "one-qubit-cnot", "cnot-with-param",
-        "rotation-without-param", "unknown-kind", "out-of-range"])
+        "unknown-kind", "out-of-range"])
 def test_invalid_gates_rejected_at_construction(gate):
     with pytest.raises(ValueError):
         ParamCircuit(3, (gate,))
-
-
-def test_param_indices_must_be_contiguous():
-    with pytest.raises(ValueError):
-        ParamCircuit(1, (Gate("rx", (0,), 1),))
 
 
 def test_four_pi_periodicity(rng):
@@ -200,7 +191,7 @@ class TestQcbm:
         assert np.allclose(p, [1, 0, 0, 0])
 
     def test_single_ry_half(self):
-        c = ParamCircuit(1, (Gate("ry", (0,), 0),))
+        c = ParamCircuit(1, (Gate("ry", (0,)),))
         p = qcbm_distribution(c, np.array([np.pi / 2]))
         assert np.allclose(p, [0.5, 0.5])
 
@@ -216,20 +207,19 @@ class TestRealize:
     def test_pure_when_no_reference(self, rng):
         circ = layered_unitary_circuit(2, 2)
         state = PurificationState(circ, n_reference=0, n_system=2)
-        rho = state.realize(rng.uniform(0, 2 * np.pi, circ.n_params))
+        rho = state.realize(rng.uniform(0, 2 * np.pi, circ.n_params)).rho
         assert np.isclose(np.trace(rho @ rho).real, 1.0)
 
     def test_cc_spectrum_is_born_distribution(self, rng):
         state = ConvexCombinationState(qcbm_circuit(2, 2), layered_unitary_circuit(2, 2))
-        params = rng.uniform(0, 2 * np.pi, state.n_params)
-        rho = state.realize(params)
-        p = state.distribution(params)
+        cc = state.realize(rng.uniform(0, 2 * np.pi, state.n_params))
+        rho, p = cc.rho, cc.dist
         assert np.allclose(np.sort(np.linalg.eigvalsh(rho)), np.sort(p), atol=1e-9)
 
     def test_purification_rank_bound(self, rng):
         circ = layered_unitary_circuit(3, 2)
         state = PurificationState(circ, n_reference=1, n_system=2)
-        rho = state.realize(rng.uniform(0, 2 * np.pi, circ.n_params))
+        rho = state.realize(rng.uniform(0, 2 * np.pi, circ.n_params)).rho
         w = np.linalg.eigvalsh(rho)
         assert np.sum(w > 1e-10) <= 2
 
@@ -237,23 +227,21 @@ class TestRealize:
         pur = PurificationState(layered_unitary_circuit(4, 2), 2, 2)
         cc = ConvexCombinationState(qcbm_circuit(2, 2), layered_unitary_circuit(2, 2))
         for _ in range(500):
-            check_density(pur.realize(rng.uniform(0, 2 * np.pi, pur.n_params)))
-            check_density(cc.realize(rng.uniform(0, 2 * np.pi, cc.n_params)))
+            check_density(pur.realize(rng.uniform(0, 2 * np.pi, pur.n_params)).rho)
+            check_density(cc.realize(rng.uniform(0, 2 * np.pi, cc.n_params)).rho)
 
     def test_cc_purity_equals_distribution_purity(self, rng):
         state = ConvexCombinationState(qcbm_circuit(2, 2), layered_unitary_circuit(2, 2))
         for _ in range(20):
-            params = rng.uniform(0, 2 * np.pi, state.n_params)
-            rho = state.realize(params)
-            p = state.distribution(params)
+            cc = state.realize(rng.uniform(0, 2 * np.pi, state.n_params))
+            rho, p = cc.rho, cc.dist
             assert abs(np.trace(rho @ rho).real - np.sum(p**2)) < 1e-9
 
 
 class TestSampleCc:
     def test_empirical_frequencies(self, rng):
         state = ConvexCombinationState(qcbm_circuit(2, 2), layered_unitary_circuit(2, 1))
-        params = rng.uniform(0, 2 * np.pi, state.n_params)
-        p = state.distribution(params)
+        p = state.realize(rng.uniform(0, 2 * np.pi, state.n_params)).dist
         n = 100_000
         counts = np.zeros(4)
         xs = rng.choice(4, size=n, p=p)
@@ -267,17 +255,17 @@ class TestSampleCc:
 class TestBornCcAsPurification:
     def test_uniform_distribution_gives_maximally_mixed(self, rng):
         # a Born machine producing the uniform distribution erases the basis choice
-        born = ParamCircuit(1, (Gate("ry", (0,), 0),))
+        born = ParamCircuit(1, (Gate("ry", (0,)),))
         state = ConvexCombinationState(born, layered_unitary_circuit(1, 1))
         gamma = rng.uniform(0, 2 * np.pi, state.basis_circuit.n_params)
         params = np.concatenate([[np.pi / 2], gamma])
-        rho = state.realize(params)
+        rho = state.realize(params).rho
         assert np.allclose(rho, np.eye(2) / 2, atol=1e-10)
 
 
 def test_born_distribution_template(rng):
     t = BornDistribution(qcbm_circuit(2, 2))
-    p = t.realize(rng.uniform(0, 2 * np.pi, t.n_params))
+    p = t.realize(rng.uniform(0, 2 * np.pi, t.n_params)).dist
     assert p.shape == (4,)
     assert np.isclose(p.sum(), 1.0)
 
@@ -287,5 +275,5 @@ def test_born_distribution_template(rng):
 def test_realized_states_are_density_matrices(seed):
     rng = np.random.default_rng(seed)
     state = PurificationState(layered_unitary_circuit(3, 2), 1, 2)
-    rho = state.realize(rng.uniform(0, 2 * np.pi, state.n_params))
+    rho = state.realize(rng.uniform(0, 2 * np.pi, state.n_params)).rho
     check_density(rho)

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from qslack.cli import main
+from qslack.config import ExperimentConfig
 from qslack.problems import DEFAULTS
 
 
@@ -128,6 +129,8 @@ def test_convergence_suite_runs_every_defaults_pair(tmp_path, monkeypatch):
 
     def run_experiment(cfg):
         ran.append((cfg.problem, cfg.ansatz.type))
+        # without --runs and --seed every campaign keeps the config's defaults
+        assert (cfg.n_runs, cfg.seed) == (ExperimentConfig.n_runs, ExperimentConfig.seed)
         return SimpleNamespace(records=[], oracle=SimpleNamespace(value=0.0))
 
     monkeypatch.setattr(suite, "run_experiment", run_experiment)

@@ -4,10 +4,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qslack.ansatz import ConvexCombinationState, layered_unitary_circuit, qcbm_circuit
+from qslack.ansatz import ConvexCombinationState, Prepared, layered_unitary_circuit, qcbm_circuit
 from qslack.estimate import (
     Estimator,
-    Prepared,
     ShotModel,
     as_prepared,
     hoeffding_shots,
@@ -227,6 +226,12 @@ class TestHoeffding:
             hoeffding_shots(0.1, 1.5)
 
 
+def assert_same_fields(got, want):
+    for field in ("rho", "dist", "basis"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a is None and b is None) or np.array_equal(a, b), field
+
+
 class TestPrepared:
     def test_prepare_purification(self, rng):
         from qslack.ansatz import PurificationState
@@ -248,10 +253,15 @@ class TestPrepared:
         batch = prepare(t, rows)
         assert len(batch.dense) == len(rows)
         for k, row in enumerate(rows):
-            got, want = batch[k], prepare(t, row)
-            for field in ("rho", "dist", "basis"):
-                a, b = getattr(got, field), getattr(want, field)
-                assert (a is None and b is None) or np.array_equal(a, b), field
+            assert_same_fields(batch[k], prepare(t, row))
+
+    @pytest.mark.parametrize("kind", ["purification", "convex_combination", "born"])
+    @pytest.mark.parametrize("shape", ["vector", "rows"])
+    def test_realize_is_prepare(self, kind, shape, rng):
+        from qslack.problems import make_opt_template
+        t = make_opt_template(kind, 2, 2, 2)
+        x = rng.uniform(0, 2 * np.pi, (t.n_params,) if shape == "vector" else (3, t.n_params))
+        assert_same_fields(t.realize(x), prepare(t, x))
 
     def test_walsh_expect_matches_dot(self, rng):
         p = np.abs(rng.standard_normal(4))

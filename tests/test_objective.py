@@ -7,8 +7,8 @@ import pytest
 from itertools import product
 
 from qslack import PROBLEM_TAGS, build_problem, linalg, objective as obj
-from qslack.ansatz import ConvexCombinationState, layered_unitary_circuit, qcbm_circuit
-from qslack.estimate import Estimator, Prepared, ShotModel, as_prepared, prepare
+from qslack.ansatz import ConvexCombinationState, Prepared, layered_unitary_circuit, qcbm_circuit
+from qslack.estimate import Estimator, ShotModel, as_prepared, prepare
 from qslack.pauli import Expansion, term_stack
 from qslack.oracle import exact_negativity, exact_root_fidelity, exact_trace_distance, exact_tvd
 from qslack.problems import DEFAULTS
@@ -821,7 +821,7 @@ def test_dense_form_rows_equal_unstacked_calls(name, m):
 def test_stacked_contractions_match_single_vector_calls(m):
     # the contractions of the dense forms give, row by row, the bits of the
     # numpy call on one vector that each replaces
-    from qslack.pauli import dense_string_basis
+    from qslack.pauli import string_order
     rng = np.random.default_rng(23)
     for n in (1, 2, 3):
         d = 2**n
@@ -835,8 +835,9 @@ def test_stacked_contractions_match_single_vector_calls(m):
             assert traces[k] == np.einsum("ij,ji->", a[k], b[k])
             assert norms[k] == np.vdot(a[k], a[k]).real
             assert dots[k] == np.dot(x[k], y[k]) and fixed_dots[k] == np.dot(x[0], y[k])
-            assert np.array_equal(mats[k], np.tensordot(coeffs[k], dense_string_basis(n), axes=1))
-            assert np.array_equal(real_mats[k], np.tensordot(x[k], dense_string_basis(n), axes=1))
+            basis = term_stack(string_order(n))
+            assert np.array_equal(mats[k], np.tensordot(coeffs[k], basis, axes=1))
+            assert np.array_equal(real_mats[k], np.tensordot(x[k], basis, axes=1))
 
 
 def test_vector_evaluation_is_pinned():

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from itertools import product
 
-from qslack.estimate import Estimator, Prepared
+from qslack.ansatz import Prepared
+from qslack.estimate import Estimator
 from qslack.pauli import Expansion, default_term_cap, term_stack
 
 
