@@ -2,6 +2,8 @@
 
 Runs each config of ``perfbench/workloads.py`` at seeds 1 and 2, each with
 ``workers`` 1 and 2, into OUT/<workload>/seed<s>.workers<w>/<problem>.<ansatz>.
+Each config runs twice into its directory, as the benchmark repeats a
+campaign, so the tree holds what a re-run leaves, not only a first write.
 The outputs are deterministic, so two versions of the program compute the
 same results on these workloads exactly when ``diff -r`` finds no difference
 between their trees.  The benchmark's files are only imported, never changed.
@@ -25,6 +27,7 @@ from workloads import WORKLOADS
 
 SEEDS = (1, 2)
 WORKERS = (1, 2)
+REPEATS = 2
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -36,7 +39,9 @@ def main(argv: list[str] | None = None) -> int:
             for workers in WORKERS:
                 out_dir = os.path.join(args.out, name, f"seed{seed}.workers{workers}")
                 for doc in workload.configs(seed, out_dir):
-                    run_experiment(config_from_dict({**doc, "workers": workers}))
+                    cfg = config_from_dict({**doc, "workers": workers})
+                    for _ in range(REPEATS):
+                        run_experiment(cfg)
                 print(f"{name} seed {seed} workers {workers}: {out_dir}", flush=True)
     return 0
 

@@ -36,7 +36,7 @@ point an SPSA iteration evaluates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -148,7 +148,10 @@ def _ring_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
 
 
+@lru_cache(maxsize=32)
 def _layered(n: int, layers: int, rot_kinds: tuple[str, str]) -> ParamCircuit:
+    """The circuit, kept per process: it is frozen, so every campaign that
+    asks for it shares it and its compiled ``ops``."""
     gates: list[Gate] = []
     for _ in range(layers):
         gates += [Gate(kind, (q,)) for q in range(n) for kind in rot_kinds]

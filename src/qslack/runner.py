@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import re
 # Unused here, but perfbench/tracer.py subclasses and patches this name.
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
@@ -89,26 +90,52 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+# The name of a run's CSV as run_experiment writes it: run_<k>.csv, k in decimal.
+_RUN_CSV = re.compile(r"run_(0|[1-9][0-9]*)\.csv")
+
+
+def _remove(path: str) -> None:
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+
+
+def _write_new(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as a new file: a file already there is
+    unlinked, not truncated.  On ext4 (data=ordered) truncating a file whose
+    last write is still queued for writeback waits for the journal commit,
+    40-70 ms a file on a 2-core VM; a fresh file does not, and a hard link to
+    the old file keeps its bytes.  Writing a temporary file and renaming it
+    over the path waits as long, since ext4 commits a replacing rename the
+    same way."""
+    _remove(path)
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def write_run_csv(path: str, record: RunRecord) -> None:
     """One line per row of the record: the iteration, then the ``ROW``
     fields, under a header of their names."""
     lines = [",".join(("iter", *ROW.names))]
     lines += [",".join([str(k), *map(repr, row)]) for k, row in enumerate(record.rows.tolist())]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_new(path, "\n".join(lines) + "\n")
 
 
 def write_summary_csv(path: str, agg: list[tuple[int, float, float, float]]) -> None:
     lines = ["iter,median,q1,q3"]
     for it, med, q1, q3 in agg:
         lines.append(",".join([str(it), _fmt(med), _fmt(q1), _fmt(q3)]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_new(path, "\n".join(lines) + "\n")
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute the configured campaign and write run_<k>.csv, summary.csv,
-    convergence.svg, and a manifest of run statuses.  The problem, oracle
+    convergence.svg, and a manifest of run statuses.  Each is written as a
+    new file, and a file of these names that an earlier campaign left in the
+    output directory and this one does not write (the CSV of a run k >=
+    n_runs, or the summary and plot when no run completed) is removed, so
+    the directory describes this campaign alone.  The problem, oracle
     included, is built once and every run trains it.  The runs are split
     into chunks of consecutive indices, each trained in lockstep by one call
     of ``_run_single``.  ``workers`` caps the number of chunks, and there is
@@ -168,21 +195,26 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         path = os.path.join(out_dir, f"run_{k}.csv")
         write_run_csv(path, rec)
         result.run_csvs.append(path)
+    for name in os.listdir(out_dir):
+        match = _RUN_CSV.fullmatch(name)
+        if match and int(match[1]) >= cfg.n_runs:
+            _remove(os.path.join(out_dir, name))
 
+    summary_csv, plot_svg = os.path.join(out_dir, "summary.csv"), os.path.join(out_dir, "convergence.svg")
     completed = [r for r in records if len(r.rows)]
     if completed:
         agg = aggregate_runs(completed)
-        result.summary_csv = os.path.join(out_dir, "summary.csv")
-        write_summary_csv(result.summary_csv, agg)
-        result.plot_svg = os.path.join(out_dir, "convergence.svg")
-        with open(result.plot_svg, "w") as fh:
-            fh.write(emit_plot(agg, problem.oracle.value, title=cfg.problem))
+        result.summary_csv, result.plot_svg = summary_csv, plot_svg
+        write_summary_csv(summary_csv, agg)
+        _write_new(plot_svg, emit_plot(agg, problem.oracle.value, title=cfg.problem))
+    else:
+        _remove(summary_csv)
+        _remove(plot_svg)
 
     aborted = [k for k, r in enumerate(records) if r.aborted]
     manifest = [f"runs: {cfg.n_runs}", f"aborted: {aborted if aborted else 'none'}",
                 f"oracle: {_fmt(problem.oracle.value)} ({problem.oracle.method})"]
-    with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
-        fh.write("\n".join(manifest) + "\n")
+    _write_new(os.path.join(out_dir, "manifest.txt"), "\n".join(manifest) + "\n")
     result.ok = not aborted
     return result
 

@@ -18,6 +18,7 @@ from qslack.ansatz import (
     qcbm_circuit,
     qcbm_distribution,
 )
+from qslack.problems import build_problem
 from tests.conftest import check_density
 
 
@@ -26,6 +27,15 @@ def test_layered_unitary_theta_zero_is_identity():
         c = layered_unitary_circuit(n, layers)
         u = circuit_unitary(c, np.zeros(c.n_params))
         assert np.allclose(u, np.eye(2**n))
+
+
+def test_layered_circuits_are_built_once_per_process():
+    # each problem built of a shape shares one circuit and its compiled ops
+    first, again = (build_problem("trace_distance_dual", ansatz_type="convex_combination") for _ in range(2))
+    a, b = first.objective.state_templates[0], again.objective.state_templates[0]
+    assert a.born_circuit is b.born_circuit and a.basis_circuit is b.basis_circuit
+    assert a.basis_circuit.ops is b.basis_circuit.ops
+    assert layered_unitary_circuit(2, 1) is not qcbm_circuit(2, 1)
 
 
 def test_single_ry_pi_flips_qubit():

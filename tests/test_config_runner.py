@@ -13,7 +13,7 @@ from qslack.config import AnsatzConfig, ConfigError, ExperimentConfig, config_fr
 from qslack import runner
 from qslack.estimate import Estimator
 from qslack.objective import PenaltyObjective
-from qslack.optimizer import aggregate_runs
+from qslack.optimizer import RunRecord, aggregate_runs
 from qslack.problems import DEFAULTS, PROBLEM_TAGS, build_problem
 from qslack.runner import build_from_config, emit_plot, run_experiment, write_summary_csv
 
@@ -357,6 +357,55 @@ class TestRunner:
         for pa, pb in zip(ra.run_csvs, rb.run_csvs):
             assert Path(pa).read_bytes() == Path(pb).read_bytes()
         assert Path(ra.summary_csv).read_bytes() == Path(rb.summary_csv).read_bytes()
+
+    @staticmethod
+    def _files(directory: Path) -> dict[str, bytes]:
+        return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+    def test_rerun_into_one_directory_matches_a_fresh_one(self, tmp_path):
+        fresh = run_experiment(config_from_dict(tiny_config(output_dir=str(tmp_path / "fresh"))))
+        cfg = config_from_dict(tiny_config(output_dir=str(tmp_path / "exp")))
+        run_experiment(cfg)
+        again = run_experiment(cfg)
+        want = self._files(Path(fresh.output_dir))
+        assert sorted(want) == ["convergence.svg", "manifest.txt", "run_0.csv", "run_1.csv", "summary.csv"]
+        assert self._files(Path(again.output_dir)) == want
+
+    def test_rerun_writes_new_files(self, tmp_path):
+        # a file is replaced, not truncated and rewritten: a hard link to
+        # the first campaign's run_0.csv keeps that campaign's bytes
+        first = run_experiment(config_from_dict(tiny_config(output_dir=str(tmp_path / "exp"))))
+        before = Path(first.run_csvs[0]).read_bytes()
+        os.link(first.run_csvs[0], tmp_path / "kept.csv")
+        second = run_experiment(config_from_dict(tiny_config(seed=4, output_dir=str(tmp_path / "exp"))))
+        assert (tmp_path / "kept.csv").read_bytes() == before
+        assert Path(second.run_csvs[0]).read_bytes() != before
+
+    def test_rerun_with_fewer_runs_removes_the_extra_csvs(self, tmp_path):
+        exp = tmp_path / "exp"
+        run_experiment(config_from_dict(tiny_config(n_runs=3, output_dir=str(exp))))
+        # files of other names are not the program's and stay
+        others = {"run_01.csv": b"a", "run_x.csv": b"b", "notes.txt": b"c"}
+        for name, data in others.items():
+            (exp / name).write_bytes(data)
+        run_experiment(config_from_dict(tiny_config(n_runs=2, output_dir=str(exp))))
+        run_experiment(config_from_dict(tiny_config(n_runs=2, output_dir=str(tmp_path / "fresh"))))
+        assert self._files(exp) == {**self._files(tmp_path / "fresh"), **others}
+
+    def test_rerun_without_a_completed_run_removes_the_summary_and_plot(self, tmp_path, monkeypatch):
+        exp = tmp_path / "exp"
+        run_experiment(config_from_dict(tiny_config(output_dir=str(exp))))
+        assert (exp / "summary.csv").exists() and (exp / "convergence.svg").exists()
+
+        def no_rows(problem, spsa, schedule, seeds, shots=None, oracle=None):
+            return [RunRecord(aborted=True, abort_reason="stub") for _ in seeds]
+
+        monkeypatch.setattr(runner, "run_optimization", no_rows)
+        result = run_experiment(config_from_dict(tiny_config(output_dir=str(exp))))
+        assert not result.ok and result.summary_csv == result.plot_svg == ""
+        assert sorted(self._files(exp)) == ["manifest.txt", "run_0.csv", "run_1.csv"]
+        assert (exp / "run_0.csv").read_text() == "iter,objective,penalty,error,lr\n"
+        assert (exp / "manifest.txt").read_text().splitlines()[1] == "aborted: [0, 1]"
 
     def test_parallel_workers_match_serial(self, tmp_path):
         serial = run_experiment(config_from_dict(tiny_config(shots=SHOTS, output_dir=str(tmp_path / "s"))))
